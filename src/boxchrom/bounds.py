@@ -102,18 +102,22 @@ def hoffman_bilu(g: Graph, d: int) -> float:
     return (s.largest - s.smallest) / (d - s.smallest)
 
 
+def _order(w: WeightedCompatibleMatrix | Graph) -> int:
+    return w.n if isinstance(w, Graph) else w.graph.n
+
+
 def inertia_counts(w: WeightedCompatibleMatrix | Graph, d: int) -> tuple[int, int]:
     """Eigenvalues strictly above d and strictly below -d.
 
     Counting is done on the multiplicity-grouped spectrum with a strict margin,
-    so values numerically equal to +-d count as neither.
+    so values numerically equal to +-d count as neither.  A plain graph uses
+    its memoised adjacency spectrum; only supplied weights are diagonalised.
     """
-    if isinstance(w, Graph):
-        w = WeightedCompatibleMatrix.adjacency(w)
     if d < 0:
         raise ValueError("d must be non-negative")
+    s = spectrum(w) if isinstance(w, Graph) else w.spectrum()
     above = below = 0
-    for value, count in w.spectrum().groups():
+    for value, count in s.groups():
         if value > d + STRICT_MARGIN:
             above += count
         elif value < -d - STRICT_MARGIN:
@@ -123,19 +127,15 @@ def inertia_counts(w: WeightedCompatibleMatrix | Graph, d: int) -> tuple[int, in
 
 def inertia_alpha_bound(w: WeightedCompatibleMatrix | Graph, d: int) -> int:
     """Upper bound on alpha_d: min(n - n_d^+, n - n_d^-)."""
-    if isinstance(w, Graph):
-        w = WeightedCompatibleMatrix.adjacency(w)
     above, below = inertia_counts(w, d)
-    n = w.graph.n
+    n = _order(w)
     return min(n - above, n - below)
 
 
 def inertia_chromatic_bound(w: WeightedCompatibleMatrix | Graph, d: int) -> int:
     """Lower bound on chi^d: ceil(max(n/(n - n_d^+), n/(n - n_d^-)))."""
-    if isinstance(w, Graph):
-        w = WeightedCompatibleMatrix.adjacency(w)
     above, below = inertia_counts(w, d)
-    n = w.graph.n
+    n = _order(w)
     if above >= n or below >= n:
         raise ArithmeticError("all eigenvalues escape [-d, d]; bound degenerates")
     return max(-(-n // (n - above)), -(-n // (n - below)))
@@ -248,8 +248,7 @@ def bound_report(g: Graph, d: int, m_max: int = 3,
         lower("wocjan_laplacian", {"d": d, "m": m}, we.laplacian_sum)
         lower("wocjan_signless", {"d": d, "m": m}, we.signless_sum)
         lower("wocjan_signless_reversed", {"d": d, "m": m}, we.signless_reversed_sum)
-    for label, wm in (("adjacency", WeightedCompatibleMatrix.adjacency(g) if g.n else None),
-                      ("supplied", weights)):
+    for label, wm in (("adjacency", g if g.n else None), ("supplied", weights)):
         if wm is None:
             continue
         try:

@@ -39,7 +39,7 @@ from .solvers import (
 from .spectra import MatrixKind, spectrum
 from .transfer import descend
 
-__all__ = ["ConjectureRecord", "SweepSpec", "main", "run_sweep"]
+__all__ = ["ConjectureRecord", "SweepInvariantError", "SweepSpec", "main", "run_sweep"]
 
 SCHEMA = 1
 TIGHT_TOL = 1e-6
@@ -47,6 +47,10 @@ TIGHT_TOL = 1e-6
 
 class CliInputError(ValueError):
     """Bad flags or malformed graph input; maps to exit code 1."""
+
+
+class SweepInvariantError(RuntimeError):
+    """A sweep result contradicts a proven theorem or its own witness: a solver bug."""
 
 
 _SHORTHAND = re.compile(r"^([ckp])(\d+)$", re.IGNORECASE)
@@ -312,8 +316,12 @@ def _sweep_instance(task: tuple[Graph, int, float]) -> ConjectureRecord:
         )
 
     # the clustered equality is a proven theorem: a mismatch is a solver bug
-    assert clustered.value == base.value, (emit_graph6(g), d, clustered.value, base.value)
-    assert improper.value <= base.value, (emit_graph6(g), d, improper.value, base.value)
+    if clustered.value != base.value:
+        raise SweepInvariantError(
+            f"{emit_graph6(g)} d={d}: clustered {clustered.value} != chi {base.value}")
+    if improper.value > base.value:
+        raise SweepInvariantError(
+            f"{emit_graph6(g)} d={d}: improper {improper.value} > chi {base.value}")
 
     annotations = []
     if d <= 1:
@@ -330,7 +338,10 @@ def _sweep_instance(task: tuple[Graph, int, float]) -> ConjectureRecord:
     witness = None
     if improper.value < base.value:
         status = "counterexample"
-        assert not check_improper(product, improper.witness, d)
+        bad = check_improper(product, improper.witness, d)
+        if bad:
+            raise SweepInvariantError(
+                f"{emit_graph6(g)} d={d}: counterexample witness is not {d}-improper: {bad}")
         witness = improper.witness.to_json()
     else:
         status = "verified"

@@ -14,6 +14,7 @@ import random
 from .graphs import Graph, emit_graph6
 
 __all__ = [
+    "CanonicalFormError",
     "GENERATION_CAP",
     "all_graphs",
     "canonical_certificate",
@@ -24,6 +25,10 @@ __all__ = [
 ]
 
 GENERATION_CAP = 8
+
+
+class CanonicalFormError(RuntimeError):
+    """The canonical labelling search ended without a labelling: a search bug."""
 
 
 def _refinement_classes(g: Graph) -> list[list[int]]:
@@ -106,7 +111,8 @@ def _canonical_perm(g: Graph) -> list[int]:
             cols.pop()
 
     rec(0)
-    assert best_perm is not None
+    if best_perm is None:
+        raise CanonicalFormError(f"no labelling found for {emit_graph6(g)}")
     return best_perm
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "SolveResult",
     "SolverCapError",
     "Timeout",
+    "WitnessError",
     "alpha_d",
     "chromatic_bfold",
     "chromatic_clustered",
@@ -41,6 +42,10 @@ class SolverCapError(ValueError):
 
 class Timeout(Exception):
     """Internal signal; surfaced as a SolveResult with status 'timeout'."""
+
+
+class WitnessError(RuntimeError):
+    """A search returned a witness that fails its own definition: a solver bug."""
 
 
 @dataclass
@@ -446,7 +451,8 @@ def alpha_d(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
                            best[0], "search", n)
     wit = tuple(iter_bits(best[1]))
     for v in wit:
-        assert (adj[v] & best[1]).bit_count() <= d
+        if (adj[v] & best[1]).bit_count() > d:
+            raise WitnessError(f"alpha_{d} witness vertex {v} has too many chosen neighbours")
     return SolveResult(best[0], wit, clock.nodes, clock.millis(), "optimal",
                        best[0], "search", best[0])
 
@@ -479,7 +485,8 @@ def clique_number(g: Graph, *, cap: int = DEFAULT_CAP,
     wit = tuple(iter_bits(best[1]))
     for u in wit:
         for v in wit:
-            assert u == v or g.adjacent(u, v)
+            if u != v and not g.adjacent(u, v):
+                raise WitnessError(f"clique witness misses edge ({u},{v})")
     return SolveResult(best[0], wit, clock.nodes, clock.millis(), "optimal",
                        best[0], "search", best[0])
 

@@ -365,7 +365,9 @@ def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
         cur_g = induced_subgraph(cur_g, kept)
         cur_c = Colouring(tuple(new_colours))
 
-    assert all(col is not None for col in out)
+    missing = [v for v, col in enumerate(out) if col is None]
+    if missing:
+        raise TransferInvariantError(f"descent left vertices {missing} uncoloured")
     result = Colouring(tuple(out))  # type: ignore[arg-type]
     for v in range(g.n):
         if result.colours[v] not in original_palettes[v]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from boxchrom.graphs import Graph
@@ -87,3 +89,42 @@ def brute_clique(g: Graph) -> int:
             if all(g.adjacent(u, v) for u, v in combinations(subset, 2)):
                 return size
     return 1 if g.n else 0
+
+
+def jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi eigendecomposition, independent of LAPACK; slow, O(n^3) per sweep.
+
+    Returns (w, V) with m = V diag(w) V^T, eigenvalues in no particular order.
+    """
+    a = np.array(m, dtype=float, copy=True)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return a.diagonal().copy(), v
+    target = 1e-12 * max(np.linalg.norm(m), 1.0)
+    skip = target / (n * n)
+    for _ in range(100):
+        off = a - np.diag(np.diagonal(a))
+        if math.sqrt(float((off * off).sum())) <= target:
+            return a.diagonal().copy(), v
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p].copy(), a[q].copy()
+                a[p] = c * rp - s * rq
+                a[q] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    raise ArithmeticError("Jacobi iteration failed to converge")

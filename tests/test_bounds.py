@@ -35,7 +35,7 @@ from boxchrom.graphs import (
 )
 from boxchrom.smallgraphs import connected_graphs, random_connected_graph
 from boxchrom.solvers import alpha_d, chromatic_improper
-from boxchrom.spectra import MatrixKind, spectrum
+from boxchrom.spectra import MatrixKind, graph_matrix, spectrum
 from oracles import graphs
 
 JOIN_WEIGHTS_TEXT = """8
@@ -175,6 +175,16 @@ class TestInertia:
     @settings(max_examples=40, deadline=None)
     def test_alpha_bound_sound(self, g, d):
         assert inertia_alpha_bound(g, d) >= alpha_d(g, d).value
+
+    @given(graphs(min_n=1, max_n=10), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_plain_graph_matches_explicit_adjacency_weights(self, g, d):
+        # a plain graph takes the memoised spectrum() path, explicit weights
+        # their own eigensolve: both must give the same inertia values
+        w = WeightedCompatibleMatrix(g, graph_matrix(g))
+        assert inertia_counts(g, d) == inertia_counts(w, d)
+        assert inertia_chromatic_bound(g, d) == inertia_chromatic_bound(w, d)
+        assert inertia_alpha_bound(g, d) == inertia_alpha_bound(w, d)
 
 
 class TestWocjanElphick:

@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from boxchrom.cli import CliInputError, main, resolve_named
+from boxchrom import cli
+from boxchrom.cli import CliInputError, SweepInvariantError, main, resolve_named
 from boxchrom.colouring import Colouring, check_improper
 from boxchrom.graphs import complete_graph, cycle_graph, emit_graph6, strong_product
 
@@ -228,3 +229,15 @@ class TestConjecture:
 
     def test_bad_named_graph(self, capsys):
         assert main(["conjecture", "--named", "nonsense", "-d", "1"]) == 1
+
+    def test_wrong_clustered_value_raises(self, monkeypatch):
+        # the clustered equality is a theorem; the check must survive python -O
+        real = cli.chromatic_clustered
+
+        def off_by_one(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.value += 1
+            return res
+        monkeypatch.setattr(cli, "chromatic_clustered", off_by_one)
+        with pytest.raises(SweepInvariantError, match="clustered"):
+            cli._sweep_instance((cycle_graph(5), 1, 60.0))

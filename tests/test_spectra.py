@@ -1,9 +1,10 @@
 """Eigensolver and spectrum table tests.
 
-The in-house Jacobi solver is cross-checked against numpy.linalg.eigh on
-random symmetric matrices, then the derived quantities (cached graph spectra,
-Perron vectors, product spectrum predictions) are pinned on hand-computed
-examples.
+eigensolve (LAPACK via numpy.linalg.eigh) is cross-checked against the
+independent cyclic Jacobi oracle on random symmetric matrices, and its
+residual and orthonormality checks are shown to reject a corrupted
+factorisation.  The derived quantities (cached graph spectra, Perron vectors,
+product spectrum predictions) are pinned on hand-computed examples.
 """
 
 import math
@@ -35,7 +36,7 @@ from boxchrom.spectra import (
     product_spectrum_identity_check,
     spectrum,
 )
-from oracles import graphs
+from oracles import graphs, jacobi_eigh
 
 
 @st.composite
@@ -55,9 +56,9 @@ def symmetric_matrices(draw, max_n=16):
 class TestEigensolve:
     @given(symmetric_matrices())
     @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_eigh(self, m):
+    def test_matches_jacobi_oracle(self, m):
         spec, vecs = eigensolve(m)
-        expected = np.sort(np.linalg.eigvalsh(m))[::-1]
+        expected = np.sort(jacobi_eigh(m)[0])[::-1]
         scale = 1.0 + float(np.abs(m).max())
         assert np.allclose(spec.values, expected, atol=1e-9 * scale)
         # eigensolve already certifies the factorisation; spot-check anyway
@@ -78,6 +79,29 @@ class TestEigensolve:
     def test_descending_order(self):
         spec, _ = eigensolve(np.diag([3.0, -1.0, 7.0]))
         assert spec.values == (7.0, 3.0, -1.0)
+
+    def test_rejects_perturbed_eigenvectors(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def perturbed(m):
+            w, v = real_eigh(m)
+            return w, v + 1e-6
+        monkeypatch.setattr("boxchrom.spectra.np.linalg.eigh", perturbed)
+        with pytest.raises(ArithmeticError, match="residual"):
+            eigensolve(graph_matrix(cycle_graph(5)))
+
+    def test_rejects_non_orthonormal_eigenvectors(self, monkeypatch):
+        # an exact eigenpair residual with one eigenvector scaled away from unit length
+        real_eigh = np.linalg.eigh
+
+        def scaled(m):
+            w, v = real_eigh(m)
+            v = v.copy()
+            v[:, 0] *= 2.0
+            return w, v
+        monkeypatch.setattr("boxchrom.spectra.np.linalg.eigh", scaled)
+        with pytest.raises(ArithmeticError, match="orthonormal"):
+            eigensolve(np.diag([3.0, -1.0, 7.0]))
 
 
 class TestSpectrumObject:
