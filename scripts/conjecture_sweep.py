@@ -4,7 +4,8 @@
 Runs the exact solvers over every connected graph up to a size cap (or a
 named family list), checks the clustered equality as it goes, and reports
 which proven cases cover each instance.  A counterexample here would be a
-publishable event; the expected count is zero.
+publishable event; the expected count is zero.  Exits 1 on a counterexample,
+otherwise 2 if any instance timed out, otherwise 0.
 
 Usage:
     python scripts/conjecture_sweep.py --max-n 5 -d 1,2 --jobs 4 --out sweep.json
@@ -17,7 +18,7 @@ import json
 import sys
 from collections import Counter
 
-from boxchrom.cli import SweepSpec, run_sweep
+from boxchrom.cli import SweepSpec, run_sweep, sweep_exit
 from boxchrom.smallgraphs import connected_graphs
 
 
@@ -66,7 +67,7 @@ def main() -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
         print(f"wrote {args.out}")
-    return 0 if report["counterexamples"] == 0 else 1
+    return sweep_exit(report)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, bounds, exact, diagnose, transfer, conjecture.  Every
 command prints one UTF-8 JSON document tagged with a schema version.  Exit
-codes: 0 success, 1 input error, 2 timeout.
+codes: 0 success, 1 input error, 2 timeout; a conjecture sweep exits 1 when it
+finds a counterexample and otherwise 2 when any instance timed out.
 """
 
 from __future__ import annotations
@@ -39,7 +40,14 @@ from .solvers import (
 from .spectra import MatrixKind, spectrum
 from .transfer import descend
 
-__all__ = ["ConjectureRecord", "SweepInvariantError", "SweepSpec", "main", "run_sweep"]
+__all__ = [
+    "ConjectureRecord",
+    "SweepInvariantError",
+    "SweepSpec",
+    "main",
+    "run_sweep",
+    "sweep_exit",
+]
 
 SCHEMA = 1
 TIGHT_TOL = 1e-6
@@ -374,6 +382,13 @@ def run_sweep(spec: SweepSpec) -> dict:
     }
 
 
+def sweep_exit(report: dict) -> int:
+    """Exit code of a sweep report: 1 on a counterexample, else 2 on a timeout, else 0."""
+    if report["counterexamples"]:
+        return 1
+    return 2 if report["timeouts"] else 0
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -407,7 +422,8 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
         spec = SweepSpec(family, graphs, ds, args.timeout, args.jobs)
     except ValueError as e:
         raise CliInputError(str(e)) from e
-    return run_sweep(spec), 0
+    report = run_sweep(spec)
+    return report, sweep_exit(report)
 
 
 # -- wiring ----------------------------------------------------------------

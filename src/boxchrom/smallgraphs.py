@@ -5,13 +5,18 @@ classes, then a backtracking search for the class-respecting labelling whose
 upper-triangle bitstring is smallest.  That is enough to dedupe exhaustive
 augmentation up to the supported cap of 8 vertices; it is not a general
 isomorphism engine.
+
+Generation adds one vertex to every graph on n-1 vertices in every way, but
+canonicalises only the augmentations whose new vertex has maximum degree.
+Every graph has a maximum-degree vertex, and deleting it leaves a graph on
+n-1 vertices, so no graph is missed.  The output is sorted by graph6 string.
 """
 
 from __future__ import annotations
 
 import random
 
-from .graphs import Graph, emit_graph6
+from .graphs import Graph, emit_graph6, iter_bits
 
 __all__ = [
     "CanonicalFormError",
@@ -32,19 +37,34 @@ class CanonicalFormError(RuntimeError):
 
 
 def _refinement_classes(g: Graph) -> list[list[int]]:
-    """Stable colour-refinement partition, classes in canonical signature order."""
+    """Stable colour-refinement partition, classes in canonical signature order.
+
+    A vertex's signature is its colour and the sorted tuple of its neighbours'
+    colours, built from popcounts of its row against each colour's mask.
+    """
     n = g.n
+    adj = g.adj
     colour = [0] * n
+    masks = [(1 << n) - 1]
+
+    def neighbour_colours(row: int) -> tuple[int, ...]:
+        out: tuple[int, ...] = ()
+        for c, mask in enumerate(masks):
+            k = (row & mask).bit_count()
+            if k:
+                out += (c,) * k
+        return out
+
     for _ in range(max(n, 1)):
-        sig = [
-            (colour[v], tuple(sorted(colour[u] for u in g.neighbours(v))))
-            for v in range(n)
-        ]
+        sig = [(colour[v], neighbour_colours(adj[v])) for v in range(n)]
         rank = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [rank[sig[v]] for v in range(n)]
         if new == colour:
             break
         colour = new
+        masks = [0] * len(rank)
+        for v in range(n):
+            masks[colour[v]] |= 1 << v
     classes: dict[int, list[int]] = {}
     for v in range(n):
         classes.setdefault(colour[v], []).append(v)
@@ -60,14 +80,21 @@ def _canonical_perm(g: Graph) -> list[int]:
     pos_block: list[int] = []
     for bi, block in enumerate(blocks):
         pos_block.extend([bi] * len(block))
+    adj = g.adj
     best_perm: list[int] | None = None
-    best_cols: list[tuple[int, ...]] = []
+    best_cols: list[int] = []
     perm: list[int] = []
     used = [False] * n
-    cols: list[tuple[int, ...]] = []
+    cols: list[int] = []
 
-    def column(v: int) -> tuple[int, ...]:
-        return tuple(1 if g.adjacent(perm[i], v) else 0 for i in range(len(perm)))
+    def column(v: int) -> int:
+        # adjacency to the placed prefix, first placed vertex most significant:
+        # columns of one length compare as ints exactly as the bit tuples would
+        row = adj[v]
+        col = 0
+        for u in perm:
+            col = col << 1 | row >> u & 1
+        return col
 
     def install_greedy() -> None:
         # extend the current prefix arbitrarily to refresh the incumbent, so
@@ -119,13 +146,11 @@ def _canonical_perm(g: Graph) -> list[int]:
 def canonical_form(g: Graph) -> Graph:
     """Isomorphism-invariant relabelling: equal adj tuples iff isomorphic."""
     perm = _canonical_perm(g)
-    position = {v: i for i, v in enumerate(perm)}
-    adj = [0] * g.n
-    for u, v in g.edges():
-        pu, pv = position[u], position[v]
-        adj[pu] |= 1 << pv
-        adj[pv] |= 1 << pu
-    return Graph(g.n, tuple(adj), g.name)
+    position = [0] * g.n
+    for i, v in enumerate(perm):
+        position[v] = i
+    adj = tuple(sum(1 << position[u] for u in iter_bits(g.adj[v])) for v in perm)
+    return Graph(g.n, adj, g.name)
 
 
 def canonical_certificate(g: Graph) -> str:
@@ -146,7 +171,14 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     else:
         out = {}
         for g in all_graphs(n - 1):
+            degrees = [row.bit_count() for row in g.adj]
+            top = max(degrees)
+            top_mask = sum(1 << v for v, deg in enumerate(degrees) if deg == top)
             for attach in range(1 << (n - 1)):
+                # keep only augmentations whose new vertex has maximum degree
+                k = attach.bit_count()
+                if k < top or (k == top and attach & top_mask):
+                    continue
                 adj = list(g.adj) + [attach]
                 for v in range(n - 1):
                     if attach >> v & 1:

@@ -1,10 +1,19 @@
 """Exact desk-scale solvers for improper, clustered, fold and fractional colouring.
 
 All searches are deterministic: vertices are branched in descending-degree
-order (ties by index), colours are tried ascending, and a brand-new colour is
-always the last branch.  Optimality certificates come from exhausting the
-search at value-1 or from a matching combinatorial/spectral lower bound used
-to seed the search.
+order, colours are tried ascending, and a brand-new colour is always the last
+branch.  Optimality certificates come from exhausting the search at value-1
+or from a matching combinatorial/spectral lower bound used to seed the search.
+
+The branch order keeps each twin class contiguous.  u and w are twins when
+N(u) - w = N(w) - u, so swapping them is an automorphism; every fibre
+{v} x K_{d+1} of G x K_{d+1} is such a class.  The improper and clustered
+searches give a vertex no colour below its previous twin's.  Together with
+first-appearance colour order this loses no colouring up to symmetry: sort
+the colours inside each twin block, then rename colours by first appearance.
+The colours new to a block are consecutive and above the old ones, so sorting
+the block again keeps first-appearance order.  The fold search uses the same
+order without the twin floor.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clust
 from .graphs import Graph, iter_bits
 
 __all__ = [
+    "SearchInvariantError",
     "SolveResult",
     "SolverCapError",
     "Timeout",
@@ -46,6 +56,10 @@ class Timeout(Exception):
 
 class WitnessError(RuntimeError):
     """A search returned a witness that fails its own definition: a solver bug."""
+
+
+class SearchInvariantError(RuntimeError):
+    """A search exhausted a colour count that is always feasible: a solver bug."""
 
 
 @dataclass
@@ -109,14 +123,36 @@ def _require_cap(g: Graph, cap: int) -> None:
         raise SolverCapError(f"graph has {g.n} vertices, solver cap is {cap}")
 
 
-def _branch_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _branch_order(g: Graph) -> tuple[list[int], list[int]]:
+    """Branch order and, per position, the position of the previous twin (-1 if none).
+
+    u and w are twins when N(u) - w = N(w) - u: equal open neighbourhoods
+    (equal ``adj`` rows) or equal closed ones (equal ``adj | 1 << v``).  A
+    vertex with an open twin is not adjacent to it and one with a closed twin
+    is, so no vertex has both kinds and one dict, keyed by the row for open
+    twins and by the complemented closed row for closed twins, finds every
+    class in one pass.  Twins have equal degree, so the key (-degree, class,
+    v) keeps each class contiguous; a twin-free graph keeps (-degree, v).
+    """
+    first: dict[int, int] = {}
+    keys = []
+    for v, row in enumerate(g.adj):
+        cls = first.get(row)
+        if cls is None:
+            cls = first.setdefault(~(row | 1 << v), v)
+            first[row] = cls
+        keys.append((-row.bit_count(), cls, v))
+    keys.sort()
+    order = [v for _, _, v in keys]
+    prev = [i - 1 if i and keys[i - 1][1] == cls else -1 for i, (_, cls, _) in enumerate(keys)]
+    return order, prev
 
 
 # -- feasibility searches --------------------------------------------------
 
 
-def _search_improper(g: Graph, k: int, d: int, order: list[int], clock: _Clock) -> list[int] | None:
+def _search_improper(g: Graph, k: int, d: int, order: list[int], prev: list[int],
+                     clock: _Clock) -> list[int] | None:
     n = g.n
     adj = g.adj
     colour = [0] * n
@@ -127,7 +163,8 @@ def _search_improper(g: Graph, k: int, d: int, order: list[int], clock: _Clock) 
             return True
         v = order[i]
         row = adj[v]
-        for c in range(1, min(max_used + 1, k) + 1):
+        p = prev[i]
+        for c in range(colour[order[p]] if p >= 0 else 1, min(max_used + 1, k) + 1):
             clock.tick()
             mask = masks[c]
             hit = row & mask
@@ -148,7 +185,8 @@ def _search_improper(g: Graph, k: int, d: int, order: list[int], clock: _Clock) 
     return colour if place(0, 0) else None
 
 
-def _search_clustered(g: Graph, k: int, t: int, order: list[int], clock: _Clock) -> list[int] | None:
+def _search_clustered(g: Graph, k: int, t: int, order: list[int], prev: list[int],
+                      clock: _Clock) -> list[int] | None:
     n = g.n
     adj = g.adj
     colour = [0] * n
@@ -166,7 +204,8 @@ def _search_clustered(g: Graph, k: int, t: int, order: list[int], clock: _Clock)
             return True
         v = order[i]
         row = adj[v]
-        for c in range(1, min(max_used + 1, k) + 1):
+        p = prev[i]
+        for c in range(colour[order[p]] if p >= 0 else 1, min(max_used + 1, k) + 1):
             clock.tick()
             mask = masks[c]
             hit = row & mask
@@ -214,7 +253,7 @@ def _finish(g: Graph, kind: str, param: int, k: int, raw: list[int],
     wit = Colouring(tuple(raw))
     bad = check_improper(g, wit, param) if kind == "improper" else check_clustered(g, wit, param)
     if bad is not None:
-        raise AssertionError(f"search produced an invalid witness: {bad}")
+        raise WitnessError(f"search produced an invalid witness: {bad}")
     return SolveResult(k, wit, clock.nodes, clock.millis(), "optimal", lb, src, k)
 
 
@@ -238,19 +277,19 @@ def _solve_min_colours(g: Graph, kind: str, param: int, cap: int,
         if checker(g, upper_witness, param) is not None:
             raise ValueError("upper_witness fails the feasibility check")
         ub = min(ub, upper_witness.num_colours)
-    order = _branch_order(g)
+    order, prev = _branch_order(g)
     try:
         for k in range(lb, ub):
-            raw = search(g, k, param, order, clock)
+            raw = search(g, k, param, order, prev, clock)
             if raw is not None:
                 return _finish(g, kind, param, k, raw, clock, lb, src)
             lb, src = k + 1, "search"
         if upper_witness is not None and ub == upper_witness.num_colours:
             wit = upper_witness.canonical()
             return SolveResult(ub, wit, clock.nodes, clock.millis(), "optimal", lb, src, ub)
-        raw = search(g, ub, param, order, clock)
+        raw = search(g, ub, param, order, prev, clock)
         if raw is None:
-            raise AssertionError("n colours must always be feasible")
+            raise SearchInvariantError("n colours must always be feasible")
         return _finish(g, kind, param, ub, raw, clock, lb, src)
     except Timeout:
         return SolveResult(None, None, clock.nodes, clock.millis(), "timeout", lb, src, ub)
@@ -401,7 +440,7 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
         lb = max(b, -(-(b * omega) // (mode.param + 1)))
     else:
         lb = max(b, -(-(b * omega) // mode.param))
-    order = _branch_order(g)
+    order, _ = _branch_order(g)
     ub = b * g.n
     try:
         for k in range(lb, ub + 1):
@@ -409,10 +448,10 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
             if raw is not None:
                 wit = BFoldColouring.from_sets(raw)
                 if check_bfold(g, wit, b, mode) is not None:
-                    raise AssertionError("fold search produced an invalid witness")
+                    raise WitnessError("fold search produced an invalid witness")
                 return SolveResult(k, wit, clock.nodes, clock.millis(), "optimal",
                                    lb, "clique", k)
-        raise AssertionError("disjoint palettes must always be feasible")
+        raise SearchInvariantError("disjoint palettes must always be feasible")
     except Timeout:
         return SolveResult(None, None, clock.nodes, clock.millis(), "timeout", lb, "clique", ub)
 

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from boxchrom.graphs import Graph
+from boxchrom.graphs import Graph, complete_graph, empty_graph, lexicographic_product, strong_product
 from boxchrom.smallgraphs import random_connected_graph, random_graph
 
 
@@ -21,6 +21,24 @@ def graphs(draw, min_n: int = 1, max_n: int = 8, connected: bool = False):
     if connected:
         return random_connected_graph(n, p, seed)
     return random_graph(n, p, seed)
+
+
+@st.composite
+def twin_graphs(draw, max_n: int = 6):
+    """Relabelled blow-ups with twin classes of size t <= 3, at most ``max_n`` vertices.
+
+    ``G x K_t`` makes every fibre a class of closed twins; the lexicographic
+    product ``G[E_t]`` makes every fibre a class of open twins.
+    """
+    t = draw(st.integers(2, 3))
+    base = draw(graphs(max_n=max_n // t))
+    if draw(st.booleans()):
+        g = strong_product(base, complete_graph(t))
+    else:
+        g = lexicographic_product(base, empty_graph(t))
+    # scatter the fibres so twins are not adjacent in index order
+    perm = draw(st.permutations(range(g.n)))
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def mono_degree_ok(g: Graph, colours: tuple[int, ...], d: int) -> bool:
@@ -69,6 +87,16 @@ def brute_chromatic_improper(g: Graph, d: int) -> int:
 
 def brute_chromatic_clustered(g: Graph, t: int) -> int:
     return brute_min_colours(g, lambda cs: component_sizes_ok(g, cs, t))
+
+
+def brute_count_colourings(g: Graph, d: int, m: int) -> int:
+    """d-improper colourings using exactly m colours, counted up to renaming."""
+    seen = set()
+    for assignment in product(range(1, m + 1), repeat=g.n):
+        if len(set(assignment)) == m and mono_degree_ok(g, assignment, d):
+            names: dict[int, int] = {}
+            seen.add(tuple(names.setdefault(c, len(names)) for c in assignment))
+    return len(seen)
 
 
 def brute_alpha_d(g: Graph, d: int) -> int:

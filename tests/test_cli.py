@@ -2,7 +2,7 @@
 
 Each command runs through main() with capsys, asserting on the JSON payload
 and the exit code.  Graph resolution shorthands and the failure paths (bad
-input 1, timeout 2) are covered too.
+input 1, timeout 2, sweep counterexample 1) are covered too.
 """
 
 import json
@@ -229,6 +229,33 @@ class TestConjecture:
 
     def test_bad_named_graph(self, capsys):
         assert main(["conjecture", "--named", "nonsense", "-d", "1"]) == 1
+
+    def test_exit_code_on_timeout(self, capsys, monkeypatch):
+        real = cli.chromatic_clustered
+
+        def timed_out(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.value, res.witness, res.status = None, None, "timeout"
+            return res
+        monkeypatch.setattr(cli, "chromatic_clustered", timed_out)
+        code, payload = run_cli(capsys, "conjecture", "--named", "c5", "-d", "1")
+        assert code == 2
+        assert payload["timeouts"] == 1 and payload["counterexamples"] == 0
+
+    def test_exit_code_on_counterexample(self, capsys, monkeypatch):
+        def refuted(task):
+            g, d, _ = task
+            return cli.ConjectureRecord(
+                emit_graph6(g), g.n, d, 3, 2, 3, None, None, "counterexample", (), None, 0.0)
+        monkeypatch.setattr(cli, "_sweep_instance", refuted)
+        code, payload = run_cli(capsys, "conjecture", "--named", "c5", "--named", "k3", "-d", "1")
+        assert code == 1
+        assert payload["counterexamples"] == 2
+
+    def test_counterexample_outranks_timeout(self):
+        assert cli.sweep_exit({"counterexamples": 1, "timeouts": 3}) == 1
+        assert cli.sweep_exit({"counterexamples": 0, "timeouts": 3}) == 2
+        assert cli.sweep_exit({"counterexamples": 0, "timeouts": 0}) == 0
 
     def test_wrong_clustered_value_raises(self, monkeypatch):
         # the clustered equality is a theorem; the check must survive python -O

@@ -21,6 +21,7 @@ from boxchrom.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    lexicographic_product,
     line_graph,
     path_graph,
     petersen_graph,
@@ -28,6 +29,7 @@ from boxchrom.graphs import (
 )
 from boxchrom.hoffman import (
     Partition,
+    _count_colourings_up_to_symmetry,
     class_degree_table,
     diagnose_hoffman,
     is_equitable,
@@ -38,7 +40,7 @@ from boxchrom.hoffman import (
 )
 from boxchrom.solvers import chromatic_improper
 from boxchrom.spectra import perron_vector, spectrum
-from oracles import graphs
+from oracles import brute_count_colourings, graphs
 
 # the two triangle 2-factors of K5 read off its line graph's edge order
 LINE_K5_CLASSES = Colouring((1, 2, 2, 1, 1, 2, 2, 1, 2, 1))
@@ -210,6 +212,23 @@ class TestDiagnoseHoffman:
         )
         assert diag.unique_colouring is True
         assert diag.multiplicity_exact is True
+
+    @pytest.mark.parametrize("g,d", [
+        (strong_product(path_graph(2), complete_graph(2)), 1),
+        (strong_product(cycle_graph(4), complete_graph(2)), 1),
+        (strong_product(path_graph(3), complete_graph(3)), 2),
+        (lexicographic_product(complete_graph(3), empty_graph(2)), 0),
+        (lexicographic_product(path_graph(3), empty_graph(2)), 1),
+    ])
+    def test_uniqueness_counts_every_twin_permutation(self, g, d):
+        # fibres are twin classes; the counter must not skip their permutations
+        # the way the colouring search does
+        colouring = chromatic_improper(g, d).witness
+        m = colouring.num_colours
+        count = brute_count_colourings(g, d, m)
+        assert _count_colourings_up_to_symmetry(g, d, m, stop_at=count + 1) == count
+        diag = diagnose_hoffman(g, d, colouring, check_uniqueness=True)
+        assert diag.unique_colouring is (count == 1)
 
 
 class TestLift:

@@ -2,7 +2,8 @@
 
 ``python -O`` strips assert statements, so a check written as one silently
 disappears.  This lint parses every module of the package and fails on any
-assert node.
+assert node, and on any ``raise AssertionError``: a failed check raises an
+error named after what went wrong.
 """
 
 import ast
@@ -13,12 +14,26 @@ import boxchrom
 PACKAGE = Path(boxchrom.__file__).parent
 
 
-def test_package_has_no_assert_statements():
+def _nodes():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    found = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{name}:{node.lineno}" for name, node in _nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_raises_no_assertion_error():
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{name}:{node.lineno}")
     assert found == []

@@ -1,14 +1,17 @@
 """Canonical forms, exhaustive generation, and seeded random graphs.
 
 The canonical labelling is checked for invariance under random relabelling,
-and the generator is pinned to the known counts of unlabelled graphs.
+and the generator is pinned to the known counts of unlabelled graphs and to
+the exact graph6 lists it has always produced.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxchrom.graphs import Graph, complement, cycle_graph, petersen_graph
+from boxchrom.graphs import Graph, complement, cycle_graph, emit_graph6, petersen_graph
 from boxchrom.smallgraphs import (
     all_graphs,
     canonical_certificate,
@@ -22,6 +25,17 @@ from oracles import graphs
 # unlabelled simple graphs and connected ones, n = 1..7
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+# sha256 of "\n".join(graph6 of all_graphs(n)), n = 1..7, as generated by
+# canonicalising every augmentation; later speed-ups must keep them
+ALL_GRAPH6_SHA256 = [
+    "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    "dab260d3a982994a03c9f8dd70c9abd8e47ba43abb270c1a9b8f982fb67c451e",
+    "ba6b2702ab1d647a7964e0bb2815cb74b90f811b2cbc759e36bc8ad37c4c4bfb",
+    "a3c0be81f949312e42271323fbf63d26ea9c17eb62bc28b00a1df42c41213ab8",
+    "cf43d74eea2e83dd129ee163ab4ba9c0f95efd52978be61a3b45e8d9557307a0",
+]
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
@@ -69,6 +83,15 @@ class TestGeneration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_connected_counts(self, n):
         assert len(connected_graphs(n)) == CONNECTED_COUNTS[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_graph6_list_is_pinned(self, n):
+        text = "\n".join(emit_graph6(g) for g in all_graphs(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == ALL_GRAPH6_SHA256[n - 1]
+
+    def test_connected_order_is_pinned(self):
+        # the benchmark's sweep sample indexes into this tuple
+        assert emit_graph6(connected_graphs(7)[476]) == "FLr~w"
 
     def test_output_is_canonical_and_deduplicated(self):
         gs = all_graphs(5)

@@ -19,6 +19,7 @@ from boxchrom.colouring import Colouring, Mode, check_bfold, check_clustered, ch
 from boxchrom.graphs import (
     Graph,
     bowtie_graph,
+    parse_graph6,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -31,6 +32,10 @@ from boxchrom.graphs import (
 from boxchrom.smallgraphs import random_connected_graph
 from boxchrom.solvers import (
     SolverCapError,
+    _branch_order,
+    _Clock,
+    _search_clustered,
+    _search_improper,
     alpha_d,
     chromatic_bfold,
     chromatic_clustered,
@@ -44,11 +49,15 @@ from oracles import (
     brute_chromatic_improper,
     brute_clique,
     graphs,
+    twin_graphs,
 )
+
+# graphs with and without twin classes, for the twin-pruned searches
+SEARCH_INPUTS = st.one_of(graphs(max_n=6), twin_graphs())
 
 
 class TestChromaticImproper:
-    @given(graphs(max_n=6), st.integers(min_value=0, max_value=2))
+    @given(SEARCH_INPUTS, st.integers(min_value=0, max_value=2))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g, d):
         res = chromatic_improper(g, d)
@@ -100,7 +109,7 @@ class TestChromaticImproper:
 
 
 class TestChromaticClustered:
-    @given(graphs(max_n=6), st.integers(min_value=1, max_value=3))
+    @given(SEARCH_INPUTS, st.integers(min_value=1, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g, t):
         res = chromatic_clustered(g, t)
@@ -131,6 +140,64 @@ class TestChromaticClustered:
     def test_rejects_t_zero(self):
         with pytest.raises(ValueError):
             chromatic_clustered(path_graph(2), 0)
+
+
+class TestTwinPruning:
+    """The twin floor must keep every feasible k feasible, at every k tried."""
+
+    @given(SEARCH_INPUTS, st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_improper_search_decides_every_k(self, g, d):
+        order, prev = _branch_order(g)
+        value = brute_chromatic_improper(g, d)
+        for k in range(1, value + 1):
+            raw = _search_improper(g, k, d, order, prev, _Clock(None))
+            assert (raw is None) == (k < value)
+            if raw is not None:
+                assert check_improper(g, Colouring(tuple(raw)), d) is None
+
+    @given(SEARCH_INPUTS, st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_clustered_search_decides_every_k(self, g, t):
+        order, prev = _branch_order(g)
+        value = brute_chromatic_clustered(g, t)
+        for k in range(1, value + 1):
+            raw = _search_clustered(g, k, t, order, prev, _Clock(None))
+            assert (raw is None) == (k < value)
+            if raw is not None:
+                assert check_clustered(g, Colouring(tuple(raw)), t) is None
+
+    @given(twin_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_twin_classes_are_contiguous(self, g):
+        def twins(u, w):
+            return g.adj[u] & ~(1 << w) == g.adj[w] & ~(1 << u)
+
+        order, prev = _branch_order(g)
+        assert sorted(order) == list(range(g.n))
+        position = {v: i for i, v in enumerate(order)}
+        for u in range(g.n):
+            block = sorted(position[w] for w in range(g.n) if twins(u, w))
+            assert block == list(range(block[0], block[-1] + 1))
+        for i, p in enumerate(prev):
+            assert p == (i - 1 if i and twins(order[i], order[i - 1]) else -1)
+
+    def test_twin_free_order_is_degree_then_index(self):
+        g = petersen_graph()
+        order, prev = _branch_order(g)
+        assert order == list(range(10)) and prev == [-1] * 10
+        g = path_graph(5)
+        assert _branch_order(g) == ([1, 2, 3, 0, 4], [-1] * 5)
+
+    def test_product_fibres_prune_the_search(self):
+        # chi(FLr~w) = 5 is reached by no bound, so k = 4 is refuted by search;
+        # without the twin floor each refutation took over 350,000 nodes
+        prod = strong_product(parse_graph6("FLr~w"), complete_graph(3))
+        improper = chromatic_improper(prod, 2)
+        clustered = chromatic_clustered(prod, 3)
+        assert improper.value == 5 and improper.lower_bound_source == "search"
+        assert clustered.value == 5 and clustered.lower_bound_source == "search"
+        assert improper.nodes < 50_000 and clustered.nodes < 50_000
 
 
 class TestAlphaAndClique:
