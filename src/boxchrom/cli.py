@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .graphs import (
     parse_graph6,
     strong_product,
 )
-from .hoffman import diagnose_hoffman
+from .hoffman import TIGHT_TOL, diagnose_hoffman
 from .smallgraphs import GENERATION_CAP, connected_graphs
 from .solvers import (
     SolveResult,
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 SCHEMA = 1
-TIGHT_TOL = 1e-6
 
 
 class CliInputError(ValueError):
@@ -311,9 +311,12 @@ class ConjectureRecord:
 def _sweep_instance(task: tuple[Graph, int, float]) -> ConjectureRecord:
     g, d, timeout = task
     product = strong_product(g, complete_graph(d + 1))
+    # one deadline per instance: each later solve gets what the earlier ones left
+    deadline = time.monotonic() + timeout
     base = chromatic_improper(g, 0, timeout=timeout)
-    improper = chromatic_improper(product, d, timeout=timeout)
-    clustered = chromatic_clustered(product, d + 1, timeout=timeout)
+    improper = chromatic_improper(product, d, timeout=max(0.0, deadline - time.monotonic()))
+    clustered = chromatic_clustered(product, d + 1,
+                                    timeout=max(0.0, deadline - time.monotonic()))
     report = bound_report(product, d)
     millis = base.millis + improper.millis + clustered.millis
 
@@ -487,7 +490,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph6-file")
     p.add_argument("--named", action="append")
     p.add_argument("-d", default="1", help="comma-separated improperness values")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=float, default=60.0, help="per-instance seconds")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_conjecture)
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, component_mask, iter_bits
 
 __all__ = [
     "BFoldColouring",
@@ -141,42 +141,40 @@ def _require_total(g: Graph, c: Colouring) -> None:
         raise ValueError(f"colouring covers {c.n} vertices, graph has {g.n}")
 
 
+def _class_masks(c: Colouring) -> dict[int, int]:
+    """Vertex mask of each colour class, in order of first appearance."""
+    masks: dict[int, int] = {}
+    for v, colour in enumerate(c.colours):
+        masks[colour] = masks.get(colour, 0) | 1 << v
+    return masks
+
+
+def _first_violation(g: Graph, c: Colouring, mode: Mode) -> Violation | None:
+    """The violation at the smallest vertex over all colour classes, or None."""
+    found = (_check_class(g, members, colour, mode) for colour, members in _class_masks(c).items())
+    return min((bad for bad in found if bad is not None), key=lambda bad: bad.vertices[0],
+               default=None)
+
+
 def check_improper(g: Graph, c: Colouring, d: int) -> Violation | None:
     """None iff every vertex has at most d same-coloured neighbours."""
     if d < 0:
         raise ValueError("d must be non-negative")
     _require_total(g, c)
-    for v in range(g.n):
-        mask = c.class_mask(c.colours[v])
-        same = (g.adj[v] & mask).bit_count()
-        if same > d:
-            if d == 0:
-                u = next(iter_bits(g.adj[v] & mask))
-                return Violation(ADJACENT_SAME_COLOUR, (v, u), c.colours[v], d)
-            return Violation(IMPROPER_DEGREE_EXCEEDED, (v,), c.colours[v], d)
-    return None
+    return _first_violation(g, c, Mode.improper(d))
 
 
 def mono_components(g: Graph, c: Colouring) -> list[tuple[int, tuple[int, ...]]]:
     """Monochromatic components as (colour, vertices), ordered by smallest vertex."""
     _require_total(g, c)
+    masks = _class_masks(c)
     seen = 0
     out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        colour = c.colours[v]
-        mask = c.class_mask(colour)
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u] & mask
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append((colour, tuple(iter_bits(comp))))
+    for v, colour in enumerate(c.colours):
+        if not seen >> v & 1:
+            comp = component_mask(g.adj, v, masks[colour])
+            seen |= comp
+            out.append((colour, tuple(iter_bits(comp))))
     return out
 
 
@@ -185,10 +183,7 @@ def check_clustered(g: Graph, c: Colouring, t: int) -> Violation | None:
     if t < 1:
         raise ValueError("t must be positive")
     _require_total(g, c)
-    for colour, comp in mono_components(g, c):
-        if len(comp) > t:
-            return Violation(CLUSTER_TOO_LARGE, comp, colour, t)
-    return None
+    return _first_violation(g, c, Mode.clustered(t))
 
 
 @dataclass(frozen=True)
@@ -241,15 +236,7 @@ def _check_class(g: Graph, members: int, colour: int, mode: Mode) -> Violation |
     t = mode.param
     left = members
     while left:
-        v = next(iter_bits(left))
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u] & members
-            frontier = nxt & ~comp
-            comp |= frontier
+        comp = component_mask(g.adj, (left & -left).bit_length() - 1, members)
         if comp.bit_count() > t:
             return Violation(CLUSTER_TOO_LARGE, tuple(iter_bits(comp)), colour, t)
         left &= ~comp

@@ -8,7 +8,7 @@ graphs hashable (so spectra can be memoised).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -17,6 +17,7 @@ __all__ = [
     "complement",
     "complete_bipartite",
     "complete_graph",
+    "component_mask",
     "cycle_graph",
     "empty_graph",
     "matching_graph",
@@ -44,6 +45,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def component_mask(adj: Sequence[int], seed: int, within: int) -> int:
+    """Bitmask of the component of ``seed`` in the subgraph induced on ``within``.
+
+    ``seed`` is in the result whether or not it lies in ``within``.
+    """
+    comp = frontier = 1 << seed
+    while frontier:
+        nxt = 0
+        for u in iter_bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
 
 
 @dataclass(frozen=True)
@@ -115,17 +131,8 @@ class Graph:
         return min((row.bit_count() for row in self.adj), default=0)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return self.n <= 1 or component_mask(self.adj, 0, full) == full
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or f"graph(n={self.n},m={self.edge_count})"

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import hoffman_bilu
-from .colouring import Colouring, check_improper, lift_colouring
-from .graphs import Graph, complete_graph, induced_subgraph, strong_product
+from .colouring import Colouring, Mode, check_improper, lift_colouring
+from .graphs import Graph, complete_graph, strong_product
+from .solvers import _Clock, _search
 from .spectra import MULT_TOL, graph_matrix, perron_vector, spectrum
 
 __all__ = [
@@ -198,50 +199,18 @@ def _count_colourings_up_to_symmetry(g: Graph, d: int, m: int, stop_at: int = 2)
     """Count d-improper colourings with exactly m colours, up to renaming.
 
     Colours are introduced in first-seen order, so each equivalence class is
-    generated exactly once.  Stops early once ``stop_at`` colourings are found.
+    generated exactly once.  The search branches in index order with no twin
+    floor, because colourings that differ by swapping twins count apart.
+    Stops early once ``stop_at`` colourings are found.
     """
-    counts: list[int] = []
-    classes = [0] * (m + 1)
     found = 0
 
-    def place(v: int, max_used: int) -> None:
+    def leaf(used: int) -> bool:
         nonlocal found
-        if found >= stop_at:
-            return
-        if v == g.n:
-            if max_used == m:
-                found += 1
-            return
-        adj = g.adj[v]
-        for colour in range(1, min(max_used + 1, m) + 1):
-            mask = classes[colour]
-            hit = mask & adj
-            if bin(hit).count("1") > d:
-                continue
-            ok = True
-            for u in _bits(hit):
-                if counts[u] + 1 > d:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            classes[colour] |= 1 << v
-            counts.append(bin(hit).count("1"))
-            for u in _bits(hit):
-                counts[u] += 1
-            place(v + 1, max(max_used, colour))
-            for u in _bits(hit):
-                counts[u] -= 1
-            counts.pop()
-            classes[colour] &= ~(1 << v)
+        found += used == m
+        return found >= stop_at
 
-    def _bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    place(0, 0)
+    _search(g, m, Mode.improper(d), list(range(g.n)), [-1] * g.n, _Clock(None), leaf)
     return found
 
 

@@ -5,28 +5,35 @@ order, colours are tried ascending, and a brand-new colour is always the last
 branch.  Optimality certificates come from exhausting the search at value-1
 or from a matching combinatorial/spectral lower bound used to seed the search.
 
+Every search keeps one bitmask per colour class and asks one question of it,
+the admission rule of the mode (``_rule``): may vertex v join this class?
+The minimum-colour solves and the uniqueness count in ``hoffman`` run the
+kernel ``_search``; the fold search, the maximal admissible sets of the
+fractional LP and ``alpha_d`` use the same rule.
+
 The branch order keeps each twin class contiguous.  u and w are twins when
 N(u) - w = N(w) - u, so swapping them is an automorphism; every fibre
-{v} x K_{d+1} of G x K_{d+1} is such a class.  The improper and clustered
-searches give a vertex no colour below its previous twin's.  Together with
-first-appearance colour order this loses no colouring up to symmetry: sort
-the colours inside each twin block, then rename colours by first appearance.
-The colours new to a block are consecutive and above the old ones, so sorting
-the block again keeps first-appearance order.  The fold search uses the same
-order without the twin floor.
+{v} x K_{d+1} of G x K_{d+1} is such a class.  Given the position of each
+vertex's previous twin, ``_search`` gives the vertex no colour below that
+twin's.  Together with first-appearance colour order this loses no colouring
+up to symmetry: sort the colours inside each twin block, then rename colours
+by first appearance.  The colours new to a block are consecutive and above
+the old ones, so sorting the block again keeps first-appearance order.  A
+search that counts colourings must not use the floor, and the fold search
+takes the order without it.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
-from .graphs import Graph, iter_bits
+from .graphs import Graph, component_mask, iter_bits
 
 __all__ = [
     "SearchInvariantError",
@@ -148,86 +155,75 @@ def _branch_order(g: Graph) -> tuple[list[int], list[int]]:
     return order, prev
 
 
-# -- feasibility searches --------------------------------------------------
+# -- the colouring-search kernel ---------------------------------------------
 
 
-def _search_improper(g: Graph, k: int, d: int, order: list[int], prev: list[int],
-                     clock: _Clock) -> list[int] | None:
+_Deep = Callable[[int, int, int], bool] | None
+
+
+def _rule(adj: tuple[int, ...], mode: Mode) -> tuple[int, _Deep]:
+    """The admission rule of a mode, as ``(limit, deep)``.
+
+    Vertex v may join the colour class ``mask`` iff ``hit = adj[v] & mask`` is
+    empty, or ``hit`` has at most ``limit`` vertices and ``deep(v, hit, mask)``
+    holds.  ``limit`` is d for d-improper and t - 1 for t-clustered colouring;
+    the deep check asks that no hit neighbour already has d neighbours in the
+    class, or that v's component in the class stays within t vertices.  The
+    rule is exact when ``mask`` itself obeys the mode.
+    """
+    if mode.kind == "proper":
+        return 0, None
+    param = mode.param
+    if mode.kind == "improper":
+        def deep(v: int, hit: int, mask: int) -> bool:
+            return all((adj[u] & mask).bit_count() < param for u in iter_bits(hit))
+        return param, deep
+
+    def deep(v: int, hit: int, mask: int) -> bool:
+        return component_mask(adj, v, mask | 1 << v).bit_count() <= param
+    return param - 1, deep
+
+
+def _admits(row: int, v: int, mask: int, limit: int, deep: _Deep) -> bool:
+    """The admission rule for vertex v with adjacency ``row`` and class ``mask``."""
+    hit = row & mask
+    return not hit or (hit.bit_count() <= limit and deep(v, hit, mask))
+
+
+def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clock: _Clock,
+            leaf: Callable[[int], bool] | None = None) -> list[int] | None:
+    """Backtracking over colours 1..k in first-appearance order; the colours, or None.
+
+    Vertex ``order[i]`` takes no colour below that of ``order[prev[i]]`` when
+    ``prev[i] >= 0`` (the twin floor).  Without ``leaf`` the search stops at
+    the first complete colouring; with it, each complete colouring is passed
+    to ``leaf`` with its number of colours, and the search stops once ``leaf``
+    returns True.
+    """
     n = g.n
     adj = g.adj
+    limit, deep = _rule(adj, mode)
     colour = [0] * n
     masks = [0] * (k + 1)
 
     def place(i: int, max_used: int) -> bool:
         if i == n:
-            return True
+            return leaf is None or leaf(max_used)
         v = order[i]
         row = adj[v]
+        bit = 1 << v
         p = prev[i]
         for c in range(colour[order[p]] if p >= 0 else 1, min(max_used + 1, k) + 1):
             clock.tick()
             mask = masks[c]
             hit = row & mask
-            if hit.bit_count() > d:
-                continue
-            if d and any((adj[u] & mask).bit_count() >= d for u in iter_bits(hit)):
-                continue
-            if d == 0 and hit:
+            if hit and (hit.bit_count() > limit or not deep(v, hit, mask)):
                 continue
             colour[v] = c
-            masks[c] = mask | (1 << v)
+            masks[c] = mask | bit
             if place(i + 1, max(max_used, c)):
                 return True
             masks[c] = mask
-            colour[v] = 0
-        return False
-
-    return colour if place(0, 0) else None
-
-
-def _search_clustered(g: Graph, k: int, t: int, order: list[int], prev: list[int],
-                      clock: _Clock) -> list[int] | None:
-    n = g.n
-    adj = g.adj
-    colour = [0] * n
-    masks = [0] * (k + 1)
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def place(i: int, max_used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        row = adj[v]
-        p = prev[i]
-        for c in range(colour[order[p]] if p >= 0 else 1, min(max_used + 1, k) + 1):
-            clock.tick()
-            mask = masks[c]
-            hit = row & mask
-            if hit.bit_count() > t - 1:
-                continue
-            roots = sorted({find(u) for u in iter_bits(hit)})
-            total = 1 + sum(size[r] for r in roots)
-            if total > t:
-                continue
-            # merge the touched components under v, recorded for undo
-            for r in roots:
-                parent[r] = v
-                size[v] += size[r]
-            colour[v] = c
-            masks[c] = mask | (1 << v)
-            if place(i + 1, max(max_used, c)):
-                return True
-            masks[c] = mask
-            colour[v] = 0
-            for r in reversed(roots):
-                size[v] -= size[r]
-                parent[r] = r
         return False
 
     return colour if place(0, 0) else None
@@ -248,49 +244,50 @@ def _lower_bound_chromatic(g: Graph, classes_cap: int, hoffman_d: int,
     return best, source
 
 
-def _finish(g: Graph, kind: str, param: int, k: int, raw: list[int],
-            clock: _Clock, lb: int, src: str) -> SolveResult:
+def _check(g: Graph, wit: Colouring, mode: Mode):
+    return (check_improper if mode.kind == "improper" else check_clustered)(g, wit, mode.param)
+
+
+def _finish(g: Graph, mode: Mode, k: int, raw: list[int], clock: _Clock,
+            lb: int, src: str) -> SolveResult:
     wit = Colouring(tuple(raw))
-    bad = check_improper(g, wit, param) if kind == "improper" else check_clustered(g, wit, param)
+    bad = _check(g, wit, mode)
     if bad is not None:
         raise WitnessError(f"search produced an invalid witness: {bad}")
     return SolveResult(k, wit, clock.nodes, clock.millis(), "optimal", lb, src, k)
 
 
-def _solve_min_colours(g: Graph, kind: str, param: int, cap: int,
-                       timeout: float | None, upper_witness: Colouring | None) -> SolveResult:
+def _solve_min_colours(g: Graph, mode: Mode, cap: int, timeout: float | None,
+                       upper_witness: Colouring | None) -> SolveResult:
     _require_cap(g, cap)
     clock = _Clock(timeout)
     if g.n == 0:
         return SolveResult(0, Colouring(()), 0, clock.millis(), "optimal", 0, "trivial", 0)
-    if kind == "improper":
+    param = mode.param
+    if mode.kind == "improper":
         lb, src = _lower_bound_chromatic(g, param + 1, param, cap)
-        search = _search_improper
-        checker = check_improper
     else:
         lb, src = _lower_bound_chromatic(g, param, param - 1, cap) if param > 1 \
             else (max(1, ceil_lower(float(clique_number(g, cap=cap).value))), "clique")
-        search = _search_clustered
-        checker = check_clustered
     ub = g.n
     if upper_witness is not None:
-        if checker(g, upper_witness, param) is not None:
+        if _check(g, upper_witness, mode) is not None:
             raise ValueError("upper_witness fails the feasibility check")
         ub = min(ub, upper_witness.num_colours)
     order, prev = _branch_order(g)
     try:
         for k in range(lb, ub):
-            raw = search(g, k, param, order, prev, clock)
+            raw = _search(g, k, mode, order, prev, clock)
             if raw is not None:
-                return _finish(g, kind, param, k, raw, clock, lb, src)
+                return _finish(g, mode, k, raw, clock, lb, src)
             lb, src = k + 1, "search"
         if upper_witness is not None and ub == upper_witness.num_colours:
             wit = upper_witness.canonical()
             return SolveResult(ub, wit, clock.nodes, clock.millis(), "optimal", lb, src, ub)
-        raw = search(g, ub, param, order, prev, clock)
+        raw = _search(g, ub, mode, order, prev, clock)
         if raw is None:
             raise SearchInvariantError("n colours must always be feasible")
-        return _finish(g, kind, param, ub, raw, clock, lb, src)
+        return _finish(g, mode, ub, raw, clock, lb, src)
     except Timeout:
         return SolveResult(None, None, clock.nodes, clock.millis(), "timeout", lb, src, ub)
 
@@ -301,7 +298,7 @@ def chromatic_improper(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
     """Least number of colours in a d-improper colouring of g."""
     if d < 0:
         raise ValueError("d must be non-negative")
-    return _solve_min_colours(g, "improper", d, cap, timeout, upper_witness)
+    return _solve_min_colours(g, Mode.improper(d), cap, timeout, upper_witness)
 
 
 def chromatic_clustered(g: Graph, t: int, *, cap: int = DEFAULT_CAP,
@@ -310,68 +307,10 @@ def chromatic_clustered(g: Graph, t: int, *, cap: int = DEFAULT_CAP,
     """Least number of colours in a colouring with monochromatic components <= t."""
     if t < 1:
         raise ValueError("t must be positive")
-    return _solve_min_colours(g, "clustered", t, cap, timeout, upper_witness)
+    return _solve_min_colours(g, Mode.clustered(t), cap, timeout, upper_witness)
 
 
 # -- b-fold search ---------------------------------------------------------
-
-
-class _ColourState:
-    """Per-colour incremental state shared by the fold search."""
-
-    def __init__(self, g: Graph, mode: Mode):
-        self.g = g
-        self.mode = mode
-        self.masks: dict[int, int] = {}
-        self.uf: dict[int, tuple[list[int], list[int]]] = {}
-
-    def _forest(self, c: int) -> tuple[list[int], list[int]]:
-        if c not in self.uf:
-            self.uf[c] = (list(range(self.g.n)), [1] * self.g.n)
-        return self.uf[c]
-
-    def try_add(self, v: int, c: int) -> list | None:
-        """Add v to colour class c if legal; returns an undo token, else None."""
-        g, mode = self.g, self.mode
-        mask = self.masks.get(c, 0)
-        hit = g.adj[v] & mask
-        if mode.kind in ("proper", "improper"):
-            d = 0 if mode.kind == "proper" else mode.param
-            if hit.bit_count() > d:
-                return None
-            if d and any((g.adj[u] & mask).bit_count() >= d for u in iter_bits(hit)):
-                return None
-            if d == 0 and hit:
-                return None
-            self.masks[c] = mask | (1 << v)
-            return [c, mask, ()]
-        t = mode.param
-        if hit.bit_count() > t - 1:
-            return None
-        parent, size = self._forest(c)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        roots = sorted({find(u) for u in iter_bits(hit)})
-        if 1 + sum(size[r] for r in roots) > t:
-            return None
-        for r in roots:
-            parent[r] = v
-            size[v] += size[r]
-        self.masks[c] = mask | (1 << v)
-        return [c, mask, tuple((r, v) for r in roots)]
-
-    def undo(self, token: list) -> None:
-        c, mask, merges = token
-        self.masks[c] = mask
-        if merges:
-            parent, size = self.uf[c]
-            for r, v in reversed(merges):
-                size[v] -= size[r]
-                parent[r] = r
 
 
 def _candidate_sets(b: int, k: int, max_used: int):
@@ -392,30 +331,27 @@ def _candidate_sets(b: int, k: int, max_used: int):
 def _search_bfold(g: Graph, k: int, b: int, mode: Mode, order: list[int],
                   clock: _Clock) -> list[tuple[int, ...]] | None:
     n = g.n
-    state = _ColourState(g, mode)
+    adj = g.adj
+    limit, deep = _rule(adj, mode)
+    masks = [0] * (k + 1)
     chosen: list[tuple[int, ...]] = [()] * n
 
     def place(i: int, max_used: int) -> bool:
         if i == n:
             return True
         v = order[i]
+        row = adj[v]
+        bit = 1 << v
         for cset, used in _candidate_sets(b, k, max_used):
             clock.tick()
-            tokens = []
-            ok = True
-            for c in cset:
-                tok = state.try_add(v, c)
-                if tok is None:
-                    ok = False
-                    break
-                tokens.append(tok)
-            if ok:
+            if all(_admits(row, v, masks[c], limit, deep) for c in cset):
+                for c in cset:
+                    masks[c] |= bit
                 chosen[v] = cset
                 if place(i + 1, used):
                     return True
-                chosen[v] = ()
-            for tok in reversed(tokens):
-                state.undo(tok)
+                for c in cset:
+                    masks[c] ^= bit
         return False
 
     return chosen if place(0, 0) else None
@@ -468,6 +404,7 @@ def alpha_d(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
     clock = _Clock(timeout)
     n = g.n
     adj = g.adj
+    limit, deep = _rule(adj, Mode.improper(d))
     best = [0, 0]  # size, mask
 
     def grow(v: int, chosen: int, count: int) -> None:
@@ -478,8 +415,7 @@ def alpha_d(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
                 best[0], best[1] = count, chosen
             return
         clock.tick()
-        hit = adj[v] & chosen
-        if hit.bit_count() <= d and all((adj[u] & chosen).bit_count() < d for u in iter_bits(hit)):
+        if _admits(adj[v], v, chosen, limit, deep):
             grow(v + 1, chosen | (1 << v), count + 1)
         grow(v + 1, chosen, count)
 
@@ -533,43 +469,30 @@ def clique_number(g: Graph, *, cap: int = DEFAULT_CAP,
 # -- fractional chromatic number --------------------------------------------
 
 
-def _admissible(g: Graph, members: int, mode: Mode) -> bool:
-    if mode.kind in ("proper", "improper"):
-        d = 0 if mode.kind == "proper" else mode.param
-        for v in iter_bits(members):
-            if (g.adj[v] & members).bit_count() > d:
-                return False
-        return True
-    t = mode.param
-    left = members
-    while left:
-        low = left & -left
-        comp = low
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u] & members
-            frontier = nxt & ~comp
-            comp |= frontier
-        if comp.bit_count() > t:
-            return False
-        left &= ~comp
-    return True
-
-
 def _maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
-    """All inclusion-maximal admissible vertex sets, ascending as bitmasks."""
+    """All inclusion-maximal admissible vertex sets, ascending as bitmasks.
+
+    Admissible sets are closed under subsets, so every one is reached by
+    adding its vertices in increasing order through the admission rule, and
+    a set is maximal when the rule admits no vertex outside it.
+    """
     n = g.n
+    adj = g.adj
+    limit, deep = _rule(adj, mode)
     out = []
-    for members in range(1, 1 << n):
-        if not _admissible(g, members, mode):
-            continue
-        if any(_admissible(g, members | (1 << v), mode)
-               for v in range(n) if not members >> v & 1):
-            continue
-        out.append(members)
-    return out
+
+    def grow(v: int, members: int) -> None:
+        if v == n:
+            if not any(_admits(adj[u], u, members, limit, deep)
+                       for u in range(n) if not members >> u & 1):
+                out.append(members)
+            return
+        if _admits(adj[v], v, members, limit, deep):
+            grow(v + 1, members | 1 << v)
+        grow(v + 1, members)
+
+    grow(0, 0)
+    return sorted(out)
 
 
 def _simplex_packing(incidence: list[int], n: int) -> tuple[float, list[float], int]:

@@ -8,7 +8,15 @@ from itertools import combinations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from boxchrom.graphs import Graph, complete_graph, empty_graph, lexicographic_product, strong_product
+from boxchrom.colouring import Mode
+from boxchrom.graphs import (
+    Graph,
+    complete_graph,
+    empty_graph,
+    iter_bits,
+    lexicographic_product,
+    strong_product,
+)
 from boxchrom.smallgraphs import random_connected_graph, random_graph
 
 
@@ -117,6 +125,58 @@ def brute_clique(g: Graph) -> int:
             if all(g.adjacent(u, v) for u, v in combinations(subset, 2)):
                 return size
     return 1 if g.n else 0
+
+
+def component_set(g: Graph, seed: int, within: int) -> set[int]:
+    """Component of ``seed`` in the subgraph induced on ``within``, by set-based BFS."""
+    members = {v for v in range(g.n) if within >> v & 1}
+    comp, queue = {seed}, [seed]
+    while queue:
+        v = queue.pop(0)
+        for u in g.neighbours(v):
+            if u in members and u not in comp:
+                comp.add(u)
+                queue.append(u)
+    return comp
+
+
+def admissible(g: Graph, members: int, mode: Mode) -> bool:
+    """Whether the vertex set ``members`` induces a class that obeys ``mode``."""
+    if mode.kind in ("proper", "improper"):
+        d = 0 if mode.kind == "proper" else mode.param
+        for v in iter_bits(members):
+            if (g.adj[v] & members).bit_count() > d:
+                return False
+        return True
+    t = mode.param
+    left = members
+    while left:
+        low = left & -left
+        comp = low
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for u in iter_bits(frontier):
+                nxt |= g.adj[u] & members
+            frontier = nxt & ~comp
+            comp |= frontier
+        if comp.bit_count() > t:
+            return False
+        left &= ~comp
+    return True
+
+
+def maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
+    """Inclusion-maximal admissible vertex sets, ascending, by a scan of all 2^n sets."""
+    out = []
+    for members in range(1, 1 << g.n):
+        if not admissible(g, members, mode):
+            continue
+        if any(admissible(g, members | (1 << v), mode)
+               for v in range(g.n) if not members >> v & 1):
+            continue
+        out.append(members)
+    return out
 
 
 def jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ input 1, timeout 2, sweep counterexample 1) are covered too.
 """
 
 import json
+import time
 
 import pytest
 
@@ -268,3 +269,23 @@ class TestConjecture:
         monkeypatch.setattr(cli, "chromatic_clustered", off_by_one)
         with pytest.raises(SweepInvariantError, match="clustered"):
             cli._sweep_instance((cycle_graph(5), 1, 60.0))
+
+    def test_timeout_is_per_instance(self, monkeypatch):
+        # a slow first solve leaves the later two solves only the rest of the budget
+        budgets = []
+        real_improper, real_clustered = cli.chromatic_improper, cli.chromatic_clustered
+
+        def slow_first(real):
+            def solve(*args, timeout, **kwargs):
+                budgets.append(timeout)
+                if len(budgets) == 1:
+                    time.sleep(0.05)
+                return real(*args, timeout=timeout, **kwargs)
+            return solve
+        monkeypatch.setattr(cli, "chromatic_improper", slow_first(real_improper))
+        monkeypatch.setattr(cli, "chromatic_clustered", slow_first(real_clustered))
+        record = cli._sweep_instance((cycle_graph(5), 1, 60.0))
+        assert record.status == "verified"
+        assert budgets[0] == 60.0 and len(budgets) == 3
+        assert all(b <= 60.0 - 0.05 for b in budgets[1:])
+        assert budgets[2] <= budgets[1]

@@ -25,6 +25,7 @@ from boxchrom.colouring import (
     mono_components,
 )
 from boxchrom.graphs import (
+    Graph,
     bowtie_graph,
     complete_graph,
     cycle_graph,
@@ -91,6 +92,15 @@ class TestCheckImproper:
         assert v is not None and v.kind == IMPROPER_DEGREE_EXCEEDED
         assert len(v.vertices) == 1 and v.limit == 1
         assert v.to_json()["kind"] == IMPROPER_DEGREE_EXCEEDED
+
+    def test_reports_the_smallest_violating_vertex(self):
+        # colour 1 appears first but breaks only at vertex 3; colour 2 breaks at 1
+        g = Graph.from_edges(5, [(1, 2), (3, 4)])
+        c = Colouring((1, 2, 2, 1, 1))
+        v = check_improper(g, c, 0)
+        assert (v.kind, v.vertices, v.colour) == (ADJACENT_SAME_COLOUR, (1, 2), 2)
+        v = check_clustered(g, c, 1)
+        assert (v.kind, v.vertices, v.colour) == (CLUSTER_TOO_LARGE, (1, 2), 2)
 
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):

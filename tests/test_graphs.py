@@ -15,6 +15,7 @@ from boxchrom.graphs import (
     complement,
     complete_bipartite,
     complete_graph,
+    component_mask,
     cycle_graph,
     disjoint_union,
     emit_edgelist,
@@ -35,7 +36,7 @@ from boxchrom.graphs import (
     strong_product,
 )
 
-from oracles import graphs
+from oracles import component_set, graphs
 
 
 class TestGraphModel:
@@ -69,6 +70,14 @@ class TestGraphModel:
         assert cycle_graph(5).is_connected()
         assert not matching_graph(2).is_connected()
         assert complete_graph(1).is_connected()
+
+    @given(graphs(max_n=10), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_component_mask_matches_bfs(self, g, data):
+        seed = data.draw(st.integers(0, g.n - 1))
+        within = data.draw(st.integers(0, (1 << g.n) - 1))
+        expected = sum(1 << v for v in component_set(g, seed, within))
+        assert component_mask(g.adj, seed, within) == expected
 
     def test_iter_bits(self):
         assert list(iter_bits(0b10110)) == [1, 2, 4]

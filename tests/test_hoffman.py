@@ -230,6 +230,12 @@ class TestDiagnoseHoffman:
         diag = diagnose_hoffman(g, d, colouring, check_uniqueness=True)
         assert diag.unique_colouring is (count == 1)
 
+    @pytest.mark.parametrize("g,d", [(path_graph(4), 0), (cycle_graph(5), 1)])
+    def test_counts_only_colourings_with_exactly_m_colours(self, g, d):
+        for m in range(1, g.n + 1):
+            count = brute_count_colourings(g, d, m)
+            assert _count_colourings_up_to_symmetry(g, d, m, stop_at=count + 1) == count
+
 
 class TestLift:
     @pytest.mark.parametrize("d", [1, 2])

@@ -4,6 +4,9 @@
 disappears.  This lint parses every module of the package and fails on any
 assert node, and on any ``raise AssertionError``: a failed check raises an
 error named after what went wrong.
+
+It also holds the package to one popcount idiom, ``int.bit_count``, and
+fails on ``bin(x).count("1")``.
 """
 
 import ast
@@ -36,4 +39,14 @@ def test_package_raises_no_assertion_error():
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_package_counts_bits_with_bit_count():
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "count" and isinstance(node.func.value, ast.Call) \
+                and isinstance(node.func.value.func, ast.Name) and node.func.value.func.id == "bin":
+            found.append(f"{name}:{node.lineno}")
     assert found == []

@@ -34,8 +34,8 @@ from boxchrom.solvers import (
     SolverCapError,
     _branch_order,
     _Clock,
-    _search_clustered,
-    _search_improper,
+    _maximal_admissible_sets,
+    _search,
     alpha_d,
     chromatic_bfold,
     chromatic_clustered,
@@ -49,6 +49,7 @@ from oracles import (
     brute_chromatic_improper,
     brute_clique,
     graphs,
+    maximal_admissible_sets,
     twin_graphs,
 )
 
@@ -151,7 +152,7 @@ class TestTwinPruning:
         order, prev = _branch_order(g)
         value = brute_chromatic_improper(g, d)
         for k in range(1, value + 1):
-            raw = _search_improper(g, k, d, order, prev, _Clock(None))
+            raw = _search(g, k, Mode.improper(d), order, prev, _Clock(None))
             assert (raw is None) == (k < value)
             if raw is not None:
                 assert check_improper(g, Colouring(tuple(raw)), d) is None
@@ -162,7 +163,7 @@ class TestTwinPruning:
         order, prev = _branch_order(g)
         value = brute_chromatic_clustered(g, t)
         for k in range(1, value + 1):
-            raw = _search_clustered(g, k, t, order, prev, _Clock(None))
+            raw = _search(g, k, Mode.clustered(t), order, prev, _Clock(None))
             assert (raw is None) == (k < value)
             if raw is not None:
                 assert check_clustered(g, Colouring(tuple(raw)), t) is None
@@ -197,7 +198,31 @@ class TestTwinPruning:
         clustered = chromatic_clustered(prod, 3)
         assert improper.value == 5 and improper.lower_bound_source == "search"
         assert clustered.value == 5 and clustered.lower_bound_source == "search"
-        assert improper.nodes < 50_000 and clustered.nodes < 50_000
+        assert improper.nodes == clustered.nodes == 4_235
+
+
+def mycielskian(g):
+    n = g.n
+    edges = [(n + v, 2 * n) for v in range(n)]
+    for u, v in g.edges():
+        edges += [(u, v), (u, n + v), (v, n + u)]
+    return Graph.from_edges(2 * n + 1, edges)
+
+
+class TestPinnedNodeCounts:
+    """Search order is part of the output: these counts must not drift."""
+
+    def test_mycielskian_of_grotzsch(self):
+        res = chromatic_improper(mycielskian(mycielskian(cycle_graph(5))), 0)
+        assert (res.value, res.nodes, res.lower_bound_source) == (5, 130_173, "search")
+
+    def test_clustered_fold_of_c7(self):
+        res = chromatic_bfold(cycle_graph(7), 2, Mode.clustered(2))
+        assert (res.value, res.nodes) == (4, 60)
+
+    def test_improper_fold_of_petersen(self):
+        res = chromatic_bfold(petersen_graph(), 2, Mode.improper(1))
+        assert (res.value, res.nodes) == (4, 254)
 
 
 class TestAlphaAndClique:
@@ -299,6 +324,17 @@ def independent_maximal_sets(g, mode):
             ):
                 sets.append(s)
     return sets
+
+
+ALL_MODES = [Mode.proper(), Mode.improper(1), Mode.improper(2),
+             Mode.clustered(1), Mode.clustered(2), Mode.clustered(3)]
+
+
+class TestMaximalAdmissibleSets:
+    @given(graphs(max_n=7), st.sampled_from(ALL_MODES))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_scan(self, g, mode):
+        assert _maximal_admissible_sets(g, mode) == maximal_admissible_sets(g, mode)
 
 
 def lp_cover_value(g, sets):
