@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import WeightedCompatibleMatrix, bound_report, hoffman_bilu
-from .colouring import Colouring, Mode, check_improper
+from .colouring import Colouring, Mode, check_improper, lift_colouring
 from .graphs import (
     Graph,
     complete_graph,
@@ -314,8 +314,11 @@ def _sweep_instance(task: tuple[Graph, int, float]) -> ConjectureRecord:
     # one deadline per instance: each later solve gets what the earlier ones left
     deadline = time.monotonic() + timeout
     base = chromatic_improper(g, 0, timeout=timeout)
-    improper = chromatic_improper(product, d, timeout=max(0.0, deadline - time.monotonic()))
-    clustered = chromatic_clustered(product, d + 1,
+    # an optimal colouring of G, copied onto each fibre, colours the product
+    lifted = lift_colouring(base.witness, d + 1) if base.status == "optimal" else None
+    improper = chromatic_improper(product, d, timeout=max(0.0, deadline - time.monotonic()),
+                                  upper_witness=lifted)
+    clustered = chromatic_clustered(product, d + 1, upper_witness=lifted,
                                     timeout=max(0.0, deadline - time.monotonic()))
     report = bound_report(product, d)
     millis = base.millis + improper.millis + clustered.millis

@@ -199,8 +199,9 @@ def _count_colourings_up_to_symmetry(g: Graph, d: int, m: int, stop_at: int = 2)
     """Count d-improper colourings with exactly m colours, up to renaming.
 
     Colours are introduced in first-seen order, so each equivalence class is
-    generated exactly once.  The search branches in index order with no twin
-    floor, because colourings that differ by swapping twins count apart.
+    generated exactly once.  Every vertex is its own block, ranked by index,
+    so no twin floor applies: colourings that differ by swapping twins count
+    apart.
     Stops early once ``stop_at`` colourings are found.
     """
     found = 0

@@ -1,26 +1,44 @@
 """Exact desk-scale solvers for improper, clustered, fold and fractional colouring.
 
-All searches are deterministic: vertices are branched in descending-degree
-order, colours are tried ascending, and a brand-new colour is always the last
-branch.  Optimality certificates come from exhausting the search at value-1
-or from a matching combinatorial/spectral lower bound used to seed the search.
+All searches are deterministic: colours are tried ascending, and a brand-new
+colour is always the last branch.  Optimality certificates come from
+exhausting the search at value-1 or from a matching combinatorial/spectral
+lower bound used to seed the search.
 
 Every search keeps one bitmask per colour class and asks one question of it,
-the admission rule of the mode (``_rule``): may vertex v join this class?
-The minimum-colour solves and the uniqueness count in ``hoffman`` run the
-kernel ``_search``; the fold search, the maximal admissible sets of the
-fractional LP and ``alpha_d`` use the same rule.
+the admission rule of the mode (``_rule``): may vertex v join this class?  A
+graph has maximum degree at most 1 iff every component has at most 2
+vertices, so 2-clustered colouring is decided by the 1-improper rule and
+1-clustered colouring by the proper one.  The minimum-colour solves and the
+uniqueness count in ``hoffman`` run the kernel ``_search``, which decides
+the rule from admission state that it updates as it colours (``_palette``);
+the fold search and the maximal admissible sets of the fractional LP ask
+``_rule`` directly.  ``alpha_d`` keeps the same kind of state for its one
+class and bounds each subtree by the candidates still admissible.
 
-The branch order keeps each twin class contiguous.  u and w are twins when
-N(u) - w = N(w) - u, so swapping them is an automorphism; every fibre
-{v} x K_{d+1} of G x K_{d+1} is such a class.  Given the position of each
-vertex's previous twin, ``_search`` gives the vertex no colour below that
-twin's.  Together with first-appearance colour order this loses no colouring
-up to symmetry: sort the colours inside each twin block, then rename colours
-by first appearance.  The colours new to a block are consecutive and above
-the old ones, so sorting the block again keeps first-appearance order.  A
-search that counts colourings must not use the floor, and the fold search
-takes the order without it.
+The minimum-colour solves first run the kernel with n colours.  That is a
+greedy first fit, since the fresh colour is always admissible and nothing
+backtracks.  Its colouring is the incumbent: the upper bound, the answer
+when it meets the lower bound, and the witness a timeout returns.
+
+The kernel colours one twin block at a time.  u and w are twins when
+N(u) - w = N(w) - u, so swapping them is an automorphism that fixes every
+other vertex; every fibre {v} x K_{d+1} of G x K_{d+1} is such a class.  The
+next block is the one whose head sees the most distinct colours on its
+coloured neighbours (Brelaz's DSATUR order), ties to the rank from
+``_branch_order``, so the choice depends only on the partial colouring up to
+renaming colours.  Inside a block no member takes a colour below the
+previous member's (the twin floor).  Together with first-appearance colour
+order this loses no colouring up to symmetry.  Take any colouring and follow
+the search's own path.  At each block it reaches, sort the colours inside
+the block; that permutes twins only, so the blocks already coloured keep
+their colours.  Then rename colours by first appearance.  The colours new to
+the block are consecutive and above the old ones, so the block stays
+sorted.  The colouring now agrees with the search on every block so far, so
+the search picks the same next block, and the argument repeats.  Without
+the floor (singleton blocks, as the uniqueness count uses) the same walk
+reaches each colouring up to renaming exactly once.  The fold search
+branches in the static order of ``_branch_order``, without the floor.
 """
 
 from __future__ import annotations
@@ -75,7 +93,8 @@ class SolveResult:
 
     For minimisation problems value-1 is certified infeasible (by exhausted
     search or by the seeded lower bound); for maximisation problems value+1
-    is.  A timeout carries the best bounds known instead of a value.
+    is.  A timeout carries the best bounds known instead of a value; the
+    minimum-colour solves also return their incumbent colouring as witness.
     """
 
     value: int | float | Fraction | None
@@ -161,6 +180,21 @@ def _branch_order(g: Graph) -> tuple[list[int], list[int]]:
 _Deep = Callable[[int, int, int], bool] | None
 
 
+def _rule_mode(mode: Mode) -> Mode:
+    """The mode whose admission rule decides ``mode``.
+
+    A graph has maximum degree at most 1 iff each of its components has at
+    most 2 vertices, and maximum degree 0 iff each has 1.  So 2-clustered
+    colouring admits by the 1-improper rule, and 1-clustered and 0-improper
+    colouring by the proper rule, instead of by components.
+    """
+    if (mode.kind, mode.param) in (("improper", 0), ("clustered", 1)):
+        return Mode.proper()
+    if (mode.kind, mode.param) == ("clustered", 2):
+        return Mode.improper(1)
+    return mode
+
+
 def _rule(adj: tuple[int, ...], mode: Mode) -> tuple[int, _Deep]:
     """The admission rule of a mode, as ``(limit, deep)``.
 
@@ -171,6 +205,7 @@ def _rule(adj: tuple[int, ...], mode: Mode) -> tuple[int, _Deep]:
     class, or that v's component in the class stays within t vertices.  The
     rule is exact when ``mask`` itself obeys the mode.
     """
+    mode = _rule_mode(mode)
     if mode.kind == "proper":
         return 0, None
     param = mode.param
@@ -190,43 +225,173 @@ def _admits(row: int, v: int, mask: int, limit: int, deep: _Deep) -> bool:
     return not hit or (hit.bit_count() <= limit and deep(v, hit, mask))
 
 
+_Join = Callable[[int, int], object]
+_Leave = Callable[[int, int, object], None]
+
+
+def _palette(adj: tuple[int, ...], mode: Mode, k: int) -> tuple[list[int], _Join, _Leave]:
+    """Colour classes 1..k of a partial colouring, decided by ``_rule`` from kept state.
+
+    Returns ``(masks, join, leave)``.  ``masks[c]`` holds the members of class
+    c.  ``join(v, c)`` puts v into class c and returns an undo token, or
+    returns None and changes nothing when the rule refuses v; ``leave(v, c,
+    token)`` takes the last joined v out again.  Instead of a deep check per
+    decision, the state answers the rule directly:
+
+    - d-improper: ``sat[c]`` holds the members of c that already have d
+      neighbours in c, so v may join iff ``hit = adj[v] & masks[c]`` has at
+      most d vertices and ``hit & sat[c] == 0``;
+    - t-clustered, t >= 3: ``comp[x]`` is the component of a coloured x inside
+      its class, so v may join iff the union of ``comp[x]`` over x in ``hit``
+      has fewer than t vertices.
+    """
+    mode = _rule_mode(mode)
+    masks = [0] * (k + 1)
+    if mode.kind == "proper":
+        def join(v: int, c: int) -> object:
+            mask = masks[c]
+            if adj[v] & mask:
+                return None
+            masks[c] = mask | 1 << v
+            return mask
+
+        def leave(v: int, c: int, mask: object) -> None:
+            masks[c] = mask
+    elif mode.kind == "improper":
+        d = mode.param
+        sat = [0] * (k + 1)
+
+        def join(v: int, c: int) -> object:
+            mask = masks[c]
+            hit = adj[v] & mask
+            old = sat[c]
+            grown = mask | 1 << v
+            if hit:
+                if hit & old or hit.bit_count() > d:
+                    return None
+                full = old | (1 << v if hit.bit_count() == d else 0)
+                while hit:
+                    low = hit & -hit
+                    hit ^= low
+                    if (adj[low.bit_length() - 1] & grown).bit_count() == d:
+                        full |= low
+                sat[c] = full
+            masks[c] = grown
+            return old
+
+        def leave(v: int, c: int, old: object) -> None:
+            masks[c] ^= 1 << v
+            sat[c] = old
+    else:
+        t = mode.param
+        comp = [0] * len(adj)
+
+        def join(v: int, c: int) -> object:
+            mask = masks[c]
+            hit = adj[v] & mask
+            bit = 1 << v
+            if not hit:
+                comp[v] = bit
+                masks[c] = mask | bit
+                return ()
+            if hit.bit_count() >= t:
+                return None
+            parts = []
+            union = bit
+            while hit:
+                low = hit & -hit
+                part = comp[low.bit_length() - 1]
+                parts.append(part)
+                union |= part
+                hit &= ~part
+            if union.bit_count() > t:
+                return None
+            rest = union
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                comp[low.bit_length() - 1] = union
+            masks[c] = mask | bit
+            return parts
+
+        def leave(v: int, c: int, parts: object) -> None:
+            masks[c] ^= 1 << v
+            for part in parts:
+                rest = part
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    comp[low.bit_length() - 1] = part
+    return masks, join, leave
+
+
 def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clock: _Clock,
             leaf: Callable[[int], bool] | None = None) -> list[int] | None:
     """Backtracking over colours 1..k in first-appearance order; the colours, or None.
 
-    Vertex ``order[i]`` takes no colour below that of ``order[prev[i]]`` when
-    ``prev[i] >= 0`` (the twin floor).  Without ``leaf`` the search stops at
-    the first complete colouring; with it, each complete colouring is passed
-    to ``leaf`` with its number of colours, and the search stops once ``leaf``
-    returns True.
+    ``order`` ranks the vertices, and ``prev[i]`` is ``i - 1`` when
+    ``order[i]`` continues the twin block of ``order[i - 1]`` and -1 when it
+    starts a block.  The search colours one block at a time, its members in
+    rank order, each with no colour below the previous member's (the twin
+    floor).  The next block is the one whose head sees the most distinct
+    colours on its coloured neighbours, ties to the lower rank.  Without
+    ``leaf`` the search stops at the first complete colouring; with it, each
+    complete colouring is passed to ``leaf`` with its number of colours, and
+    the search stops once ``leaf`` returns True.
     """
     n = g.n
     adj = g.adj
-    limit, deep = _rule(adj, mode)
+    _, join, leave = _palette(adj, mode, k)
     colour = [0] * n
-    masks = [0] * (k + 1)
+    seen = [0] * (k + 1)  # seen[c]: the vertices next to class c
+    blocks: dict[int, list[int]] = {}
+    # key[v] = (distinct colours next to v) * n + n - 1 - rank: max picks the block
+    key = [0] * n
+    for i, v in enumerate(order):
+        key[v] = n - 1 - i
+        if prev[i] < 0:
+            head = v
+            blocks[v] = []
+        blocks[head].append(v)
+    heads = set(blocks)
+    tick = clock.tick
 
-    def place(i: int, max_used: int) -> bool:
-        if i == n:
-            return leaf is None or leaf(max_used)
-        v = order[i]
+    def place(block: list[int], j: int, max_used: int, done: int, free: int) -> bool:
+        if j == len(block):
+            if done == n:
+                return leaf is None or leaf(max_used)
+            h = max(heads, key=key.__getitem__)
+            heads.remove(h)
+            found = place(blocks[h], 0, max_used, done, free ^ 1 << h)
+            heads.add(h)
+            return found
+        v = block[j]
         row = adj[v]
-        bit = 1 << v
-        p = prev[i]
-        for c in range(colour[order[p]] if p >= 0 else 1, min(max_used + 1, k) + 1):
-            clock.tick()
-            mask = masks[c]
-            hit = row & mask
-            if hit and (hit.bit_count() > limit or not deep(v, hit, mask)):
+        for c in range(colour[block[j - 1]] if j else 1, min(max_used + 1, k) + 1):
+            tick()
+            token = join(v, c)
+            if token is None:
                 continue
             colour[v] = c
-            masks[c] = mask | bit
-            if place(i + 1, max(max_used, c)):
+            near = seen[c]
+            fresh = rest = row & free & ~near  # heads that see colour c for the first time
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                key[low.bit_length() - 1] += n
+            seen[c] = near | row
+            if place(block, j + 1, max(max_used, c), done + 1, free):
                 return True
-            masks[c] = mask
+            seen[c] = near
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                key[low.bit_length() - 1] -= n
+            leave(v, c, token)
         return False
 
-    return colour if place(0, 0) else None
+    # the empty block is complete at once, so the first call picks the first block
+    return colour if place([], 0, 0, 0, sum(1 << h for h in heads)) else None
 
 
 def _lower_bound_chromatic(g: Graph, classes_cap: int, hoffman_d: int,
@@ -248,13 +413,12 @@ def _check(g: Graph, wit: Colouring, mode: Mode):
     return (check_improper if mode.kind == "improper" else check_clustered)(g, wit, mode.param)
 
 
-def _finish(g: Graph, mode: Mode, k: int, raw: list[int], clock: _Clock,
-            lb: int, src: str) -> SolveResult:
+def _witness(g: Graph, mode: Mode, raw: list[int]) -> Colouring:
     wit = Colouring(tuple(raw))
     bad = _check(g, wit, mode)
     if bad is not None:
         raise WitnessError(f"search produced an invalid witness: {bad}")
-    return SolveResult(k, wit, clock.nodes, clock.millis(), "optimal", lb, src, k)
+    return wit
 
 
 def _solve_min_colours(g: Graph, mode: Mode, cap: int, timeout: float | None,
@@ -269,27 +433,33 @@ def _solve_min_colours(g: Graph, mode: Mode, cap: int, timeout: float | None,
     else:
         lb, src = _lower_bound_chromatic(g, param, param - 1, cap) if param > 1 \
             else (max(1, ceil_lower(float(clique_number(g, cap=cap).value))), "clique")
-    ub = g.n
+    best = None
     if upper_witness is not None:
         if _check(g, upper_witness, mode) is not None:
             raise ValueError("upper_witness fails the feasibility check")
-        ub = min(ub, upper_witness.num_colours)
+        best = upper_witness.canonical()
+        if best.num_colours == lb:
+            return SolveResult(lb, best, 0, clock.millis(), "optimal", lb, src, lb)
     order, prev = _branch_order(g)
+    # with n colours the first fit never backtracks, so it needs no deadline
+    greedy = _Clock(None)
+    raw = _search(g, g.n, mode, order, prev, greedy)
+    if raw is None:
+        raise SearchInvariantError("n colours must always be feasible")
+    clock.nodes = greedy.nodes
+    if best is None or max(raw) < best.num_colours:
+        best = _witness(g, mode, raw)
+    ub = best.num_colours
     try:
         for k in range(lb, ub):
             raw = _search(g, k, mode, order, prev, clock)
             if raw is not None:
-                return _finish(g, mode, k, raw, clock, lb, src)
+                wit = _witness(g, mode, raw)
+                return SolveResult(k, wit, clock.nodes, clock.millis(), "optimal", lb, src, k)
             lb, src = k + 1, "search"
-        if upper_witness is not None and ub == upper_witness.num_colours:
-            wit = upper_witness.canonical()
-            return SolveResult(ub, wit, clock.nodes, clock.millis(), "optimal", lb, src, ub)
-        raw = _search(g, ub, mode, order, prev, clock)
-        if raw is None:
-            raise SearchInvariantError("n colours must always be feasible")
-        return _finish(g, mode, ub, raw, clock, lb, src)
     except Timeout:
-        return SolveResult(None, None, clock.nodes, clock.millis(), "timeout", lb, src, ub)
+        return SolveResult(None, best, clock.nodes, clock.millis(), "timeout", lb, src, ub)
+    return SolveResult(ub, best, clock.nodes, clock.millis(), "optimal", lb, src, ub)
 
 
 def chromatic_improper(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
@@ -342,9 +512,11 @@ def _search_bfold(g: Graph, k: int, b: int, mode: Mode, order: list[int],
         v = order[i]
         row = adj[v]
         bit = 1 << v
+        # classes are disjoint, so v's admission to each is decided once
+        admitted = [_admits(row, v, mask, limit, deep) for mask in masks]
         for cset, used in _candidate_sets(b, k, max_used):
             clock.tick()
-            if all(_admits(row, v, masks[c], limit, deep) for c in cset):
+            if all(admitted[c] for c in cset):
                 for c in cset:
                     masks[c] |= bit
                 chosen[v] = cset
@@ -397,30 +569,46 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
 
 def alpha_d(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
             timeout: float | None = None) -> SolveResult:
-    """Largest vertex set whose induced subgraph has maximum degree <= d."""
+    """Largest vertex set whose induced subgraph has maximum degree <= d.
+
+    Branches on the live candidates in index order, taking each first.  A
+    candidate stays live while it has at most d chosen neighbours and no
+    chosen neighbour that already has d; both only grow as vertices are
+    chosen, so a vertex that leaves the live mask never returns in that
+    subtree, and ``count + popcount(live)`` bounds every set below a node.
+    """
     if d < 0:
         raise ValueError("d must be non-negative")
     _require_cap(g, cap)
     clock = _Clock(timeout)
     n = g.n
     adj = g.adj
-    limit, deep = _rule(adj, Mode.improper(d))
     best = [0, 0]  # size, mask
 
-    def grow(v: int, chosen: int, count: int) -> None:
-        if count + (n - v) <= best[0]:
+    def grow(chosen: int, count: int, live: int, dead: int, ge: tuple[int, ...]) -> None:
+        # ge[j]: the vertices with at least j chosen neighbours (ge[0] = all);
+        # dead: the neighbours of chosen vertices in ge[d]
+        if count + live.bit_count() <= best[0]:
             return
-        if v == n:
-            if count > best[0]:
-                best[0], best[1] = count, chosen
+        if not live:
+            best[0], best[1] = count, chosen
             return
         clock.tick()
-        if _admits(adj[v], v, chosen, limit, deep):
-            grow(v + 1, chosen | (1 << v), count + 1)
-        grow(v + 1, chosen, count)
+        low = live & -live
+        live ^= low
+        row = adj[low.bit_length() - 1]
+        more = (-1,) + tuple(ge[j] | ge[j - 1] & row for j in range(1, d + 2))
+        grown = dead
+        gained = (chosen | low) & more[d] & ~(chosen & ge[d])
+        while gained:
+            bit = gained & -gained
+            gained ^= bit
+            grown |= adj[bit.bit_length() - 1]
+        grow(chosen | low, count + 1, live & ~(grown | more[d + 1]), grown, more)
+        grow(chosen, count, live, dead, ge)
 
     try:
-        grow(0, 0, 0)
+        grow(0, 0, (1 << n) - 1, 0, (-1,) + (0,) * (d + 1))
     except Timeout:
         return SolveResult(None, None, clock.nodes, clock.millis(), "timeout",
                            best[0], "search", n)

@@ -138,7 +138,7 @@ def spectrum(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> Spectrum:
     """Spectrum of the chosen matrix of g (memoised; graphs are immutable)."""
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
-    return _spectrum_cached(Graph(g.n, g.adj), kind)
+    return _spectrum_cached(g, kind)
 
 
 @lru_cache(maxsize=1024)
@@ -160,7 +160,7 @@ def perron_vector(g: Graph) -> np.ndarray:
         raise ValueError("empty graph")
     if not g.is_connected():
         raise ValueError("Perron vector requires a connected graph")
-    return np.array(_perron_cached(Graph(g.n, g.adj)))
+    return np.array(_perron_cached(g))
 
 
 def product_spectrum_identity_check(g: Graph, n: int, kind: MatrixKind = MatrixKind.ADJACENCY,

@@ -12,7 +12,7 @@ import pytest
 
 from boxchrom import cli
 from boxchrom.cli import CliInputError, SweepInvariantError, main, resolve_named
-from boxchrom.colouring import Colouring, check_improper
+from boxchrom.colouring import Colouring, check_improper, lift_colouring
 from boxchrom.graphs import complete_graph, cycle_graph, emit_graph6, strong_product
 
 
@@ -269,6 +269,25 @@ class TestConjecture:
         monkeypatch.setattr(cli, "chromatic_clustered", off_by_one)
         with pytest.raises(SweepInvariantError, match="clustered"):
             cli._sweep_instance((cycle_graph(5), 1, 60.0))
+
+    def test_product_solves_start_from_the_lifted_base_colouring(self, monkeypatch):
+        # an optimal colouring of G copied onto each fibre bounds both product solves
+        given = []
+        real_improper, real_clustered = cli.chromatic_improper, cli.chromatic_clustered
+
+        def recording(real):
+            def solve(*args, upper_witness=None, **kwargs):
+                res = real(*args, upper_witness=upper_witness, **kwargs)
+                given.append((upper_witness, res))
+                return res
+            return solve
+        monkeypatch.setattr(cli, "chromatic_improper", recording(real_improper))
+        monkeypatch.setattr(cli, "chromatic_clustered", recording(real_clustered))
+        record = cli._sweep_instance((cycle_graph(5), 2, 60.0))
+        assert record.status == "verified"
+        (none, base), (improper, _), (clustered, _) = given
+        assert none is None
+        assert improper == clustered == lift_colouring(base.witness, 3)
 
     def test_timeout_is_per_instance(self, monkeypatch):
         # a slow first solve leaves the later two solves only the rest of the budget

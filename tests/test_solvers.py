@@ -29,12 +29,15 @@ from boxchrom.graphs import (
     petersen_graph,
     strong_product,
 )
-from boxchrom.smallgraphs import random_connected_graph
+from boxchrom.smallgraphs import random_connected_graph, random_graph
 from boxchrom.solvers import (
     SolverCapError,
     _branch_order,
     _Clock,
+    _admits,
     _maximal_admissible_sets,
+    _palette,
+    _rule,
     _search,
     alpha_d,
     chromatic_bfold,
@@ -44,6 +47,7 @@ from boxchrom.solvers import (
     fractional_chromatic,
 )
 from oracles import (
+    admissible,
     brute_alpha_d,
     brute_chromatic_clustered,
     brute_chromatic_improper,
@@ -102,11 +106,22 @@ class TestChromaticImproper:
         assert res.value == 3
 
     def test_timeout_reports_bounds(self):
+        # the greedy incumbent survives the timeout as witness and upper bound
         g = random_connected_graph(20, 0.6, 11)
         res = chromatic_improper(g, 2, timeout=1e-4)
         assert res.status == "timeout"
-        assert res.value is None and res.witness is None
-        assert res.lower_bound >= 1 and res.upper_bound <= g.n
+        assert res.value is None
+        assert check_improper(g, res.witness, 2) is None
+        assert res.lower_bound >= 1 and res.upper_bound == res.witness.num_colours <= g.n
+        assert res.lower_bound < res.upper_bound
+
+    def test_greedy_incumbent_meeting_the_lower_bound_ends_the_solve(self):
+        # the ratio bound gives 3 and the greedy pass 3 colours, so no search
+        # runs: every vertex tries at most 3 colours
+        res = chromatic_improper(petersen_graph(), 0)
+        assert (res.value, res.lower_bound_source, res.upper_bound) == (3, "hoffman", 3)
+        assert res.nodes <= 3 * 10
+        assert check_improper(petersen_graph(), res.witness, 0) is None
 
 
 class TestChromaticClustered:
@@ -125,6 +140,16 @@ class TestChromaticClustered:
         prod = strong_product(cycle_graph(5), complete_graph(2))
         assert chromatic_clustered(prod, 2).value == 3
 
+    @given(st.one_of(graphs(max_n=9), st.integers(0, 4).map(lambda s: random_graph(24, 0.5, s))))
+    @settings(max_examples=40, deadline=None)
+    def test_t_two_is_one_improper(self, g):
+        # max degree <= 1 iff every component has <= 2 vertices, so the kernel
+        # admits clustered(2) by the improper(1) rule and the searches coincide
+        clustered = chromatic_clustered(g, 2)
+        improper = chromatic_improper(g, 1)
+        assert (clustered.value, clustered.nodes) == (improper.value, improper.nodes)
+        assert check_clustered(g, improper.witness, 2) is None
+
     def test_t_one_is_proper(self):
         for seed in range(6):
             g = random_connected_graph(7, 0.5, seed)
@@ -141,6 +166,42 @@ class TestChromaticClustered:
     def test_rejects_t_zero(self):
         with pytest.raises(ValueError):
             chromatic_clustered(path_graph(2), 0)
+
+
+ALL_MODES = [Mode.proper(), Mode.improper(0), Mode.improper(1), Mode.improper(2),
+             Mode.clustered(1), Mode.clustered(2), Mode.clustered(3), Mode.clustered(4)]
+
+
+class TestPalette:
+    """The kernel's kept admission state must decide exactly as the rule does."""
+
+    @given(SEARCH_INPUTS, st.sampled_from(ALL_MODES), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_join_decides_as_the_rule(self, g, mode, data):
+        k = 3
+        masks, join, leave = _palette(g.adj, mode, k)
+        limit, deep = _rule(g.adj, mode)
+        joined = []  # (v, c, token, masks before)
+        for _ in range(data.draw(st.integers(0, 4 * g.n))):
+            uncoloured = [v for v in range(g.n) if not any(m >> v & 1 for m in masks)]
+            if joined and (not uncoloured or data.draw(st.integers(0, 3)) == 0):
+                v, c, token, before = joined.pop()
+                leave(v, c, token)
+                assert masks == before
+                continue
+            v = data.draw(st.sampled_from(uncoloured))
+            c = data.draw(st.integers(1, k))
+            before = list(masks)
+            expected = _admits(g.adj[v], v, masks[c], limit, deep)
+            assert expected == admissible(g, masks[c] | 1 << v, mode)
+            token = join(v, c)
+            assert (token is not None) == expected
+            if token is None:
+                assert masks == before
+            else:
+                assert masks[c] == before[c] | 1 << v
+                joined.append((v, c, token, before))
+        assert all(admissible(g, m, mode) for m in masks)
 
 
 class TestTwinPruning:
@@ -198,7 +259,7 @@ class TestTwinPruning:
         clustered = chromatic_clustered(prod, 3)
         assert improper.value == 5 and improper.lower_bound_source == "search"
         assert clustered.value == 5 and clustered.lower_bound_source == "search"
-        assert improper.nodes == clustered.nodes == 4_235
+        assert improper.nodes == clustered.nodes == 2_848
 
 
 def mycielskian(g):
@@ -214,7 +275,7 @@ class TestPinnedNodeCounts:
 
     def test_mycielskian_of_grotzsch(self):
         res = chromatic_improper(mycielskian(mycielskian(cycle_graph(5))), 0)
-        assert (res.value, res.nodes, res.lower_bound_source) == (5, 130_173, "search")
+        assert (res.value, res.nodes, res.lower_bound_source) == (5, 3_681, "search")
 
     def test_clustered_fold_of_c7(self):
         res = chromatic_bfold(cycle_graph(7), 2, Mode.clustered(2))
@@ -223,6 +284,10 @@ class TestPinnedNodeCounts:
     def test_improper_fold_of_petersen(self):
         res = chromatic_bfold(petersen_graph(), 2, Mode.improper(1))
         assert (res.value, res.nodes) == (4, 254)
+
+    def test_alpha_1_of_sparse_random_graph(self):
+        res = alpha_d(random_graph(40, 0.25, 1), 1)
+        assert (res.value, res.nodes) == (16, 37_777)
 
 
 class TestAlphaAndClique:
@@ -324,10 +389,6 @@ def independent_maximal_sets(g, mode):
             ):
                 sets.append(s)
     return sets
-
-
-ALL_MODES = [Mode.proper(), Mode.improper(1), Mode.improper(2),
-             Mode.clustered(1), Mode.clustered(2), Mode.clustered(3)]
 
 
 class TestMaximalAdmissibleSets:
