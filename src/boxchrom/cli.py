@@ -153,41 +153,33 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_exact(args: argparse.Namespace) -> tuple[dict, int]:
     g = load_graph(args)
     b = args.b
+    if b < 1:
+        raise CliInputError("-b must be positive")
+    if b != 1 and args.mode not in ("proper", "improper", "clustered"):
+        raise CliInputError(f"--mode {args.mode} has no b-fold version; -b must be 1")
     try:
-        if args.mode == "proper":
-            result = (
-                chromatic_bfold(g, b, Mode.proper(), timeout=args.timeout)
-                if b > 1
-                else chromatic_improper(g, 0, timeout=args.timeout)
-            )
-        elif args.mode == "improper":
-            if args.d is None:
-                raise CliInputError("--mode improper needs -d")
-            result = (
-                chromatic_bfold(g, b, Mode.improper(args.d), timeout=args.timeout)
-                if b > 1
-                else chromatic_improper(g, args.d, timeout=args.timeout)
-            )
-        elif args.mode == "clustered":
-            if args.t is None:
-                raise CliInputError("--mode clustered needs -t")
-            result = (
-                chromatic_bfold(g, b, Mode.clustered(args.t), timeout=args.timeout)
-                if b > 1
-                else chromatic_clustered(g, args.t, timeout=args.timeout)
-            )
-        elif args.mode == "fractional":
-            if args.d is not None:
-                mode = Mode.improper(args.d)
-            elif args.t is not None:
-                mode = Mode.clustered(args.t)
-            else:
-                mode = Mode.proper()
-            result = fractional_chromatic(g, mode)
-        elif args.mode == "alpha":
+        if args.mode == "alpha":
             result = alpha_d(g, args.d if args.d is not None else 0, timeout=args.timeout)
-        else:
+        elif args.mode == "clique":
             result = clique_number(g, timeout=args.timeout)
+        else:
+            kind = args.mode
+            if kind == "fractional":  # relaxed by -d or -t when given, proper otherwise
+                kind = "improper" if args.d is not None else "clustered" if args.t is not None \
+                    else "proper"
+            if kind == "improper" and args.d is None:
+                raise CliInputError("--mode improper needs -d")
+            if kind == "clustered" and args.t is None:
+                raise CliInputError("--mode clustered needs -t")
+            mode = Mode(kind, {"proper": None, "improper": args.d, "clustered": args.t}[kind])
+            if args.mode == "fractional":
+                result = fractional_chromatic(g, mode)
+            elif b > 1:
+                result = chromatic_bfold(g, b, mode, timeout=args.timeout)
+            elif mode.kind == "clustered":
+                result = chromatic_clustered(g, mode.param, timeout=args.timeout)
+            else:
+                result = chromatic_improper(g, mode.param or 0, timeout=args.timeout)
     except ValueError as e:
         raise CliInputError(str(e)) from e
     payload = {"mode": args.mode, "d": args.d, "t": args.t, "b": b, "n": g.n}

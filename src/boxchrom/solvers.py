@@ -5,21 +5,21 @@ colour is always the last branch.  Optimality certificates come from
 exhausting the search at value-1 or from a matching combinatorial/spectral
 lower bound used to seed the search.
 
-Every search keeps one bitmask per colour class and asks one question of it,
-the admission rule of the mode (``_rule``): may vertex v join this class?  A
-graph has maximum degree at most 1 iff every component has at most 2
-vertices, so 2-clustered colouring is decided by the 1-improper rule and
-1-clustered colouring by the proper one.  The minimum-colour solves and the
-uniqueness count in ``hoffman`` run the kernel ``_search``, which decides
-the rule from admission state that it updates as it colours (``_palette``);
-the fold search and the maximal admissible sets of the fractional LP ask
-``_rule`` directly.  ``alpha_d`` keeps the same kind of state for its one
-class and bounds each subtree by the candidates still admissible.
+Every colouring search keeps one bitmask per colour class and asks one
+question of it, the admission rule of the mode: may vertex v join this class?
+One piece of state answers it (``_palette``), updated as vertices join and
+leave.  A graph has maximum degree at most 1 iff every component has at most
+2 vertices, so 2-clustered colouring is decided by the 1-improper rule and
+1-clustered colouring by the proper one.  The minimum-colour solves, the fold
+solves and the uniqueness count in ``hoffman`` run the kernel ``_search``;
+the maximal admissible sets of the fractional LP grow one class through the
+same state.  ``alpha_d`` keeps the same kind of state for its one class and
+bounds each subtree by the candidates still admissible.
 
-The minimum-colour solves first run the kernel with n colours.  That is a
-greedy first fit, since the fresh colour is always admissible and nothing
-backtracks.  Its colouring is the incumbent: the upper bound, the answer
-when it meets the lower bound, and the witness a timeout returns.
+The minimum-colour and fold solves first run the kernel with n colours.  That
+is a greedy first fit, since the fresh colour is always admissible and nothing
+backtracks.  Its colouring is the incumbent: the upper bound, the answer when
+it meets the lower bound, and the witness a timeout returns.
 
 The kernel colours one twin block at a time.  u and w are twins when
 N(u) - w = N(w) - u, so swapping them is an automorphism that fixes every
@@ -37,8 +37,20 @@ the block are consecutive and above the old ones, so the block stays
 sorted.  The colouring now agrees with the search on every block so far, so
 the search picks the same next block, and the argument repeats.  Without
 the floor (singleton blocks, as the uniqueness count uses) the same walk
-reaches each colouring up to renaming exactly once.  The fold search
-branches in the static order of ``_branch_order``, without the floor.
+reaches each colouring up to renaming exactly once.
+
+A b-fold colouring of G is a colouring of G x K_b that gives each fibre
+{v} x K_b distinct colours (Stahl, JCTB 20, 1976).  Such a colour class holds
+at most one copy of each base vertex, so it induces a copy of the class it
+names in G, and admission in the product is fold admission.  The fold solves
+run the kernel on the product with the fibres as blocks, ranked by
+``_branch_order`` on G, under a strict floor: each member takes a colour
+above the previous member's.  Fibre members are closed twins, so the walk
+above applies, and sorting a fibre of a fold colouring makes it strictly
+increasing.  The blocks are the fibres, not the twin classes of the product:
+closed twins u, w of G merge their fibres into one twin class, whose 2b
+colours need not be distinct once a class may hold an edge.  A fold node is
+one colour tried for one fibre member.
 """
 
 from __future__ import annotations
@@ -47,11 +59,10 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
-from .graphs import Graph, component_mask, iter_bits
+from .graphs import Graph, complete_graph, iter_bits, strong_product
 
 __all__ = [
     "SearchInvariantError",
@@ -177,9 +188,6 @@ def _branch_order(g: Graph) -> tuple[list[int], list[int]]:
 # -- the colouring-search kernel ---------------------------------------------
 
 
-_Deep = Callable[[int, int, int], bool] | None
-
-
 def _rule_mode(mode: Mode) -> Mode:
     """The mode whose admission rule decides ``mode``.
 
@@ -195,49 +203,20 @@ def _rule_mode(mode: Mode) -> Mode:
     return mode
 
 
-def _rule(adj: tuple[int, ...], mode: Mode) -> tuple[int, _Deep]:
-    """The admission rule of a mode, as ``(limit, deep)``.
-
-    Vertex v may join the colour class ``mask`` iff ``hit = adj[v] & mask`` is
-    empty, or ``hit`` has at most ``limit`` vertices and ``deep(v, hit, mask)``
-    holds.  ``limit`` is d for d-improper and t - 1 for t-clustered colouring;
-    the deep check asks that no hit neighbour already has d neighbours in the
-    class, or that v's component in the class stays within t vertices.  The
-    rule is exact when ``mask`` itself obeys the mode.
-    """
-    mode = _rule_mode(mode)
-    if mode.kind == "proper":
-        return 0, None
-    param = mode.param
-    if mode.kind == "improper":
-        def deep(v: int, hit: int, mask: int) -> bool:
-            return all((adj[u] & mask).bit_count() < param for u in iter_bits(hit))
-        return param, deep
-
-    def deep(v: int, hit: int, mask: int) -> bool:
-        return component_mask(adj, v, mask | 1 << v).bit_count() <= param
-    return param - 1, deep
-
-
-def _admits(row: int, v: int, mask: int, limit: int, deep: _Deep) -> bool:
-    """The admission rule for vertex v with adjacency ``row`` and class ``mask``."""
-    hit = row & mask
-    return not hit or (hit.bit_count() <= limit and deep(v, hit, mask))
-
-
 _Join = Callable[[int, int], object]
 _Leave = Callable[[int, int, object], None]
 
 
 def _palette(adj: tuple[int, ...], mode: Mode, k: int) -> tuple[list[int], _Join, _Leave]:
-    """Colour classes 1..k of a partial colouring, decided by ``_rule`` from kept state.
+    """Colour classes 1..k of a partial colouring, with the state that decides admission.
 
     Returns ``(masks, join, leave)``.  ``masks[c]`` holds the members of class
     c.  ``join(v, c)`` puts v into class c and returns an undo token, or
     returns None and changes nothing when the rule refuses v; ``leave(v, c,
-    token)`` takes the last joined v out again.  Instead of a deep check per
-    decision, the state answers the rule directly:
+    token)`` takes the last joined v out again.  The rule, as the state
+    answers it:
 
+    - proper: v may join iff it has no neighbour in c;
     - d-improper: ``sat[c]`` holds the members of c that already have d
       neighbours in c, so v may join iff ``hit = adj[v] & masks[c]`` has at
       most d vertices and ``hit & sat[c] == 0``;
@@ -326,18 +305,18 @@ def _palette(adj: tuple[int, ...], mode: Mode, k: int) -> tuple[list[int], _Join
 
 
 def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clock: _Clock,
-            leaf: Callable[[int], bool] | None = None) -> list[int] | None:
+            leaf: Callable[[int], bool] | None = None, step: int = 0) -> list[int] | None:
     """Backtracking over colours 1..k in first-appearance order; the colours, or None.
 
     ``order`` ranks the vertices, and ``prev[i]`` is ``i - 1`` when
     ``order[i]`` continues the twin block of ``order[i - 1]`` and -1 when it
     starts a block.  The search colours one block at a time, its members in
-    rank order, each with no colour below the previous member's (the twin
-    floor).  The next block is the one whose head sees the most distinct
-    colours on its coloured neighbours, ties to the lower rank.  Without
-    ``leaf`` the search stops at the first complete colouring; with it, each
-    complete colouring is passed to ``leaf`` with its number of colours, and
-    the search stops once ``leaf`` returns True.
+    rank order, each with no colour below the previous member's plus ``step``
+    (the twin floor; 1 makes every block rainbow).  The next block is the one
+    whose head sees the most distinct colours on its coloured neighbours, ties
+    to the lower rank.  Without ``leaf`` the search stops at the first complete
+    colouring; with it, each complete colouring is passed to ``leaf`` with its
+    number of colours, and the search stops once ``leaf`` returns True.
     """
     n = g.n
     adj = g.adj
@@ -367,7 +346,7 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
             return found
         v = block[j]
         row = adj[v]
-        for c in range(colour[block[j - 1]] if j else 1, min(max_used + 1, k) + 1):
+        for c in range(colour[block[j - 1]] + step if j else 1, min(max_used + 1, k) + 1):
             tick()
             token = join(v, c)
             if token is None:
@@ -421,6 +400,20 @@ def _witness(g: Graph, mode: Mode, raw: list[int]) -> Colouring:
     return wit
 
 
+def _first_fit(g: Graph, mode: Mode, order: list[int], prev: list[int],
+               step: int = 0) -> tuple[list[int], int]:
+    """The kernel with n colours and its node count: a first fit, never backtracking.
+
+    The fresh colour is always admissible and above the floor, so no deadline
+    is needed.
+    """
+    clock = _Clock(None)
+    raw = _search(g, g.n, mode, order, prev, clock, step=step)
+    if raw is None:
+        raise SearchInvariantError("n colours must always be feasible")
+    return raw, clock.nodes
+
+
 def _solve_min_colours(g: Graph, mode: Mode, cap: int, timeout: float | None,
                        upper_witness: Colouring | None) -> SolveResult:
     _require_cap(g, cap)
@@ -441,12 +434,7 @@ def _solve_min_colours(g: Graph, mode: Mode, cap: int, timeout: float | None,
         if best.num_colours == lb:
             return SolveResult(lb, best, 0, clock.millis(), "optimal", lb, src, lb)
     order, prev = _branch_order(g)
-    # with n colours the first fit never backtracks, so it needs no deadline
-    greedy = _Clock(None)
-    raw = _search(g, g.n, mode, order, prev, greedy)
-    if raw is None:
-        raise SearchInvariantError("n colours must always be feasible")
-    clock.nodes = greedy.nodes
+    raw, clock.nodes = _first_fit(g, mode, order, prev)
     if best is None or max(raw) < best.num_colours:
         best = _witness(g, mode, raw)
     ub = best.num_colours
@@ -483,55 +471,22 @@ def chromatic_clustered(g: Graph, t: int, *, cap: int = DEFAULT_CAP,
 # -- b-fold search ---------------------------------------------------------
 
 
-def _candidate_sets(b: int, k: int, max_used: int):
-    """All legal size-b colour sets given that colours 1..max_used are in use.
-
-    New colours must be taken as a consecutive block just above max_used, and
-    sets with fewer new colours come first, so colour classes stay
-    interchangeable only once actually used.
-    """
-    for fresh in range(0, b + 1):
-        if max_used + fresh > k:
-            break
-        new_part = tuple(range(max_used + 1, max_used + fresh + 1))
-        for old_part in combinations(range(1, max_used + 1), b - fresh):
-            yield old_part + new_part, max_used + fresh
-
-
-def _search_bfold(g: Graph, k: int, b: int, mode: Mode, order: list[int],
-                  clock: _Clock) -> list[tuple[int, ...]] | None:
-    n = g.n
-    adj = g.adj
-    limit, deep = _rule(adj, mode)
-    masks = [0] * (k + 1)
-    chosen: list[tuple[int, ...]] = [()] * n
-
-    def place(i: int, max_used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        row = adj[v]
-        bit = 1 << v
-        # classes are disjoint, so v's admission to each is decided once
-        admitted = [_admits(row, v, mask, limit, deep) for mask in masks]
-        for cset, used in _candidate_sets(b, k, max_used):
-            clock.tick()
-            if all(admitted[c] for c in cset):
-                for c in cset:
-                    masks[c] |= bit
-                chosen[v] = cset
-                if place(i + 1, used):
-                    return True
-                for c in cset:
-                    masks[c] ^= bit
-        return False
-
-    return chosen if place(0, 0) else None
+def _fold_witness(g: Graph, b: int, mode: Mode, raw: list[int]) -> BFoldColouring:
+    """The fold colouring read off a colouring of g x K_b, checked."""
+    wit = BFoldColouring.from_sets(raw[v * b:(v + 1) * b] for v in range(g.n))
+    bad = check_bfold(g, wit, b, mode)
+    if bad is not None:
+        raise WitnessError(f"fold search produced an invalid witness: {bad}")
+    return wit
 
 
 def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
                     timeout: float | None = None) -> SolveResult:
-    """Least palette size admitting a size-b set per vertex under the mode."""
+    """Least palette size admitting a size-b set per vertex under the mode.
+
+    Searches g x K_b with a strict floor inside each fibre; see the module
+    docstring.
+    """
     if b < 1:
         raise ValueError("b must be positive")
     _require_cap(g, cap)
@@ -548,20 +503,22 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
         lb = max(b, -(-(b * omega) // (mode.param + 1)))
     else:
         lb = max(b, -(-(b * omega) // mode.param))
-    order, _ = _branch_order(g)
-    ub = b * g.n
+    prod = strong_product(g, complete_graph(b))
+    base, _ = _branch_order(g)
+    order = [v * b + i for v in base for i in range(b)]
+    prev = [i - 1 if i % b else -1 for i in range(prod.n)]
+    raw, clock.nodes = _first_fit(prod, mode, order, prev, step=1)
+    best = _fold_witness(g, b, mode, raw)
+    ub = max(raw)
     try:
-        for k in range(lb, ub + 1):
-            raw = _search_bfold(g, k, b, mode, order, clock)
+        for k in range(lb, ub):
+            raw = _search(prod, k, mode, order, prev, clock, step=1)
             if raw is not None:
-                wit = BFoldColouring.from_sets(raw)
-                if check_bfold(g, wit, b, mode) is not None:
-                    raise WitnessError("fold search produced an invalid witness")
-                return SolveResult(k, wit, clock.nodes, clock.millis(), "optimal",
-                                   lb, "clique", k)
-        raise SearchInvariantError("disjoint palettes must always be feasible")
+                return SolveResult(k, _fold_witness(g, b, mode, raw), clock.nodes, clock.millis(),
+                                   "optimal", lb, "clique", k)
     except Timeout:
-        return SolveResult(None, None, clock.nodes, clock.millis(), "timeout", lb, "clique", ub)
+        return SolveResult(None, best, clock.nodes, clock.millis(), "timeout", lb, "clique", ub)
+    return SolveResult(ub, best, clock.nodes, clock.millis(), "optimal", lb, "clique", ub)
 
 
 # -- independence-style and clique solvers ----------------------------------
@@ -661,25 +618,33 @@ def _maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
     """All inclusion-maximal admissible vertex sets, ascending as bitmasks.
 
     Admissible sets are closed under subsets, so every one is reached by
-    adding its vertices in increasing order through the admission rule, and
-    a set is maximal when the rule admits no vertex outside it.
+    joining its vertices to one class in increasing order, and a set is
+    maximal when the class refuses every vertex outside it.
     """
     n = g.n
-    adj = g.adj
-    limit, deep = _rule(adj, mode)
+    masks, join, leave = _palette(g.adj, mode, 1)
     out = []
 
-    def grow(v: int, members: int) -> None:
+    def admits(v: int) -> bool:
+        token = join(v, 1)
+        if token is None:
+            return False
+        leave(v, 1, token)
+        return True
+
+    def grow(v: int) -> None:
         if v == n:
-            if not any(_admits(adj[u], u, members, limit, deep)
-                       for u in range(n) if not members >> u & 1):
+            members = masks[1]
+            if not any(admits(u) for u in range(n) if not members >> u & 1):
                 out.append(members)
             return
-        if _admits(adj[v], v, members, limit, deep):
-            grow(v + 1, members | 1 << v)
-        grow(v + 1, members)
+        token = join(v, 1)
+        if token is not None:
+            grow(v + 1)
+            leave(v, 1, token)
+        grow(v + 1)
 
-    grow(0, 0)
+    grow(0)
     return sorted(out)
 
 

@@ -166,6 +166,34 @@ def admissible(g: Graph, members: int, mode: Mode) -> bool:
     return True
 
 
+def brute_bfold(g: Graph, b: int, mode: Mode) -> int:
+    """Least palette giving each vertex b colours, each class obeying ``mode``.
+
+    Depth-first over the vertices in index order, for k = b, b + 1, ...: each
+    vertex takes a b-subset of 1..k.  Colours are named by first appearance,
+    so a vertex takes some colours already used and the next unused ones.  A
+    partial class that fails ``admissible`` is pruned, which is sound because
+    admissible sets are closed under subsets.
+    """
+
+    def place(v: int, k: int, classes: list[int]) -> bool:
+        if v == g.n:
+            return True
+        used = len(classes)
+        for fresh in range(min(b, k - used) + 1):
+            for old in combinations(range(used), b - fresh):
+                grown = classes + [0] * fresh
+                for c in old + tuple(range(used, used + fresh)):
+                    grown[c] |= 1 << v
+                if all(admissible(g, grown[c], mode) for c in old) and place(v + 1, k, grown):
+                    return True
+        return False
+
+    if g.n == 0:
+        return 0
+    return next(k for k in range(b, b * g.n + 1) if place(0, k, []))
+
+
 def maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
     """Inclusion-maximal admissible vertex sets, ascending, by a scan of all 2^n sets."""
     out = []

@@ -112,6 +112,18 @@ class TestExact:
         )
         assert code == 0 and payload["value"] == 4
 
+    @pytest.mark.parametrize("b", ["0", "-2"])
+    def test_rejects_fold_size_below_one(self, capsys, b):
+        code = main(["exact", "--named", "petersen", "--mode", "proper", "-b", b])
+        assert code == 1
+        assert "-b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["fractional", "alpha", "clique"])
+    def test_rejects_fold_size_for_modes_without_folds(self, capsys, mode):
+        code = main(["exact", "--named", "c5", "--mode", mode, "-b", "3"])
+        assert code == 1
+        assert "-b" in capsys.readouterr().err
+
     def test_alpha_and_clique(self, capsys):
         code, payload = run_cli(
             capsys, "exact", "--named", "bowtie", "--mode", "alpha", "-d", "1"

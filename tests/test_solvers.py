@@ -34,10 +34,8 @@ from boxchrom.solvers import (
     SolverCapError,
     _branch_order,
     _Clock,
-    _admits,
     _maximal_admissible_sets,
     _palette,
-    _rule,
     _search,
     alpha_d,
     chromatic_bfold,
@@ -49,6 +47,7 @@ from boxchrom.solvers import (
 from oracles import (
     admissible,
     brute_alpha_d,
+    brute_bfold,
     brute_chromatic_clustered,
     brute_chromatic_improper,
     brute_clique,
@@ -173,14 +172,13 @@ ALL_MODES = [Mode.proper(), Mode.improper(0), Mode.improper(1), Mode.improper(2)
 
 
 class TestPalette:
-    """The kernel's kept admission state must decide exactly as the rule does."""
+    """The kernel's kept admission state must decide exactly as the mode's definition does."""
 
     @given(SEARCH_INPUTS, st.sampled_from(ALL_MODES), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_join_decides_as_the_rule(self, g, mode, data):
+    def test_join_decides_as_the_oracle(self, g, mode, data):
         k = 3
         masks, join, leave = _palette(g.adj, mode, k)
-        limit, deep = _rule(g.adj, mode)
         joined = []  # (v, c, token, masks before)
         for _ in range(data.draw(st.integers(0, 4 * g.n))):
             uncoloured = [v for v in range(g.n) if not any(m >> v & 1 for m in masks)]
@@ -192,8 +190,7 @@ class TestPalette:
             v = data.draw(st.sampled_from(uncoloured))
             c = data.draw(st.integers(1, k))
             before = list(masks)
-            expected = _admits(g.adj[v], v, masks[c], limit, deep)
-            assert expected == admissible(g, masks[c] | 1 << v, mode)
+            expected = admissible(g, masks[c] | 1 << v, mode)
             token = join(v, c)
             assert (token is not None) == expected
             if token is None:
@@ -279,11 +276,16 @@ class TestPinnedNodeCounts:
 
     def test_clustered_fold_of_c7(self):
         res = chromatic_bfold(cycle_graph(7), 2, Mode.clustered(2))
-        assert (res.value, res.nodes) == (4, 60)
+        assert (res.value, res.nodes) == (4, 83)
 
     def test_improper_fold_of_petersen(self):
         res = chromatic_bfold(petersen_graph(), 2, Mode.improper(1))
-        assert (res.value, res.nodes) == (4, 254)
+        assert (res.value, res.nodes) == (4, 94)
+
+    def test_proper_3_fold_of_petersen(self):
+        # the benchmark's fold solve; trying every colour set took 596,791 nodes
+        res = chromatic_bfold(petersen_graph(), 3, Mode.proper())
+        assert (res.value, res.nodes) == (8, 572)
 
     def test_alpha_1_of_sparse_random_graph(self):
         res = alpha_d(random_graph(40, 0.25, 1), 1)
@@ -322,6 +324,24 @@ class TestAlphaAndClique:
 
 
 class TestBFold:
+    @given(graphs(max_n=5), st.integers(2, 3), st.sampled_from(ALL_MODES))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, g, b, mode):
+        res = chromatic_bfold(g, b, mode)
+        assert res.status == "optimal"
+        assert res.value == brute_bfold(g, b, mode)
+        assert check_bfold(g, res.witness, b, mode) is None
+        assert len(res.witness.palette()) == res.value
+
+    def test_timeout_returns_incumbent(self):
+        # the greedy pass on the product survives the timeout as witness and upper bound
+        g = random_graph(30, 0.5, 0)
+        res = chromatic_bfold(g, 3, Mode.improper(1), timeout=0.5)
+        assert res.status == "timeout" and res.value is None
+        assert check_bfold(g, res.witness, 3, Mode.improper(1)) is None
+        assert res.upper_bound == len(res.witness.palette())
+        assert res.lower_bound < res.upper_bound
+
     def test_pinned_improper_fold(self):
         # 1-improper 2-fold palette of C4 needs 4 colours, not 3
         res = chromatic_bfold(cycle_graph(4), 2, Mode.improper(1))
