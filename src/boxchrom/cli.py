@@ -146,7 +146,10 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
                 weights = WeightedCompatibleMatrix.from_text(g, fh.read())
         except (OSError, ValueError) as e:
             raise CliInputError(f"bad weights file: {e}") from e
-    report = bound_report(g, args.d, m_max=args.m, weights=weights)
+    try:
+        report = bound_report(g, args.d, m_max=args.m, weights=weights)
+    except ValueError as e:
+        raise CliInputError(str(e)) from e
     return report.to_json(), 0
 
 
@@ -157,6 +160,12 @@ def cmd_exact(args: argparse.Namespace) -> tuple[dict, int]:
         raise CliInputError("-b must be positive")
     if b != 1 and args.mode not in ("proper", "improper", "clustered"):
         raise CliInputError(f"--mode {args.mode} has no b-fold version; -b must be 1")
+    ignored = {"proper": "dt", "clique": "dt", "improper": "t", "alpha": "t", "clustered": "d"}
+    for flag in ignored.get(args.mode, ""):
+        if getattr(args, flag) is not None:
+            raise CliInputError(f"--mode {args.mode} takes no -{flag}")
+    if args.mode == "fractional" and args.d is not None and args.t is not None:
+        raise CliInputError("--mode fractional takes -d or -t, not both")
     try:
         if args.mode == "alpha":
             result = alpha_d(g, args.d if args.d is not None else 0, timeout=args.timeout)
@@ -189,15 +198,15 @@ def cmd_exact(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_diagnose(args: argparse.Namespace) -> tuple[dict, int]:
     g = load_graph(args)
-    if args.colours:
-        colouring = parse_colours(args.colours, g.n)
-        solved = None
-    else:
-        solved = chromatic_improper(g, args.d, timeout=args.timeout)
-        if solved.status == "timeout":
-            return {"status": "timeout", "d": args.d, "n": g.n}, 2
-        colouring = solved.witness
     try:
+        if args.colours:
+            colouring = parse_colours(args.colours, g.n)
+            solved = None
+        else:
+            solved = chromatic_improper(g, args.d, timeout=args.timeout)
+            if solved.status == "timeout":
+                return {"status": "timeout", "d": args.d, "n": g.n}, 2
+            colouring = solved.witness
         diag = diagnose_hoffman(g, args.d, colouring, check_uniqueness=args.uniqueness)
     except ValueError as e:
         raise CliInputError(str(e)) from e
@@ -213,6 +222,9 @@ def cmd_transfer(args: argparse.Namespace) -> tuple[dict, int]:
     t, ell = args.t, args.l
     if t is None:
         raise CliInputError("transfer needs -t")
+    for flag, value in (("t", t), ("l", ell)):
+        if value < 1:
+            raise CliInputError(f"-{flag} must be positive, got {value}")
     product = strong_product(g, complete_graph(t))
     if args.colours:
         product_colouring = parse_colours(args.colours, product.n)

@@ -19,7 +19,8 @@ bounds each subtree by the candidates still admissible.
 The minimum-colour and fold solves first run the kernel with n colours.  That
 is a greedy first fit, since the fresh colour is always admissible and nothing
 backtracks.  Its colouring is the incumbent: the upper bound, the answer when
-it meets the lower bound, and the witness a timeout returns.
+it meets the lower bound, and the witness a timeout returns.  Each k the
+kernel refutes raises the lower bound to k + 1, with source "search".
 
 The kernel colours one twin block at a time.  u and w are twins when
 N(u) - w = N(w) - u, so swapping them is an automorphism that fixes every
@@ -503,6 +504,7 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
         lb = max(b, -(-(b * omega) // (mode.param + 1)))
     else:
         lb = max(b, -(-(b * omega) // mode.param))
+    src = "clique"
     prod = strong_product(g, complete_graph(b))
     base, _ = _branch_order(g)
     order = [v * b + i for v in base for i in range(b)]
@@ -515,10 +517,11 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
             raw = _search(prod, k, mode, order, prev, clock, step=1)
             if raw is not None:
                 return SolveResult(k, _fold_witness(g, b, mode, raw), clock.nodes, clock.millis(),
-                                   "optimal", lb, "clique", k)
+                                   "optimal", lb, src, k)
+            lb, src = k + 1, "search"
     except Timeout:
-        return SolveResult(None, best, clock.nodes, clock.millis(), "timeout", lb, "clique", ub)
-    return SolveResult(ub, best, clock.nodes, clock.millis(), "optimal", lb, "clique", ub)
+        return SolveResult(None, best, clock.nodes, clock.millis(), "timeout", lb, src, ub)
+    return SolveResult(ub, best, clock.nodes, clock.millis(), "optimal", lb, src, ub)
 
 
 # -- independence-style and clique solvers ----------------------------------

@@ -11,7 +11,10 @@ run is recorded in a trace that can be replayed independently.
 The engine behind the descent is an incidence structure between base vertices
 and monochromatic product components.  Once that structure is acyclic, some
 component touches few base vertices; colouring and deleting its footprint
-shrinks the graph and the argument repeats.
+shrinks the graph and the argument repeats.  ``descend`` builds g * K_t once
+and deletes footprints with ``induced_subgraph``; the stages take that product
+(base order ``product.n // t``) or the ``Incidence`` built on it, which
+carries its colouring and its shortest cycle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .colouring import Colouring, check_clustered, mono_components
+from .colouring import Colouring, check_clustered, colour_multiset, mono_components
 from .graphs import Graph, complete_graph, induced_subgraph, strong_product
 
 __all__ = [
@@ -35,7 +38,6 @@ __all__ = [
     "descend",
     "eliminate_cycles",
     "find_small_component",
-    "incidence_is_acyclic",
     "replay_trace",
 ]
 
@@ -60,13 +62,12 @@ class Incidence:
     n_base: int
     components: tuple[MonoComponent, ...]
     adj: tuple[tuple[int, ...], ...]
+    colouring: Colouring  # the product colouring it was built from
+    cycle: tuple[int, ...] | None  # a shortest cycle, canonically rotated; None if acyclic
 
-    def component_node(self, idx: int) -> int:
-        return self.n_base + idx
 
-
-def build_incidence(g: Graph, c: Colouring, t: int) -> Incidence:
-    """Component/vertex incidence of a colouring of g * K_t.
+def build_incidence(product: Graph, c: Colouring, t: int) -> Incidence:
+    """Component/vertex incidence of a colouring of product = g * K_t.
 
     Every fibre is a clique, so for a fixed base vertex and colour all product
     vertices of that colour sit in one component; that uniqueness is asserted
@@ -74,37 +75,40 @@ def build_incidence(g: Graph, c: Colouring, t: int) -> Incidence:
     """
     if t < 1:
         raise ValueError("t must be positive")
-    product = strong_product(g, complete_graph(t))
+    if product.n % t:
+        raise ValueError(f"product order {product.n} is not a multiple of t={t}")
     if c.n != product.n:
         raise ValueError(f"colouring has {c.n} entries, product needs {product.n}")
+    n = product.n // t
     comps = []
     for colour, vertices in mono_components(product, c):
         cover = tuple(sorted({pv // t for pv in vertices}))
         comps.append(MonoComponent(colour, vertices, cover))
-    adj: list[list[int]] = [[] for _ in range(g.n + len(comps))]
-    seen: dict[tuple[int, int], int] = {}
+    adj: list[list[int]] = [[] for _ in range(n + len(comps))]
+    seen: set[tuple[int, int]] = set()
     for idx, comp in enumerate(comps):
-        node = g.n + idx
+        node = n + idx
         for v in comp.cover:
             key = (v, comp.colour)
             if key in seen:
                 raise TransferInvariantError(
                     f"base vertex {v} is covered by two components of colour {comp.colour}"
                 )
-            seen[key] = idx
+            seen.add(key)
             adj[v].append(node)
             adj[node].append(v)
-    return Incidence(g.n, tuple(comps), tuple(tuple(sorted(a)) for a in adj))
+    sorted_adj = tuple(tuple(sorted(a)) for a in adj)
+    return Incidence(n, tuple(comps), sorted_adj, c, _smallest_cycle(sorted_adj))
 
 
-def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> list[int] | None:
+def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """Vertices of a shortest cycle, canonically rotated, or None if acyclic.
 
     BFS from every vertex; each non-tree edge closes a candidate cycle through
     the endpoints' lowest common tree ancestor.
     """
     nv = len(adj)
-    best: list[int] | None = None
+    best: tuple[int, ...] | None = None
     for root in range(nv):
         depth = {root: 0}
         parent = {root: -1}
@@ -135,12 +139,11 @@ def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> list[int] | None:
     return best
 
 
-def _canonical_rotation(cycle: list[int]) -> list[int]:
-    k = len(cycle)
+def _canonical_rotation(cycle: list[int]) -> tuple[int, ...]:
     start = cycle.index(min(cycle))
     rotated = cycle[start:] + cycle[:start]
     backwards = [rotated[0]] + rotated[1:][::-1]
-    return min(rotated, backwards)
+    return tuple(min(rotated, backwards))
 
 
 @dataclass(frozen=True)
@@ -163,60 +166,55 @@ class EliminationStep:
     ops: tuple[RecolourOp, ...]
 
 
-def _fibre_counts(c: Colouring, v: int, t: int) -> Counter:
-    return Counter(c.colours[v * t : (v + 1) * t])
-
-
-def eliminate_cycles(
-    g: Graph,
-    c: Colouring,
-    t: int,
-    cluster_cap: int,
-    label_map: tuple[int, ...] | None = None,
-) -> tuple[Colouring, tuple[EliminationStep, ...]]:
-    """Rewrite c until the component/vertex incidence is acyclic.
+def eliminate_cycles(product: Graph, c: Colouring, t: int, cluster_cap: int,
+                     label_map: tuple[int, ...] | None = None,
+                     ) -> tuple[Incidence, tuple[EliminationStep, ...]]:
+    """Rewrite c until the component/vertex incidence on product = g * K_t is acyclic.
 
     Each round finds a shortest incidence cycle and cyclically shifts a fixed
     number of colour copies along it, chosen so one vertex loses a colour from
     its fibre entirely.  The rewrite preserves the clustering cap and only
     ever shrinks fibre palettes; the total palette size strictly drops, which
     bounds the number of rounds.  ``label_map`` translates current vertex
-    labels to original ones inside the recorded trace.
+    labels to original ones inside the recorded trace.  Returns the acyclic
+    incidence it stopped at, whose ``colouring`` is the rewritten c.
     """
-    product = strong_product(g, complete_graph(t))
     if check_clustered(product, c, cluster_cap):
         raise ValueError(f"input colouring is not {cluster_cap}-clustered on the product")
-    labels = label_map if label_map is not None else tuple(range(g.n))
-    if len(labels) != g.n:
+    inc = build_incidence(product, c, t)
+    n = inc.n_base
+    labels = label_map if label_map is not None else tuple(range(n))
+    if len(labels) != n:
         raise ValueError("label map length does not match graph")
     steps: list[EliminationStep] = []
-    colours = list(c.colours)
-    potential = sum(len({colours[v * t + x] for x in range(t)}) for v in range(g.n))
-    for _ in range(g.n * t + 1):
-        cur = Colouring(tuple(colours))
-        inc = build_incidence(g, cur, t)
-        cycle = _smallest_cycle(inc.adj)
+    potential = float("inf")  # total fibre palette size: every step must lower it
+    for _ in range(product.n + 1):
+        cur = inc.colouring
+        palettes = sum(len(set(cur.colours[p:p + t])) for p in range(0, product.n, t))
+        if palettes >= potential:
+            raise TransferInvariantError("palette potential failed to decrease")
+        potential = palettes
+        cycle = inc.cycle
         if cycle is None:
-            return cur, tuple(steps)
+            return inc, tuple(steps)
         if len(cycle) % 2 or len(cycle) < 4:
             raise TransferInvariantError(f"incidence cycle is not alternating: {cycle}")
         base = cycle[0::2]
         comp_nodes = cycle[1::2]
-        if any(v >= g.n for v in base) or any(cn < g.n for cn in comp_nodes):
+        if any(v >= n for v in base) or any(cn < n for cn in comp_nodes):
             raise TransferInvariantError(f"cycle does not alternate sides: {cycle}")
-        k = len(base)
-        a = [inc.components[cn - g.n].colour for cn in comp_nodes]
+        a = [inc.components[cn - n].colour for cn in comp_nodes]
         # base[i] sits between component i-1 and component i, so both colours
         # appear on its fibre; shift count s is the smallest multiplicity of
         # a[i] at base[i], so the pivot fibre sheds colour a[pivot] completely.
-        mults = [_fibre_counts(cur, base[i], t)[a[i]] for i in range(k)]
+        mults = [colour_multiset(cur, t, v)[col] for v, col in zip(base, a)]
         if min(mults) < 1:
             raise TransferInvariantError("cycle colour missing from fibre")
         s = min(mults)
         pivot = mults.index(s)
+        colours = list(cur.colours)
         ops: list[RecolourOp] = []
-        for i in range(k):
-            v = base[i]
+        for i, v in enumerate(base):
             give, receive = a[i], a[i - 1]
             moved = 0
             for x in range(t):
@@ -229,20 +227,10 @@ def eliminate_cycles(
             if moved != s:
                 raise TransferInvariantError("fewer colour copies than the shift count")
         nxt = Colouring(tuple(colours))
-        _check_step_invariants(product, cur, nxt, cluster_cap, t, g.n, base, pivot, a)
-        new_potential = sum(len({colours[v * t + x] for x in range(t)}) for v in range(g.n))
-        if new_potential >= potential:
-            raise TransferInvariantError("palette potential failed to decrease")
-        potential = new_potential
-        steps.append(
-            EliminationStep(
-                base_vertices=tuple(labels[v] for v in base),
-                colours=tuple(a),
-                transfer_count=s,
-                pivot=pivot,
-                ops=tuple(ops),
-            )
-        )
+        _check_step_invariants(product, cur, nxt, cluster_cap, t, n, base, pivot, a)
+        steps.append(EliminationStep(tuple(labels[v] for v in base), tuple(a), s, pivot,
+                                     tuple(ops)))
+        inc = build_incidence(product, nxt, t)
     raise TransferInvariantError("cycle elimination exceeded its iteration bound")
 
 
@@ -262,19 +250,14 @@ def _check_step_invariants(product, cur, nxt, cluster_cap, t, n_base, base, pivo
         raise TransferInvariantError(f"clustering cap broken by surgery: {bad}")
 
 
-def incidence_is_acyclic(g: Graph, c: Colouring, t: int) -> bool:
-    return _smallest_cycle(build_incidence(g, c, t).adj) is None
-
-
-def find_small_component(g: Graph, c: Colouring, t: int, ell: int) -> MonoComponent:
-    """A component covering at most ell base vertices, given an acyclic incidence.
+def find_small_component(inc: Incidence, ell: int) -> MonoComponent:
+    """A component covering at most ell base vertices of an acyclic incidence.
 
     Counting shows such a component must exist: with every fibre of size t and
     components capped at ell*t product vertices, a cover larger than ell forces
     branching that would close a cycle.  Raises when the precondition fails.
     """
-    inc = build_incidence(g, c, t)
-    if _smallest_cycle(inc.adj) is not None:
+    if inc.cycle is not None:
         raise TransferInvariantError("incidence graph still has a cycle")
     for comp in inc.components:
         if len(comp.cover) <= ell:
@@ -338,8 +321,8 @@ def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
     palette, uses no new colours, and is verified ell-clustered before
     returning.
     """
-    if ell < 1:
-        raise ValueError("ell must be positive")
+    if t < 1 or ell < 1:
+        raise ValueError("t and ell must be positive")
     product = strong_product(g, complete_graph(t))
     bad = check_clustered(product, c, ell * t)
     if bad:
@@ -348,22 +331,22 @@ def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
 
     out: list[int | None] = [None] * g.n
     labels = tuple(range(g.n))
-    cur_g, cur_c = g, c
+    cur_c = c
     rounds = []
-    while cur_g.n:
-        cur_c, elims = eliminate_cycles(cur_g, cur_c, t, ell * t, labels)
-        comp = find_small_component(cur_g, cur_c, t, ell)
+    while labels:
+        inc, elims = eliminate_cycles(product, cur_c, t, ell * t, labels)
+        comp = find_small_component(inc, ell)
         pick = ComponentPick(comp.colour, tuple(labels[v] for v in comp.cover))
         for v in pick.base_vertices:
             out[v] = comp.colour
         rounds.append((elims, pick))
-        kept = [v for v in range(cur_g.n) if v not in set(comp.cover)]
+        covered = set(comp.cover)
+        kept = [v for v in range(len(labels)) if v not in covered]
         labels = tuple(labels[v] for v in kept)
-        new_colours = []
-        for v in kept:
-            new_colours.extend(cur_c.colours[v * t : (v + 1) * t])
-        cur_g = induced_subgraph(cur_g, kept)
-        cur_c = Colouring(tuple(new_colours))
+        # fibres stay in base order, so the shrunk product is (g - cover) * K_t
+        fibres = [v * t + x for v in kept for x in range(t)]
+        product = induced_subgraph(product, fibres)
+        cur_c = Colouring(tuple(inc.colouring.colours[p] for p in fibres))
 
     missing = [v for v, col in enumerate(out) if col is None]
     if missing:

@@ -124,6 +124,23 @@ class TestExact:
         assert code == 1
         assert "-b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, flags, named", [
+        ("proper", ["-d", "2"], "-d"),
+        ("proper", ["-t", "2"], "-t"),
+        ("clique", ["-d", "1"], "-d"),
+        ("clique", ["-d", "1", "-t", "2"], "-d"),
+        ("improper", ["-d", "1", "-t", "2"], "-t"),
+        ("alpha", ["-d", "1", "-t", "2"], "-t"),
+        ("clustered", ["-d", "1", "-t", "2"], "-d"),
+        ("fractional", ["-d", "1", "-t", "2"], "-d or -t"),
+    ])
+    def test_rejects_flags_the_mode_ignores(self, capsys, mode, flags, named):
+        code = main(["exact", "--named", "petersen", "--mode", mode, *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and named in captured.err
+
     def test_alpha_and_clique(self, capsys):
         code, payload = run_cli(
             capsys, "exact", "--named", "bowtie", "--mode", "alpha", "-d", "1"
@@ -147,6 +164,14 @@ class TestExact:
         )
         assert code == 2
         assert payload["status"] == "timeout" and payload["value"] is None
+
+
+@pytest.mark.parametrize("command", ["bounds", "diagnose"])
+def test_negative_d_is_an_input_error(capsys, command):
+    code = main([command, "--named", "c5", "-d", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestDiagnose:
@@ -189,6 +214,15 @@ class TestTransfer:
         assert code == 0
         assert payload["product_value"] is None
         assert len(payload["trace"]["rounds"]) >= 1
+
+    @pytest.mark.parametrize("flags, named", [
+        (["-t", "0"], "-t"), (["-t", "-1"], "-t"), (["-t", "2", "-l", "0"], "-l"),
+    ])
+    def test_rejects_non_positive_parameters(self, capsys, flags, named):
+        code = main(["transfer", "--named", "c5", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "Traceback" not in err
 
     def test_invalid_colouring_rejected(self, capsys):
         code = main([

@@ -286,6 +286,8 @@ class TestPinnedNodeCounts:
         # the benchmark's fold solve; trying every colour set took 596,791 nodes
         res = chromatic_bfold(petersen_graph(), 3, Mode.proper())
         assert (res.value, res.nodes) == (8, 572)
+        # the clique bound is 3 * 2 = 6; the search refuted 6 and 7
+        assert (res.lower_bound, res.lower_bound_source) == (8, "search")
 
     def test_alpha_1_of_sparse_random_graph(self):
         res = alpha_d(random_graph(40, 0.25, 1), 1)

@@ -3,15 +3,26 @@
 A hand-built cyclic instance exercises one surgery step in detail; the rest
 drives solver witnesses through the full descent on exhaustive and random
 inputs, replaying every trace to confirm the recorded rewrites reproduce the
-output exactly.
+output exactly.  A few deterministic descents are pinned by the digest of
+their output colouring and trace.
 """
+
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxchrom.colouring import Colouring, check_clustered, colour_multiset, lift_colouring
-from boxchrom.graphs import complete_graph, cycle_graph, path_graph, strong_product
+from boxchrom.graphs import (
+    component_mask,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    strong_product,
+)
 from boxchrom.smallgraphs import connected_graphs, random_connected_graph
 from boxchrom.solvers import chromatic_clustered, chromatic_improper
 from boxchrom.transfer import (
@@ -20,7 +31,6 @@ from boxchrom.transfer import (
     descend,
     eliminate_cycles,
     find_small_component,
-    incidence_is_acyclic,
     replay_trace,
 )
 
@@ -29,40 +39,45 @@ from boxchrom.transfer import (
 CYCLIC_C4 = Colouring((1, 2, 1, 2, 3, 3, 4, 4))
 
 
+def _product(g, t):
+    return strong_product(g, complete_graph(t))
+
+
 class TestIncidence:
     def test_structure_of_cyclic_instance(self):
-        g = cycle_graph(4)
-        inc = build_incidence(g, CYCLIC_C4, 2)
+        inc = build_incidence(_product(cycle_graph(4), 2), CYCLIC_C4, 2)
         assert inc.n_base == 4
         covers = sorted((c.colour, c.cover) for c in inc.components)
         assert covers == [(1, (0, 1)), (2, (0, 1)), (3, (2,)), (4, (3,))]
-        assert not incidence_is_acyclic(g, CYCLIC_C4, 2)
+        assert inc.colouring == CYCLIC_C4
+        assert inc.cycle is not None and len(inc.cycle) == 4
 
     def test_lifted_colourings_are_acyclic(self):
         # one component per colour, and distinct colours per base vertex
-        g = cycle_graph(5)
         lifted = lift_colouring(Colouring((1, 2, 1, 2, 3)), 2)
-        assert incidence_is_acyclic(g, lifted, 2)
+        assert build_incidence(_product(cycle_graph(5), 2), lifted, 2).cycle is None
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            build_incidence(cycle_graph(4), Colouring((1, 2)), 2)
+            build_incidence(_product(cycle_graph(4), 2), Colouring((1, 2)), 2)
 
     def test_bad_t_rejected(self):
         with pytest.raises(ValueError):
-            build_incidence(cycle_graph(4), CYCLIC_C4, 0)
+            build_incidence(_product(cycle_graph(4), 2), CYCLIC_C4, 0)
 
 
 class TestEliminateCycles:
     def test_single_surgery_on_c4(self):
-        g = cycle_graph(4)
-        out, steps = eliminate_cycles(g, CYCLIC_C4, 2, cluster_cap=4)
+        prod = _product(cycle_graph(4), 2)
+        inc, steps = eliminate_cycles(prod, CYCLIC_C4, 2, cluster_cap=4)
+        out = inc.colouring
         assert len(steps) == 1
         step = steps[0]
         assert step.transfer_count == 1
         assert sorted(step.base_vertices) == [0, 1]
         assert sorted(step.colours) == [1, 2]
-        assert incidence_is_acyclic(g, out, 2)
+        assert inc.cycle is None
+        assert build_incidence(prod, out, 2).cycle is None
         # global colour usage is conserved by the cyclic shift
         assert sorted(out.colours) == sorted(CYCLIC_C4.colours)
         # each vertex keeps a sub-multiset of its original fibre palette
@@ -72,28 +87,26 @@ class TestEliminateCycles:
             assert set(after) <= set(before)
 
     def test_acyclic_input_is_untouched(self):
-        g = cycle_graph(5)
         lifted = lift_colouring(Colouring((1, 2, 1, 2, 3)), 2)
-        out, steps = eliminate_cycles(g, lifted, 2, cluster_cap=2)
+        inc, steps = eliminate_cycles(_product(cycle_graph(5), 2), lifted, 2, cluster_cap=2)
         assert steps == ()
-        assert out.colours == lifted.colours
+        assert inc.colouring.colours == lifted.colours
 
     def test_rejects_overfull_clusters(self):
         # all-ones on C4 x K2 is one component of 8 > cap
-        g = cycle_graph(4)
         with pytest.raises(ValueError):
-            eliminate_cycles(g, Colouring((1,) * 8), 2, cluster_cap=4)
+            eliminate_cycles(_product(cycle_graph(4), 2), Colouring((1,) * 8), 2, cluster_cap=4)
 
 
 class TestFindSmallComponent:
     def test_requires_acyclic(self):
+        inc = build_incidence(_product(cycle_graph(4), 2), CYCLIC_C4, 2)
         with pytest.raises(TransferInvariantError):
-            find_small_component(cycle_graph(4), CYCLIC_C4, 2, 1)
+            find_small_component(inc, 1)
 
     def test_finds_cover_after_elimination(self):
-        g = cycle_graph(4)
-        out, _ = eliminate_cycles(g, CYCLIC_C4, 2, cluster_cap=4)
-        comp = find_small_component(g, out, 2, 2)
+        inc, _ = eliminate_cycles(_product(cycle_graph(4), 2), CYCLIC_C4, 2, cluster_cap=4)
+        comp = find_small_component(inc, 2)
         assert len(comp.cover) <= 2
 
 
@@ -182,3 +195,55 @@ class TestReplay:
         assert payload["rounds"], "descent must record at least one round"
         first = payload["rounds"][0]
         assert "pick" in first and "eliminations" in first
+
+
+def _first_fit_clustered(product, cap, stride):
+    """First fit with components <= cap, visiting product vertices by (v * stride) mod n.
+
+    The stride scatters each fibre's copies through the order, so fibres mix
+    colours and the incidence has cycles to eliminate.
+    """
+    n = product.n
+    classes: dict[int, int] = {}
+    colours = [0] * n
+    for v in sorted(range(n), key=lambda v: v * stride % n):
+        c = 1
+        while component_mask(product.adj, v, classes.get(c, 0) | 1 << v).bit_count() > cap:
+            c += 1
+        classes[c] = classes.get(c, 0) | 1 << v
+        colours[v] = c
+    return Colouring(tuple(colours))
+
+
+class TestPinnedTraces:
+    """Descent output is part of the contract: these digests must not drift.
+
+    Each digest is the sha256 of the JSON list [colouring, trace.to_json()].
+    Eliminations happen only in the first round (deleting a footprint from an
+    acyclic incidence cannot close a cycle), so the larger instances pin
+    several eliminations followed by several rounds of picks.
+    """
+
+    @staticmethod
+    def _digest(res):
+        payload = json.dumps([list(res.colouring.colours), res.trace.to_json()])
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def test_cyclic_c4(self):
+        res = descend(cycle_graph(4), CYCLIC_C4, 2, 1)
+        assert self._digest(res) == "4d62b45e3c2334509d5392484cdfec4ab87a205e4652e8cf32bbb0db91100f80"
+
+    @pytest.mark.parametrize("g, t, ell, stride, shape, digest", [
+        (petersen_graph(), 3, 2, 7, (7, 5),
+         "4ccc84e8a288905ac552abb7c3def866e500f422d9b33abcec116f007e951ddf"),
+        (random_connected_graph(8, 0.3, 0), 3, 2, 7, (6, 7),
+         "34afef5446147b5d80ad557c7dde4c0cc7657eba1ccf56ee65f5cdc55f2c57e5"),
+        (cycle_graph(7), 3, 1, 5, (7, 2),
+         "637b8e581ba38d0bf576cdab68a92fe7dc488dd06d69a2e022364deb54f4bd3f"),
+    ], ids=["petersen", "random8", "c7"])
+    def test_first_fit_descents(self, g, t, ell, stride, shape, digest):
+        c = _first_fit_clustered(_product(g, t), ell * t, stride)
+        res = descend(g, c, t, ell)
+        rounds = res.trace.rounds
+        assert (len(rounds), sum(len(elims) for elims, _ in rounds)) == shape
+        assert self._digest(res) == digest
