@@ -127,7 +127,10 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
         "laplacian": MatrixKind.LAPLACIAN,
         "signless": MatrixKind.SIGNLESS_LAPLACIAN,
     }[args.kind]
-    s = spectrum(g, kind)
+    try:
+        s = spectrum(g, kind)
+    except ValueError as e:
+        raise CliInputError(str(e)) from e
     payload = {
         "n": g.n,
         "kind": args.kind,

@@ -18,7 +18,7 @@ from .bounds import hoffman_bilu
 from .colouring import Colouring, Mode, check_improper, lift_colouring
 from .graphs import Graph, complete_graph, strong_product
 from .solvers import _Clock, _search
-from .spectra import MULT_TOL, graph_matrix, perron_vector, spectrum
+from .spectra import graph_matrix, perron_vector, spectrum
 
 __all__ = [
     "HoffmanDiagnosis",

@@ -16,11 +16,17 @@ the maximal admissible sets of the fractional LP grow one class through the
 same state.  ``alpha_d`` keeps the same kind of state for its one class and
 bounds each subtree by the candidates still admissible.
 
-The minimum-colour and fold solves first run the kernel with n colours.  That
-is a greedy first fit, since the fresh colour is always admissible and nothing
-backtracks.  Its colouring is the incumbent: the upper bound, the answer when
-it meets the lower bound, and the witness a timeout returns.  Each k the
-kernel refutes raises the lower bound to k + 1, with source "search".
+The minimum-colour solves run one colour ladder on G with twin blocks, the
+fold solves on G x K_b with fibre blocks.  It first runs the kernel with n
+colours, a greedy first fit, since the fresh colour is always admissible and
+nothing backtracks.  That colouring is the incumbent: the upper bound, the
+answer when it meets the lower bound, and the witness a timeout returns.
+Each k from the lower bound up that the kernel refutes raises the bound to
+k + 1, with source "search".  With c the most vertices of a clique that one
+class may hold (1 proper, d + 1 d-improper, t t-clustered), the lower bound
+is max(b, ceil(b * omega / c)), or b on an edgeless graph.  A t-clustered
+class is (t - 1)-improper, so every class is (c - 1)-improper, and the plain
+solves (b = 1) also take Bilu's ratio bound (l1 - ln) / (d - ln) at d = c - 1.
 
 The kernel colours one twin block at a time.  u and w are twins when
 N(u) - w = N(w) - u, so swapping them is an automorphism that fixes every
@@ -156,9 +162,9 @@ class _Clock:
         return (time.monotonic() - self.start) * 1e3
 
 
-def _require_cap(g: Graph, cap: int) -> None:
-    if g.n > cap:
-        raise SolverCapError(f"graph has {g.n} vertices, solver cap is {cap}")
+def _require_cap(g: Graph) -> None:
+    if g.n > DEFAULT_CAP:
+        raise SolverCapError(f"graph has {g.n} vertices, solver cap is {DEFAULT_CAP}")
 
 
 def _branch_order(g: Graph) -> tuple[list[int], list[int]]:
@@ -374,59 +380,65 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
     return colour if place([], 0, 0, 0, sum(1 << h for h in heads)) else None
 
 
-def _lower_bound_chromatic(g: Graph, classes_cap: int, hoffman_d: int,
-                           cap: int) -> tuple[int, str]:
-    """max(clique bound, generalized Hoffman ceiling), with its provenance."""
+def _lower_bound(g: Graph, mode: Mode, b: int, ratio: bool) -> tuple[int, str]:
+    """The lower bound on b-fold colourings of g (n > 0) under the mode, with its source.
+
+    The clique bound of the module docstring; with ``ratio`` also the ratio
+    bound at d = c - 1.  The fold solves take the clique bound alone.
+    """
     if g.edge_count == 0:
-        return (1 if g.n else 0), "trivial"
-    omega = clique_number(g, cap=cap).value
-    best = max(1, -(-omega // classes_cap))
-    source = "clique"
-    hb = hoffman_bilu(g, hoffman_d)
-    hb_int = ceil_lower(hb)
-    if hb_int > best:
-        best, source = hb_int, "hoffman"
-    return best, source
+        return b, "trivial"
+    c = 1 if mode.kind == "proper" else mode.param + (mode.kind == "improper")
+    lb, src = max(b, -(-(b * clique_number(g).value) // c)), "clique"
+    if ratio:
+        hb = ceil_lower(hoffman_bilu(g, c - 1))
+        if hb > lb:
+            lb, src = hb, "hoffman"
+    return lb, src
+
+
+def _ladder(g: Graph, mode: Mode, order: list[int], prev: list[int], step: int, lb: int,
+            src: str, read: Callable[[list[int]], object], clock: _Clock,
+            best: Colouring | None = None) -> SolveResult:
+    """The colour ladder: the least k >= lb at which the kernel colours g.
+
+    The first fit with n colours never backtracks, so it runs without the
+    deadline.  Its colouring, built and checked by ``read``, is the incumbent
+    unless ``best`` (already checked) uses no more colours.  A timeout returns
+    the incumbent and the open range [lb, ub].
+    """
+    first = _Clock(None)
+    raw = _search(g, g.n, mode, order, prev, first, step=step)
+    if raw is None:
+        raise SearchInvariantError("n colours must always be feasible")
+    clock.nodes = first.nodes
+    ub = max(raw)
+    if best is not None and best.num_colours <= ub:
+        ub = best.num_colours
+    else:
+        best = read(raw)
+    try:
+        for k in range(lb, ub):
+            raw = _search(g, k, mode, order, prev, clock, step=step)
+            if raw is not None:
+                return SolveResult(k, read(raw), clock.nodes, clock.millis(), "optimal", lb, src, k)
+            lb, src = k + 1, "search"
+    except Timeout:
+        return SolveResult(None, best, clock.nodes, clock.millis(), "timeout", lb, src, ub)
+    return SolveResult(ub, best, clock.nodes, clock.millis(), "optimal", lb, src, ub)
 
 
 def _check(g: Graph, wit: Colouring, mode: Mode):
     return (check_improper if mode.kind == "improper" else check_clustered)(g, wit, mode.param)
 
 
-def _witness(g: Graph, mode: Mode, raw: list[int]) -> Colouring:
-    wit = Colouring(tuple(raw))
-    bad = _check(g, wit, mode)
-    if bad is not None:
-        raise WitnessError(f"search produced an invalid witness: {bad}")
-    return wit
-
-
-def _first_fit(g: Graph, mode: Mode, order: list[int], prev: list[int],
-               step: int = 0) -> tuple[list[int], int]:
-    """The kernel with n colours and its node count: a first fit, never backtracking.
-
-    The fresh colour is always admissible and above the floor, so no deadline
-    is needed.
-    """
-    clock = _Clock(None)
-    raw = _search(g, g.n, mode, order, prev, clock, step=step)
-    if raw is None:
-        raise SearchInvariantError("n colours must always be feasible")
-    return raw, clock.nodes
-
-
-def _solve_min_colours(g: Graph, mode: Mode, cap: int, timeout: float | None,
+def _solve_min_colours(g: Graph, mode: Mode, timeout: float | None,
                        upper_witness: Colouring | None) -> SolveResult:
-    _require_cap(g, cap)
+    _require_cap(g)
     clock = _Clock(timeout)
     if g.n == 0:
         return SolveResult(0, Colouring(()), 0, clock.millis(), "optimal", 0, "trivial", 0)
-    param = mode.param
-    if mode.kind == "improper":
-        lb, src = _lower_bound_chromatic(g, param + 1, param, cap)
-    else:
-        lb, src = _lower_bound_chromatic(g, param, param - 1, cap) if param > 1 \
-            else (max(1, ceil_lower(float(clique_number(g, cap=cap).value))), "clique")
+    lb, src = _lower_bound(g, mode, 1, ratio=True)
     best = None
     if upper_witness is not None:
         if _check(g, upper_witness, mode) is not None:
@@ -434,54 +446,35 @@ def _solve_min_colours(g: Graph, mode: Mode, cap: int, timeout: float | None,
         best = upper_witness.canonical()
         if best.num_colours == lb:
             return SolveResult(lb, best, 0, clock.millis(), "optimal", lb, src, lb)
+
+    def read(raw: list[int]) -> Colouring:
+        wit = Colouring(tuple(raw))
+        bad = _check(g, wit, mode)
+        if bad is not None:
+            raise WitnessError(f"search produced an invalid witness: {bad}")
+        return wit
+
     order, prev = _branch_order(g)
-    raw, clock.nodes = _first_fit(g, mode, order, prev)
-    if best is None or max(raw) < best.num_colours:
-        best = _witness(g, mode, raw)
-    ub = best.num_colours
-    try:
-        for k in range(lb, ub):
-            raw = _search(g, k, mode, order, prev, clock)
-            if raw is not None:
-                wit = _witness(g, mode, raw)
-                return SolveResult(k, wit, clock.nodes, clock.millis(), "optimal", lb, src, k)
-            lb, src = k + 1, "search"
-    except Timeout:
-        return SolveResult(None, best, clock.nodes, clock.millis(), "timeout", lb, src, ub)
-    return SolveResult(ub, best, clock.nodes, clock.millis(), "optimal", lb, src, ub)
+    return _ladder(g, mode, order, prev, 0, lb, src, read, clock, best)
 
 
-def chromatic_improper(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
-                       timeout: float | None = None,
+def chromatic_improper(g: Graph, d: int, *, timeout: float | None = None,
                        upper_witness: Colouring | None = None) -> SolveResult:
     """Least number of colours in a d-improper colouring of g."""
     if d < 0:
         raise ValueError("d must be non-negative")
-    return _solve_min_colours(g, Mode.improper(d), cap, timeout, upper_witness)
+    return _solve_min_colours(g, Mode.improper(d), timeout, upper_witness)
 
 
-def chromatic_clustered(g: Graph, t: int, *, cap: int = DEFAULT_CAP,
-                        timeout: float | None = None,
+def chromatic_clustered(g: Graph, t: int, *, timeout: float | None = None,
                         upper_witness: Colouring | None = None) -> SolveResult:
     """Least number of colours in a colouring with monochromatic components <= t."""
     if t < 1:
         raise ValueError("t must be positive")
-    return _solve_min_colours(g, Mode.clustered(t), cap, timeout, upper_witness)
+    return _solve_min_colours(g, Mode.clustered(t), timeout, upper_witness)
 
 
-# -- b-fold search ---------------------------------------------------------
-
-
-def _fold_witness(g: Graph, b: int, mode: Mode, raw: list[int]) -> BFoldColouring:
-    """The fold colouring read off a colouring of g x K_b, checked."""
-    wit = BFoldColouring.from_sets(raw[v * b:(v + 1) * b] for v in range(g.n))
-    bad = check_bfold(g, wit, b, mode)
-    if bad is not None:
-        raise WitnessError(f"fold search produced an invalid witness: {bad}")
-    return wit
-
-
-def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
+def chromatic_bfold(g: Graph, b: int, mode: Mode, *,
                     timeout: float | None = None) -> SolveResult:
     """Least palette size admitting a size-b set per vertex under the mode.
 
@@ -490,45 +483,32 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *, cap: int = DEFAULT_CAP,
     """
     if b < 1:
         raise ValueError("b must be positive")
-    _require_cap(g, cap)
+    _require_cap(g)
     clock = _Clock(timeout)
     if g.n == 0:
         return SolveResult(0, BFoldColouring(()), 0, clock.millis(), "optimal", 0, "trivial", 0)
-    if g.edge_count == 0:
+    lb, src = _lower_bound(g, mode, b, ratio=False)
+    if src == "trivial":
         wit = BFoldColouring.from_sets([tuple(range(1, b + 1))] * g.n)
-        return SolveResult(b, wit, 0, clock.millis(), "optimal", b, "trivial", b)
-    omega = clique_number(g, cap=cap).value
-    if mode.kind == "proper":
-        lb = b * omega
-    elif mode.kind == "improper":
-        lb = max(b, -(-(b * omega) // (mode.param + 1)))
-    else:
-        lb = max(b, -(-(b * omega) // mode.param))
-    src = "clique"
-    prod = strong_product(g, complete_graph(b))
+        return SolveResult(b, wit, 0, clock.millis(), "optimal", b, src, b)
+
+    def read(raw: list[int]) -> BFoldColouring:
+        wit = BFoldColouring.from_sets(raw[v * b:(v + 1) * b] for v in range(g.n))
+        bad = check_bfold(g, wit, b, mode)
+        if bad is not None:
+            raise WitnessError(f"fold search produced an invalid witness: {bad}")
+        return wit
+
     base, _ = _branch_order(g)
     order = [v * b + i for v in base for i in range(b)]
-    prev = [i - 1 if i % b else -1 for i in range(prod.n)]
-    raw, clock.nodes = _first_fit(prod, mode, order, prev, step=1)
-    best = _fold_witness(g, b, mode, raw)
-    ub = max(raw)
-    try:
-        for k in range(lb, ub):
-            raw = _search(prod, k, mode, order, prev, clock, step=1)
-            if raw is not None:
-                return SolveResult(k, _fold_witness(g, b, mode, raw), clock.nodes, clock.millis(),
-                                   "optimal", lb, src, k)
-            lb, src = k + 1, "search"
-    except Timeout:
-        return SolveResult(None, best, clock.nodes, clock.millis(), "timeout", lb, src, ub)
-    return SolveResult(ub, best, clock.nodes, clock.millis(), "optimal", lb, src, ub)
+    prev = [i - 1 if i % b else -1 for i in range(g.n * b)]
+    return _ladder(strong_product(g, complete_graph(b)), mode, order, prev, 1, lb, src, read, clock)
 
 
 # -- independence-style and clique solvers ----------------------------------
 
 
-def alpha_d(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
-            timeout: float | None = None) -> SolveResult:
+def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
     """Largest vertex set whose induced subgraph has maximum degree <= d.
 
     Branches on the live candidates in index order, taking each first.  A
@@ -539,7 +519,7 @@ def alpha_d(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    _require_cap(g, cap)
+    _require_cap(g)
     clock = _Clock(timeout)
     n = g.n
     adj = g.adj
@@ -580,10 +560,9 @@ def alpha_d(g: Graph, d: int, *, cap: int = DEFAULT_CAP,
                        best[0], "search", best[0])
 
 
-def clique_number(g: Graph, *, cap: int = DEFAULT_CAP,
-                  timeout: float | None = None) -> SolveResult:
+def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
     """Largest clique, by branch and bound over candidate masks."""
-    _require_cap(g, cap)
+    _require_cap(g)
     clock = _Clock(timeout)
     adj = g.adj
     best = [0, 0]
@@ -701,8 +680,7 @@ def _simplex_packing(incidence: list[int], n: int) -> tuple[float, list[float], 
     return value, duals, pivots
 
 
-def fractional_chromatic(g: Graph, mode: Mode = Mode.proper(), *,
-                         cap: int = FRACTIONAL_CAP) -> SolveResult:
+def fractional_chromatic(g: Graph, mode: Mode = Mode.proper()) -> SolveResult:
     """Fractional relaxation: cheapest fractional cover by admissible sets.
 
     The LP runs over inclusion-maximal admissible sets only; the float optimum
@@ -710,8 +688,8 @@ def fractional_chromatic(g: Graph, mode: Mode = Mode.proper(), *,
     """
     if g.n == 0:
         raise ValueError("fractional chromatic number of the empty graph is undefined")
-    if g.n > cap:
-        raise SolverCapError(f"graph has {g.n} vertices, fractional cap is {cap}")
+    if g.n > FRACTIONAL_CAP:
+        raise SolverCapError(f"graph has {g.n} vertices, fractional cap is {FRACTIONAL_CAP}")
     t0 = time.monotonic()
     sets = _maximal_admissible_sets(g, mode)
     value, duals, pivots = _simplex_packing(sets, g.n)

@@ -148,7 +148,7 @@ def _canonical_rotation(cycle: list[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RecolourOp:
-    """One product vertex changing colour (labels refer to the original graph)."""
+    """One product vertex changing colour."""
 
     product_vertex: int
     old: int
@@ -166,26 +166,22 @@ class EliminationStep:
     ops: tuple[RecolourOp, ...]
 
 
-def eliminate_cycles(product: Graph, c: Colouring, t: int, cluster_cap: int,
-                     label_map: tuple[int, ...] | None = None,
-                     ) -> tuple[Incidence, tuple[EliminationStep, ...]]:
+def eliminate_cycles(product: Graph, c: Colouring, t: int,
+                     cluster_cap: int) -> tuple[Incidence, tuple[EliminationStep, ...]]:
     """Rewrite c until the component/vertex incidence on product = g * K_t is acyclic.
 
     Each round finds a shortest incidence cycle and cyclically shifts a fixed
     number of colour copies along it, chosen so one vertex loses a colour from
     its fibre entirely.  The rewrite preserves the clustering cap and only
     ever shrinks fibre palettes; the total palette size strictly drops, which
-    bounds the number of rounds.  ``label_map`` translates current vertex
-    labels to original ones inside the recorded trace.  Returns the acyclic
-    incidence it stopped at, whose ``colouring`` is the rewritten c.
+    bounds the number of rounds.  Returns the acyclic incidence it stopped
+    at, whose ``colouring`` is the rewritten c.
     """
-    if check_clustered(product, c, cluster_cap):
-        raise ValueError(f"input colouring is not {cluster_cap}-clustered on the product")
+    bad = check_clustered(product, c, cluster_cap)
+    if bad:
+        raise ValueError(f"input colouring is not {cluster_cap}-clustered on the product: {bad}")
     inc = build_incidence(product, c, t)
     n = inc.n_base
-    labels = label_map if label_map is not None else tuple(range(n))
-    if len(labels) != n:
-        raise ValueError("label map length does not match graph")
     steps: list[EliminationStep] = []
     potential = float("inf")  # total fibre palette size: every step must lower it
     for _ in range(product.n + 1):
@@ -222,14 +218,13 @@ def eliminate_cycles(product: Graph, c: Colouring, t: int, cluster_cap: int,
                     break
                 if colours[v * t + x] == give:
                     colours[v * t + x] = receive
-                    ops.append(RecolourOp(labels[v] * t + x, give, receive))
+                    ops.append(RecolourOp(v * t + x, give, receive))
                     moved += 1
             if moved != s:
                 raise TransferInvariantError("fewer colour copies than the shift count")
         nxt = Colouring(tuple(colours))
         _check_step_invariants(product, cur, nxt, cluster_cap, t, n, base, pivot, a)
-        steps.append(EliminationStep(tuple(labels[v] for v in base), tuple(a), s, pivot,
-                                     tuple(ops)))
+        steps.append(EliminationStep(tuple(base), tuple(a), s, pivot, tuple(ops)))
         inc = build_incidence(product, nxt, t)
     raise TransferInvariantError("cycle elimination exceeded its iteration bound")
 
@@ -315,26 +310,26 @@ class DescentResult:
 def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
     """Turn an ell*t-clustered colouring of g * K_t into an ell-clustered one of g.
 
-    Alternates cycle elimination with picking a component whose base footprint
-    has at most ell vertices; that footprint takes the component's colour and
-    leaves the graph.  The output colours each vertex from its original fibre
-    palette, uses no new colours, and is verified ell-clustered before
-    returning.
+    Eliminates incidence cycles once, then repeatedly picks a component whose
+    base footprint has at most ell vertices; that footprint takes the
+    component's colour and leaves the graph.  Deleting a footprint from an
+    acyclic incidence cannot close a cycle, so later rounds eliminate nothing
+    (``find_small_component`` still checks).  The output colours each vertex
+    from its original fibre palette, uses no new colours, and is verified
+    ell-clustered before returning.
     """
     if t < 1 or ell < 1:
         raise ValueError("t and ell must be positive")
     product = strong_product(g, complete_graph(t))
-    bad = check_clustered(product, c, ell * t)
-    if bad:
-        raise ValueError(f"input colouring is not {ell * t}-clustered: {bad}")
     original_palettes = [set(c.colours[v * t : (v + 1) * t]) for v in range(g.n)]
 
     out: list[int | None] = [None] * g.n
     labels = tuple(range(g.n))
-    cur_c = c
+    inc, elims = eliminate_cycles(product, c, t, ell * t)
     rounds = []
     while labels:
-        inc, elims = eliminate_cycles(product, cur_c, t, ell * t, labels)
+        if rounds:
+            inc, elims = build_incidence(product, cur_c, t), ()
         comp = find_small_component(inc, ell)
         pick = ComponentPick(comp.colour, tuple(labels[v] for v in comp.cover))
         for v in pick.base_vertices:

@@ -62,6 +62,12 @@ class TestSpectrum:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_empty_graph_is_an_input_error(self, capsys):
+        code = main(["spectrum", "--graph6", "?"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "empty graph" in err
+
 
 class TestBounds:
     def test_petersen_hoffman(self, capsys):
