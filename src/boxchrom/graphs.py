@@ -69,6 +69,8 @@ class Graph:
     n: int
     adj: tuple[int, ...]
     name: str | None = field(default=None, compare=False)
+    # (base, t) when this graph is strong_product(base, K_t); not part of equality
+    _base: tuple[Graph, int] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -142,6 +144,16 @@ class Graph:
 # -- constructions -------------------------------------------------------
 
 
+def _trusted(adj: list[int], base: tuple[Graph, int] | None = None) -> Graph:
+    """A Graph on rows a construction built symmetric and loop-free, unchecked."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", len(adj))
+    object.__setattr__(g, "adj", tuple(adj))
+    object.__setattr__(g, "name", None)
+    object.__setattr__(g, "_base", base)
+    return g
+
+
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     adj = tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj))
@@ -153,20 +165,23 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     vs = list(vertices)
     if len(set(vs)) != len(vs):
         raise ValueError("duplicate vertices")
+    if not all(0 <= v < g.n for v in vs):
+        raise ValueError(f"vertices must lie in 0..{g.n - 1}")
     pos = {v: i for i, v in enumerate(vs)}
     adj = [0] * len(vs)
     for i, v in enumerate(vs):
         for u in iter_bits(g.adj[v]):
             if u in pos:
                 adj[i] |= 1 << pos[u]
-    return Graph(len(vs), tuple(adj))
+    return _trusted(adj)
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product; (u, i) is flattened to u * h.n + i.
 
     (u, i) ~ (v, j) iff each coordinate is equal or adjacent, and the pairs
-    themselves differ.
+    themselves differ.  When h is complete the result remembers (g, h.n), so
+    its spectra and clique number follow from g's.
     """
     n = g.n * h.n
     adj = [0] * n
@@ -179,7 +194,8 @@ def strong_product(g: Graph, h: Graph) -> Graph:
                 mask |= hi << (v * h.n)
             mask &= ~(1 << (u * h.n + i))
             adj[u * h.n + i] = mask
-    return Graph(n, tuple(adj))
+    complete = h.n and all(row | 1 << i == (1 << h.n) - 1 for i, row in enumerate(h.adj))
+    return _trusted(adj, (g, h.n) if complete else None)
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:

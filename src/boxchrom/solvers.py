@@ -561,10 +561,16 @@ def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
 
 
 def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
-    """Largest clique, by branch and bound over candidate masks."""
+    """Largest clique, by branch and bound over candidate masks.
+
+    On g = base * K_t a clique of base blows up to one of t times its size,
+    and a clique of g projects onto one of base, so omega(g) = t * omega(base):
+    the search runs on base, and the fibres of its clique are the witness.
+    """
     _require_cap(g)
     clock = _Clock(timeout)
-    adj = g.adj
+    base, t = g._base or (g, 1)
+    adj = base.adj
     best = [0, 0]
 
     def expand(cand: int, chosen: int, count: int) -> None:
@@ -580,17 +586,18 @@ def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
             best[0], best[1] = count, chosen
 
     try:
-        expand((1 << g.n) - 1 if g.n else 0, 0, 0)
+        expand((1 << base.n) - 1 if base.n else 0, 0, 0)
     except Timeout:
         return SolveResult(None, None, clock.nodes, clock.millis(), "timeout",
-                           best[0], "search", g.n)
-    wit = tuple(iter_bits(best[1]))
+                           best[0] * t, "search", g.n)
+    value = best[0] * t
+    wit = tuple(u * t + i for u in iter_bits(best[1]) for i in range(t))
     for u in wit:
         for v in wit:
             if u != v and not g.adjacent(u, v):
                 raise WitnessError(f"clique witness misses edge ({u},{v})")
-    return SolveResult(best[0], wit, clock.nodes, clock.millis(), "optimal",
-                       best[0], "search", best[0])
+    return SolveResult(value, wit, clock.nodes, clock.millis(), "optimal",
+                       value, "search", value)
 
 
 # -- fractional chromatic number --------------------------------------------

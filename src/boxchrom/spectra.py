@@ -121,9 +121,35 @@ def eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     return Spectrum(tuple(float(x) for x in w)), v
 
 
+def _product_spectrum(base: Graph, t: int, kind: MatrixKind) -> Spectrum:
+    """Spectrum of base * K_t from the spectrum of base.
+
+    One first-row value per eigenvalue of base, plus one second-row value per
+    vertex repeated t-1 times:
+
+    - adjacency:          {t*lam + (t-1)}         and  -1
+    - Laplacian:          {t*mu}                  and  t*deg(u) + t
+    - signless Laplacian: {t*theta + 2(t-1)}      and  (t-2) + t*deg(u)
+    """
+    values = spectrum(base, kind).values
+    if kind is MatrixKind.ADJACENCY:
+        out = [t * x + (t - 1) for x in values] + [-1.0] * ((t - 1) * base.n)
+    elif kind is MatrixKind.LAPLACIAN:
+        out = [t * x for x in values]
+        for v in range(base.n):
+            out += [float(t * base.degree(v) + t)] * (t - 1)
+    else:
+        out = [t * x + 2 * (t - 1) for x in values]
+        for v in range(base.n):
+            out += [float((t - 2) + t * base.degree(v))] * (t - 1)
+    return Spectrum(tuple(sorted(out, reverse=True)))
+
+
 @lru_cache(maxsize=4096)
-def _spectrum_cached(g: Graph, kind: MatrixKind) -> Spectrum:
-    s, _ = eigensolve(graph_matrix(g, kind))
+def _spectrum_cached(g: Graph, kind: MatrixKind, base: tuple[Graph, int] | None) -> Spectrum:
+    # base (g._base) keys the cache too: a product and an equal graph without
+    # provenance never answer for each other, so the latter stays an oracle
+    s = eigensolve(graph_matrix(g, kind))[0] if base is None else _product_spectrum(*base, kind)
     n = g.n
     tot = sum(s.values)
     if kind is MatrixKind.ADJACENCY and abs(tot) > 1e-8 * max(n, 1):
@@ -135,10 +161,13 @@ def _spectrum_cached(g: Graph, kind: MatrixKind) -> Spectrum:
 
 
 def spectrum(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> Spectrum:
-    """Spectrum of the chosen matrix of g (memoised; graphs are immutable)."""
+    """Spectrum of the chosen matrix of g (memoised; graphs are immutable).
+
+    g = base * K_t takes ``_product_spectrum`` from the checked spectrum of base.
+    """
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
-    return _spectrum_cached(g, kind)
+    return _spectrum_cached(g, kind, g._base)
 
 
 @lru_cache(maxsize=1024)
@@ -165,31 +194,17 @@ def perron_vector(g: Graph) -> np.ndarray:
 
 def product_spectrum_identity_check(g: Graph, n: int, kind: MatrixKind = MatrixKind.ADJACENCY,
                                     tol: float = MULT_TOL) -> bool:
-    """Check the closed form for the spectrum of the strong product with K_n.
+    """Check the closed-form spectrum of g * K_n against a direct diagonalisation.
 
-    The predicted multiset is one first-row value per eigenvalue of g plus one
-    second-row value per vertex repeated n-1 times:
-
-    - adjacency:          {n*lam + (n-1)}         and  -1
-    - Laplacian:          {n*mu}                  and  n*deg(u) + n
-    - signless Laplacian: {n*theta + 2(n-1)}      and  (n-2) + n*deg(u)
+    ``spectrum`` of the product takes the closed form of ``_product_spectrum``;
+    the check compares it, value by value, with ``eigensolve`` of the
+    product's matrix.
     """
     if n < 1:
         raise ValueError("factor size must be at least 1")
-    base = spectrum(g, kind).values
-    if kind is MatrixKind.ADJACENCY:
-        pred = [n * x + (n - 1) for x in base]
-        pred += [-1.0] * ((n - 1) * g.n)
-    elif kind is MatrixKind.LAPLACIAN:
-        pred = [n * x for x in base]
-        for v in range(g.n):
-            pred += [float(n * g.degree(v) + n)] * (n - 1)
-    else:
-        pred = [n * x + 2 * (n - 1) for x in base]
-        for v in range(g.n):
-            pred += [float((n - 2) + n * g.degree(v))] * (n - 1)
-    actual = spectrum(strong_product(g, named_graph("complete", [n])), kind).values
-    pred.sort(reverse=True)
+    product = strong_product(g, named_graph("complete", [n]))
+    pred = spectrum(product, kind).values
+    actual = eigensolve(graph_matrix(product, kind))[0].values
     if len(pred) != len(actual):
         return False
     return all(abs(a - b) <= tol for a, b in zip(pred, actual))

@@ -98,7 +98,29 @@ def build_incidence(product: Graph, c: Colouring, t: int) -> Incidence:
             adj[v].append(node)
             adj[node].append(v)
     sorted_adj = tuple(tuple(sorted(a)) for a in adj)
-    return Incidence(n, tuple(comps), sorted_adj, c, _smallest_cycle(sorted_adj))
+    cycle = None if _is_forest(sorted_adj) else _smallest_cycle(sorted_adj)
+    return Incidence(n, tuple(comps), sorted_adj, c, cycle)
+
+
+def _is_forest(adj: tuple[tuple[int, ...], ...]) -> bool:
+    """True when adj has no cycle: one union-find pass, a repeated entry being one edge."""
+    root = list(range(len(adj)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for x, row in enumerate(adj):
+        for y in set(row):
+            if y < x:
+                continue  # each edge once, from its lower end; a loop y == x closes a cycle
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                return False
+            root[rx] = ry
+    return True
 
 
 def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:

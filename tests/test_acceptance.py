@@ -27,6 +27,7 @@ from boxchrom.bounds import (
 from boxchrom.cli import SweepSpec, run_sweep
 from boxchrom.colouring import Colouring, Mode, check_clustered, check_improper
 from boxchrom.graphs import (
+    Graph,
     bowtie_graph,
     complete_bipartite,
     complete_graph,
@@ -139,6 +140,11 @@ def test_04_hoffman_product_identity(capsys):
             for d in (1, 2, 3):
                 prod = strong_product(g, complete_graph(d + 1))
                 assert abs(hoffman_bilu(prod, d) - expected) <= 1e-7
+                # the same bound from a diagonalised copy without provenance
+                copy = Graph(prod.n, prod.adj)
+                assert abs(hoffman_bilu(copy, d) - expected) <= 1e-7
+                assert np.allclose(spectrum(prod).values, spectrum(copy).values,
+                                   rtol=0, atol=1e-7)
 
     _verdict(capsys, 4, 60.0,
              "ratio bound on 200 random clique blow-ups matches the base formula",

@@ -151,6 +151,36 @@ class TestProducts:
         h = induced_subgraph(g, [1, 2, 3])
         assert h.adj == path_graph(3).adj
 
+    def test_induced_subgraph_rejects_outside_vertices(self):
+        with pytest.raises(ValueError):
+            induced_subgraph(cycle_graph(5), [0, -1])
+        with pytest.raises(ValueError):
+            induced_subgraph(cycle_graph(5), [5])
+
+    @given(graphs(max_n=5), graphs(max_n=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unchecked_outputs_pass_the_checks(self, g, h, data):
+        # strong_product and induced_subgraph skip Graph's validation
+        prod = strong_product(g, h)
+        vs = data.draw(st.permutations(range(prod.n)))[:data.draw(st.integers(0, prod.n))]
+        for out in (prod, induced_subgraph(prod, vs), induced_subgraph(g, [v for v in vs if v < g.n])):
+            copy = Graph(out.n, out.adj)
+            assert copy == out and hash(copy) == hash(out)
+
+    @given(graphs(max_n=5), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_products_with_complete_factors_keep_their_base(self, g, t):
+        prod = strong_product(g, complete_graph(t))
+        assert prod._base == (g, t)
+        copy = Graph(prod.n, prod.adj)
+        assert copy._base is None
+        assert copy == prod and hash(copy) == hash(prod)
+
+    def test_other_products_keep_no_base(self):
+        assert strong_product(cycle_graph(4), path_graph(3))._base is None
+        assert strong_product(cycle_graph(4), empty_graph(2))._base is None
+        assert induced_subgraph(strong_product(cycle_graph(4), complete_graph(2)), range(6))._base is None
+
 
 class TestNamedFamilies:
     def test_catalogue_dispatch(self):

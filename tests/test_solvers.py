@@ -19,6 +19,7 @@ from boxchrom.colouring import Colouring, Mode, check_bfold, check_clustered, ch
 from boxchrom.graphs import (
     Graph,
     bowtie_graph,
+    complement,
     parse_graph6,
     complete_graph,
     cycle_graph,
@@ -330,6 +331,25 @@ class TestAlphaAndClique:
             alpha_d(matching_graph(25), 0)
         with pytest.raises(SolverCapError):
             clique_number(matching_graph(25))
+        # the product is capped even though its base would not be
+        with pytest.raises(SolverCapError):
+            clique_number(strong_product(cycle_graph(14), complete_graph(3)))
+
+    @given(graphs(max_n=8), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_clique_of_product_from_base(self, g, t):
+        prod = strong_product(g, complete_graph(t))
+        res = clique_number(prod)
+        assert res.value == clique_number(Graph(prod.n, prod.adj)).value == t * clique_number(g).value
+        assert len(res.witness) == res.value
+        assert all(prod.adjacent(u, v) for u, v in combinations(res.witness, 2))
+
+    def test_clique_of_product_timeout_scales_base_bounds(self):
+        # the base search needs 5,740 nodes, so the clock is read past its deadline
+        base = complement(matching_graph(10))
+        res = clique_number(strong_product(base, complete_graph(2)), timeout=0.0)
+        assert res.status == "timeout" and res.value is None
+        assert res.lower_bound % 2 == 0 and 0 < res.lower_bound <= 20 and res.upper_bound == 40
 
 
 class TestBFold:

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxchrom import spectra
 from boxchrom.graphs import (
+    Graph,
     bowtie_graph,
     complete_bipartite,
     complete_graph,
@@ -27,6 +29,7 @@ from boxchrom.graphs import (
     disjoint_union,
 )
 from boxchrom.spectra import (
+    MULT_TOL,
     MatrixKind,
     Spectrum,
     eigensolve,
@@ -213,6 +216,29 @@ class TestProductSpectrumIdentity:
     @settings(max_examples=40, deadline=None)
     def test_closed_form_matches_direct(self, g, k, kind):
         assert product_spectrum_identity_check(g, k, kind)
+        # the copy has no provenance, so its spectrum is diagonalised
+        prod = strong_product(g, complete_graph(k))
+        copy = Graph(prod.n, prod.adj)
+        assert copy == prod and hash(copy) == hash(prod)
+        assert np.allclose(spectrum(prod, kind).values, spectrum(copy, kind).values,
+                           rtol=0, atol=MULT_TOL)
+
+    def test_products_diagonalise_only_their_base(self, monkeypatch):
+        shapes = []
+
+        def counting(m):
+            shapes.append(m.shape[0])
+            return eigensolve(m)
+
+        monkeypatch.setattr(spectra, "eigensolve", counting)
+        spectra._spectrum_cached.cache_clear()
+        g = cycle_graph(5)
+        for kind in MatrixKind:
+            spectrum(strong_product(g, complete_graph(3)), kind)
+        assert shapes == [5, 5, 5]
+        # a non-complete factor leaves no provenance: the product is diagonalised
+        spectrum(strong_product(g, path_graph(3)))
+        assert shapes == [5, 5, 5, 15]
 
     def test_direct_instance(self):
         # C5 x K3 adjacency spectrum: {3*lam + 2} plus -1 ten times

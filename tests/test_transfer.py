@@ -27,6 +27,8 @@ from boxchrom.smallgraphs import connected_graphs, random_connected_graph
 from boxchrom.solvers import chromatic_clustered, chromatic_improper
 from boxchrom.transfer import (
     TransferInvariantError,
+    _is_forest,
+    _smallest_cycle,
     build_incidence,
     descend,
     eliminate_cycles,
@@ -64,6 +66,23 @@ class TestIncidence:
     def test_bad_t_rejected(self):
         with pytest.raises(ValueError):
             build_incidence(_product(cycle_graph(4), 2), CYCLIC_C4, 0)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_forest_test_matches_full_search(self, data):
+        # a random forest, then a few extra edges and repeated entries
+        n = data.draw(st.integers(1, 10))
+        edges = [(v, data.draw(st.integers(0, v - 1))) for v in range(1, n)
+                 if data.draw(st.booleans())]
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges += data.draw(st.lists(pairs, max_size=2))
+        edges += data.draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        adj = tuple(tuple(sorted(row)) for row in adj)
+        assert _is_forest(adj) == (_smallest_cycle(adj) is None)
 
 
 class TestEliminateCycles:
