@@ -5,7 +5,8 @@ Runs the exact solvers over every connected graph up to a size cap (or a
 named family list), checks the clustered equality as it goes, and reports
 which proven cases cover each instance.  A counterexample here would be a
 publishable event; the expected count is zero.  Exits 1 on a counterexample,
-otherwise 2 if any instance timed out, otherwise 0.
+otherwise 2 if any instance timed out, otherwise 0.  Bad flags print an
+``error:`` line and exit 1, as the ``boxchrom`` CLI does.
 
 Usage:
     python scripts/conjecture_sweep.py --max-n 5 -d 1,2 --jobs 4 --out sweep.json
@@ -18,30 +19,36 @@ import json
 import sys
 from collections import Counter
 
-from boxchrom.cli import SweepSpec, run_sweep, sweep_exit
-from boxchrom.smallgraphs import connected_graphs
+from boxchrom.cli import SweepSpec, _parse_int_list, run_sweep, sweep_exit
+from boxchrom.smallgraphs import GENERATION_CAP, connected_graphs
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-n", type=int, default=5, help="largest graph size (<= 8)")
+    ap.add_argument("--max-n", type=int, default=5,
+                    help=f"largest graph size (1..{GENERATION_CAP})")
     ap.add_argument("-d", default="1,2", help="comma-separated improperness values")
     ap.add_argument("--timeout", type=float, default=60.0, help="per-instance seconds")
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", help="write the full JSON report here")
     args = ap.parse_args()
 
-    ds = tuple(int(x) for x in args.d.split(","))
-    graphs = tuple(
-        g for n in range(1, args.max_n + 1) for g in connected_graphs(n)
-    )
-    spec = SweepSpec(
-        family=f"all-connected<={args.max_n}",
-        graphs=graphs,
-        ds=ds,
-        timeout=args.timeout,
-        jobs=args.jobs,
-    )
+    try:
+        if not 1 <= args.max_n <= GENERATION_CAP:
+            raise ValueError(f"--max-n supports 1..{GENERATION_CAP}")
+        ds = _parse_int_list(args.d)
+        spec = SweepSpec(
+            family=f"all-connected<={args.max_n}",
+            graphs=tuple(
+                g for n in range(1, args.max_n + 1) for g in connected_graphs(n)
+            ),
+            ds=ds,
+            timeout=args.timeout,
+            jobs=args.jobs,
+        )
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     report = run_sweep(spec)
 
     by_status = Counter(r["status"] for r in report["records"])

@@ -3,9 +3,14 @@
 A colouring whose class count meets the spectral lower bound exactly is
 heavily constrained: the smallest eigenvalue must repeat, classes must induce
 regular subgraphs, and the partition must be regular in a Perron-weighted
-sense.  This module checks each of those structural conditions directly so a
-claimed tight colouring can be audited, and lifts tight proper colourings
-through strong products with complete graphs.
+sense.  This module checks each of those structural conditions so a claimed
+tight colouring can be audited, and lifts tight proper colourings through
+strong products with complete graphs.
+
+Every condition reads one class-sum table S[v][j] = sum(w_u : u ~ v, u in
+part j), built as one matrix product (``_class_sums``): unit weights give the
+integer class degrees, Perron weights the weighted class degrees, and the
+quotient matrix averages the weighted rows over each part.
 """
 
 from __future__ import annotations
@@ -80,44 +85,57 @@ class Partition:
         return out
 
 
+def _class_sums(g: Graph, partition: Partition, w: np.ndarray) -> np.ndarray:
+    """Class-sum table S[v][j] = sum(w_u : u ~ v, u in part j), as one product A P.
+
+    P[u][part(u)] = w_u and is zero elsewhere.  S has the dtype of w, so unit
+    integer weights give the integer class degrees exactly.
+    """
+    p = np.eye(partition.num_parts, dtype=w.dtype)[partition.part_of()] * w[:, None]
+    return graph_matrix(g).astype(w.dtype) @ p
+
+
+def _constant_on_parts(table: np.ndarray, partition: Partition, tol: float = 0.0) -> bool:
+    """True when every row of the table is within tol of its part's first row."""
+    heads = table[[part[0] for part in partition.parts]]
+    return float(np.abs(table - heads[partition.part_of()]).max(initial=0.0)) <= tol
+
+
 def class_degree_table(g: Graph, partition: Partition) -> np.ndarray:
     """Integer table D[v][j] = number of neighbours of v inside part j."""
-    table = np.zeros((g.n, partition.num_parts), dtype=int)
-    part_of = partition.part_of()
-    for u in range(g.n):
-        for v in g.neighbours(u):
-            table[u][part_of[v]] += 1
-    return table
+    return _class_sums(g, partition, np.ones(g.n, dtype=int))
 
 
 def is_equitable(g: Graph, partition: Partition) -> bool:
     """True when class degrees depend only on the part of the vertex."""
-    table = class_degree_table(g, partition)
-    return all(
-        bool((table[list(part)] == table[part[0]]).all()) for part in partition.parts
-    )
+    return _constant_on_parts(class_degree_table(g, partition), partition)
 
 
 def weighted_class_degrees(g: Graph, partition: Partition) -> np.ndarray:
     """Perron-weighted class degrees W[v][j] = sum(w_u : u ~ v, u in part j) / w_v."""
     w = perron_vector(g)
-    table = np.zeros((g.n, partition.num_parts), dtype=float)
-    part_of = partition.part_of()
-    for u in range(g.n):
-        for v in g.neighbours(u):
-            table[u][part_of[v]] += w[v]
-        table[u] /= w[u]
-    return table
+    return _class_sums(g, partition, w) / w[:, None]
 
 
 def is_weight_regular(g: Graph, partition: Partition, tol: float = TIGHT_TOL) -> bool:
     """True when Perron-weighted class degrees are constant on each part."""
-    table = weighted_class_degrees(g, partition)
-    for part in partition.parts:
-        rows = table[list(part)]
-        if float(np.abs(rows - rows[0]).max(initial=0.0)) > tol:
-            return False
-    return True
+    return _constant_on_parts(weighted_class_degrees(g, partition), partition, tol)
+
+
+def _quotient(g: Graph, partition: Partition, weighted: np.ndarray) -> np.ndarray:
+    """The quotient of ``quotient_matrix`` from the table of ``weighted_class_degrees``.
+
+    x_i^T A x_j = sum(w_v^2 W[v][j] : v in part i), so row i is the
+    w^2-weighted mean of the rows W[v] over the part.
+    """
+    w2 = perron_vector(g) ** 2
+    fold = np.eye(partition.num_parts)[partition.part_of()].T
+    c = fold @ (w2[:, None] * weighted) / (fold @ w2)[:, None]
+    lam1 = spectrum(g).largest
+    rows = c.sum(axis=1)
+    if float(np.abs(rows - lam1).max(initial=0.0)) > QUOTIENT_TOL * (1.0 + abs(lam1)):
+        raise ArithmeticError("quotient row sums drift from the Perron eigenvalue")
+    return c
 
 
 def quotient_matrix(g: Graph, partition: Partition) -> np.ndarray:
@@ -129,25 +147,7 @@ def quotient_matrix(g: Graph, partition: Partition) -> np.ndarray:
     """
     if not g.is_connected():
         raise ValueError("quotient matrix needs a connected graph")
-    w = perron_vector(g)
-    a = graph_matrix(g)
-    m = partition.num_parts
-    c = np.zeros((m, m))
-    vecs = []
-    for part in partition.parts:
-        x = np.zeros(g.n)
-        for v in part:
-            x[v] = w[v]
-        vecs.append(x)
-    for i in range(m):
-        norm = float(vecs[i] @ vecs[i])
-        for j in range(m):
-            c[i][j] = float(vecs[i] @ a @ vecs[j]) / norm
-    lam1 = spectrum(g).largest
-    rows = c.sum(axis=1)
-    if float(np.abs(rows - lam1).max(initial=0.0)) > QUOTIENT_TOL * (1.0 + abs(lam1)):
-        raise ArithmeticError("quotient row sums drift from the Perron eigenvalue")
-    return c
+    return _quotient(g, partition, weighted_class_degrees(g, partition))
 
 
 @dataclass(frozen=True)
@@ -247,20 +247,13 @@ def diagnose_hoffman(
     mult = s.multiplicity(lam_n)
 
     table = class_degree_table(g, partition)
-    part_of = partition.part_of()
-    d_regular = all(table[v][part_of[v]] == d for v in range(g.n))
+    own = np.eye(m, dtype=bool)[partition.part_of()]  # own[v][j]: v lies in part j
+    d_regular = bool((table[own] == d).all())
 
-    degs = set(g.degree_sequence())
     equitable = cross_ok = None
-    if len(degs) == 1:
-        equitable = is_equitable(g, partition)
-        cross = d - lam_n
-        cross_ok = all(
-            abs(table[v][j] - cross) <= TIGHT_TOL
-            for v in range(g.n)
-            for j in range(m)
-            if j != part_of[v]
-        )
+    if len(set(g.degree_sequence())) == 1:
+        equitable = _constant_on_parts(table, partition)
+        cross_ok = bool((np.abs(table[~own] - (d - lam_n)) <= TIGHT_TOL).all())
 
     unique = mult_exact = None
     if check_uniqueness:
@@ -270,7 +263,8 @@ def diagnose_hoffman(
         if unique:
             mult_exact = mult == m - 1
 
-    quotient = quotient_matrix(g, partition)
+    weighted = weighted_class_degrees(g, partition)
+    quotient = _quotient(g, partition, weighted)
     return HoffmanDiagnosis(
         d=d,
         num_classes=m,
@@ -280,7 +274,7 @@ def diagnose_hoffman(
         smallest_multiplicity=mult,
         multiplicity_sufficient=mult >= m - 1,
         classes_d_regular=d_regular,
-        weight_regular=is_weight_regular(g, partition),
+        weight_regular=_constant_on_parts(weighted, partition, TIGHT_TOL),
         equitable=equitable,
         cross_degrees_match=cross_ok,
         unique_colouring=unique,

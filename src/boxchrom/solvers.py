@@ -9,12 +9,12 @@ Every colouring search keeps one bitmask per colour class and asks one
 question of it, the admission rule of the mode: may vertex v join this class?
 One piece of state answers it (``_palette``), updated as vertices join and
 leave.  A graph has maximum degree at most 1 iff every component has at most
-2 vertices, so 2-clustered colouring is decided by the 1-improper rule and
-1-clustered colouring by the proper one.  The minimum-colour solves, the fold
-solves and the uniqueness count in ``hoffman`` run the kernel ``_search``;
-the maximal admissible sets of the fractional LP grow one class through the
-same state.  ``alpha_d`` keeps the same kind of state for its one class and
-bounds each subtree by the candidates still admissible.
+2 vertices, so 2-clustered colouring is decided by the 1-improper rule, and
+proper and 1-clustered colouring by the 0-improper one.  The minimum-colour
+solves, the fold solves and the uniqueness count in ``hoffman`` run the
+kernel ``_search``; the maximal admissible sets of the fractional LP grow one
+class through the same state.  ``alpha_d`` keeps the same kind of state for
+its one class and bounds each subtree by the candidates still admissible.
 
 The minimum-colour solves run one colour ladder on G with twin blocks, the
 fold solves on G x K_b with fibre blocks.  It first runs the kernel with n
@@ -198,15 +198,15 @@ def _branch_order(g: Graph) -> tuple[list[int], list[int]]:
 def _rule_mode(mode: Mode) -> Mode:
     """The mode whose admission rule decides ``mode``.
 
-    A graph has maximum degree at most 1 iff each of its components has at
-    most 2 vertices, and maximum degree 0 iff each has 1.  So 2-clustered
-    colouring admits by the 1-improper rule, and 1-clustered and 0-improper
-    colouring by the proper rule, instead of by components.
+    A proper class is a 0-improper one.  A graph has maximum degree at most 1
+    iff each of its components has at most 2 vertices, and maximum degree 0
+    iff each has 1.  So t-clustered colouring with t <= 2 admits by the
+    (t - 1)-improper rule instead of by components.
     """
-    if (mode.kind, mode.param) in (("improper", 0), ("clustered", 1)):
-        return Mode.proper()
-    if (mode.kind, mode.param) == ("clustered", 2):
-        return Mode.improper(1)
+    if mode.kind == "proper":
+        return Mode.improper(0)
+    if mode.kind == "clustered" and mode.param <= 2:
+        return Mode.improper(mode.param - 1)
     return mode
 
 
@@ -223,27 +223,17 @@ def _palette(adj: tuple[int, ...], mode: Mode, k: int) -> tuple[list[int], _Join
     token)`` takes the last joined v out again.  The rule, as the state
     answers it:
 
-    - proper: v may join iff it has no neighbour in c;
-    - d-improper: ``sat[c]`` holds the members of c that already have d
-      neighbours in c, so v may join iff ``hit = adj[v] & masks[c]`` has at
-      most d vertices and ``hit & sat[c] == 0``;
+    - d-improper, and so proper and 1-clustered as 0-improper and
+      2-clustered as 1-improper: ``sat[c]`` holds the members of c that
+      already have d neighbours in c, so v may join iff ``hit = adj[v] &
+      masks[c]`` has at most d vertices and ``hit & sat[c] == 0``;
     - t-clustered, t >= 3: ``comp[x]`` is the component of a coloured x inside
       its class, so v may join iff the union of ``comp[x]`` over x in ``hit``
       has fewer than t vertices.
     """
     mode = _rule_mode(mode)
     masks = [0] * (k + 1)
-    if mode.kind == "proper":
-        def join(v: int, c: int) -> object:
-            mask = masks[c]
-            if adj[v] & mask:
-                return None
-            masks[c] = mask | 1 << v
-            return mask
-
-        def leave(v: int, c: int, mask: object) -> None:
-            masks[c] = mask
-    elif mode.kind == "improper":
+    if mode.kind == "improper":
         d = mode.param
         sat = [0] * (k + 1)
 
@@ -388,7 +378,8 @@ def _lower_bound(g: Graph, mode: Mode, b: int, ratio: bool) -> tuple[int, str]:
     """
     if g.edge_count == 0:
         return b, "trivial"
-    c = 1 if mode.kind == "proper" else mode.param + (mode.kind == "improper")
+    rule = _rule_mode(mode)
+    c = rule.param + (rule.kind == "improper")
     lb, src = max(b, -(-(b * clique_number(g).value) // c)), "clique"
     if ratio:
         hb = ceil_lower(hoffman_bilu(g, c - 1))
@@ -592,10 +583,10 @@ def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
                            best[0] * t, "search", g.n)
     value = best[0] * t
     wit = tuple(u * t + i for u in iter_bits(best[1]) for i in range(t))
-    for u in wit:
-        for v in wit:
-            if u != v and not g.adjacent(u, v):
-                raise WitnessError(f"clique witness misses edge ({u},{v})")
+    mask = sum(1 << v for v in wit)
+    for v in wit:
+        if (g.adj[v] | 1 << v) & mask != mask:
+            raise WitnessError(f"clique witness vertex {v} misses a witness neighbour")
     return SolveResult(value, wit, clock.nodes, clock.millis(), "optimal",
                        value, "search", value)
 

@@ -207,6 +207,41 @@ def maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
     return out
 
 
+def loop_class_degrees(g: Graph, parts) -> np.ndarray:
+    """Integer table D[v][j] = number of neighbours of v in part j, one neighbour at a time."""
+    part_of = {v: j for j, part in enumerate(parts) for v in part}
+    table = np.zeros((g.n, len(parts)), dtype=int)
+    for u in range(g.n):
+        for v in g.neighbours(u):
+            table[u][part_of[v]] += 1
+    return table
+
+
+def loop_weighted_class_degrees(g: Graph, parts, w: np.ndarray) -> np.ndarray:
+    """W[v][j] = sum(w_u : u ~ v, u in part j) / w_v, one neighbour at a time."""
+    part_of = {v: j for j, part in enumerate(parts) for v in part}
+    table = np.zeros((g.n, len(parts)), dtype=float)
+    for u in range(g.n):
+        for v in g.neighbours(u):
+            table[u][part_of[v]] += w[v]
+        table[u] /= w[u]
+    return table
+
+
+def dense_quotient(g: Graph, parts, w: np.ndarray) -> np.ndarray:
+    """C[i][j] = x_i^T A x_j / |x_i|^2, with x_i the weights w restricted to part i."""
+    a = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        for v in g.neighbours(u):
+            a[u][v] = 1.0
+    vecs = []
+    for part in parts:
+        x = np.zeros(g.n)
+        x[list(part)] = w[list(part)]
+        vecs.append(x)
+    return np.array([[float(xi @ a @ xj) / float(xi @ xi) for xj in vecs] for xi in vecs])
+
+
 def jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi eigendecomposition, independent of LAPACK; slow, O(n^3) per sweep.
 

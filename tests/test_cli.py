@@ -2,11 +2,15 @@
 
 Each command runs through main() with capsys, asserting on the JSON payload
 and the exit code.  Graph resolution shorthands and the failure paths (bad
-input 1, timeout 2, sweep counterexample 1) are covered too.
+input 1, timeout 2, sweep counterexample 1) are covered too, and the bad-flag
+exits of ``scripts/conjecture_sweep.py``.
 """
 
+import importlib.util
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -360,3 +364,30 @@ class TestConjecture:
         assert budgets[0] == 60.0 and len(budgets) == 3
         assert all(b <= 60.0 - 0.05 for b in budgets[1:])
         assert budgets[2] <= budgets[1]
+
+
+def _load_sweep_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "conjecture_sweep.py"
+    spec = importlib.util.spec_from_file_location("conjecture_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSweepScript:
+    script = _load_sweep_script()
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-n", "9"], ["--max-n", "0"], ["-d", "0"], ["-d", "x"],
+        ["--jobs", "0"], ["--timeout", "0"],
+    ])
+    def test_bad_flag_is_an_input_error(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", *flags])
+        assert self.script.main() == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_small_sweep_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--max-n", "3", "-d", "1"])
+        assert self.script.main() == 0
+        assert "instances: 4" in capsys.readouterr().out  # 1 + 1 + 2 connected graphs

@@ -1,6 +1,7 @@
 """Equality diagnostics for the spectral chromatic bound.
 
-Covers partitions and their degree tables, the Perron-weighted quotient
+Covers partitions and their degree tables (against the one-neighbour-at-a-time
+loops of ``oracles``), the Perron-weighted quotient
 matrix (row-sum identity plus Cauchy interlacing against the host spectrum),
 the full diagnosis on colourings known to meet the bound, and lifting tight
 proper colourings through clique blow-ups.
@@ -40,7 +41,13 @@ from boxchrom.hoffman import (
 )
 from boxchrom.solvers import chromatic_improper
 from boxchrom.spectra import perron_vector, spectrum
-from oracles import brute_count_colourings, graphs
+from oracles import (
+    brute_count_colourings,
+    dense_quotient,
+    graphs,
+    loop_class_degrees,
+    loop_weighted_class_degrees,
+)
 
 # the two triangle 2-factors of K5 read off its line graph's edge order
 LINE_K5_CLASSES = Colouring((1, 2, 2, 1, 1, 2, 2, 1, 2, 1))
@@ -116,6 +123,29 @@ def graph_with_partition(draw):
         by_label.setdefault(lab, []).append(v)
     parts = tuple(tuple(by_label[lab]) for lab in sorted(by_label))
     return g, Partition(g.n, parts)
+
+
+class TestClassSumTable:
+    @given(graph_with_partition())
+    @settings(max_examples=60, deadline=None)
+    def test_tables_match_the_loop_oracles(self, gp):
+        g, p = gp
+        assert np.array_equal(class_degree_table(g, p), loop_class_degrees(g, p.parts))
+        w = perron_vector(g)
+        assert np.allclose(weighted_class_degrees(g, p),
+                           loop_weighted_class_degrees(g, p.parts, w), rtol=0, atol=1e-12)
+        assert np.allclose(quotient_matrix(g, p), dense_quotient(g, p.parts, w),
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g,colours", [
+        (bowtie_graph(), (1, 1, 1, 1, 2)),
+        (petersen_graph(), (1, 2, 1, 2, 3, 2, 3, 3, 1, 1)),
+    ])
+    def test_degree_table_is_integer(self, g, colours):
+        p = Partition.from_colouring(Colouring(colours))
+        table = class_degree_table(g, p)
+        assert table.dtype.kind == "i"
+        assert table.tolist() == loop_class_degrees(g, p.parts).tolist()
 
 
 class TestQuotientMatrix:

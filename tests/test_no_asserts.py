@@ -6,7 +6,8 @@ assert node, and on any ``raise AssertionError``: a failed check raises an
 error named after what went wrong.
 
 It also holds the package to one popcount idiom, ``int.bit_count``, and
-fails on ``bin(x).count("1")``.
+fails on ``bin(x).count("1")``, on unused imports, and on module-level
+private names that nothing else in the package reads.
 """
 
 import ast
@@ -72,4 +73,40 @@ def test_package_imports_only_what_it_uses():
                 used |= set(ast.literal_eval(node.value))
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
+    assert found == []
+
+
+def _references(node) -> set[str]:
+    # every name a node reads: loaded names, attribute names and imported names
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_package_has_no_dead_private_names():
+    # a module-level _name (function, class or assignment) that no other
+    # top-level statement of the package reads is a leftover
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    refs = {name: [_references(node) for node in tree.body] for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        for i, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+            else:
+                continue
+            read = set().union(*(r for other, rs in refs.items() for j, r in enumerate(rs)
+                                 if other != name or j != i))
+            found += [f"{name}:{node.lineno} {x}" for x in sorted(defined)
+                      if x.startswith("_") and not x.startswith("__") and x not in read]
     assert found == []
