@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -30,6 +31,7 @@ from .graphs import (
 from .hoffman import TIGHT_TOL, diagnose_hoffman
 from .smallgraphs import GENERATION_CAP, connected_graphs
 from .solvers import (
+    DEFAULT_CAP,
     SolveResult,
     alpha_d,
     chromatic_bfold,
@@ -229,16 +231,16 @@ def cmd_transfer(args: argparse.Namespace) -> tuple[dict, int]:
         if value < 1:
             raise CliInputError(f"-{flag} must be positive, got {value}")
     product = strong_product(g, complete_graph(t))
-    if args.colours:
-        product_colouring = parse_colours(args.colours, product.n)
-        product_value = None
-    else:
-        solved = chromatic_clustered(product, ell * t, timeout=args.timeout)
-        if solved.status == "timeout":
-            return {"status": "timeout", "t": t, "l": ell, "n": g.n}, 2
-        product_colouring = solved.witness
-        product_value = solved.value
     try:
+        if args.colours:
+            product_colouring = parse_colours(args.colours, product.n)
+            product_value = None
+        else:
+            solved = chromatic_clustered(product, ell * t, timeout=args.timeout)
+            if solved.status == "timeout":
+                return {"status": "timeout", "t": t, "l": ell, "n": g.n}, 2
+            product_colouring = solved.witness
+            product_value = solved.value
         res = descend(g, product_colouring, t, ell)
     except ValueError as e:
         raise CliInputError(str(e)) from e
@@ -270,10 +272,15 @@ class SweepSpec:
     def __post_init__(self):
         if not self.ds or any(d < 1 for d in self.ds):
             raise ValueError("d values must be positive")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be finite and positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        # checked before any worker starts: one over-cap product would lose the sweep
+        largest = max((g.n for g in self.graphs), default=0) * (max(self.ds) + 1)
+        if largest > DEFAULT_CAP:
+            raise ValueError(f"a product G * K_(d+1) has {largest} vertices, "
+                             f"solver cap is {DEFAULT_CAP}")
 
     @property
     def ts(self) -> tuple[int, ...]:
@@ -345,6 +352,9 @@ def _sweep_instance(task: tuple[Graph, int, float]) -> ConjectureRecord:
             f"{emit_graph6(g)} d={d}: improper {improper.value} > chi {base.value}")
 
     annotations = []
+    # a colour class has maximum degree <= 1 iff its components have at most 2
+    # vertices (``solvers._rule_mode``), so at d = 1 the improper value is the
+    # clustered one, which equals chi as checked above
     if d <= 1:
         annotations.append("proven:d=1")
     if base.value <= 4:

@@ -62,6 +62,27 @@ def component_mask(adj: Sequence[int], seed: int, within: int) -> int:
     return comp
 
 
+def _twin_classes(g: Graph) -> list[int]:
+    """Per vertex, the least vertex of its twin class.
+
+    u and w are twins when N(u) - w = N(w) - u: equal open neighbourhoods
+    (equal ``adj`` rows) or equal closed ones (equal ``adj | 1 << v``).  A
+    vertex with an open twin is not adjacent to it and one with a closed twin
+    is, so no vertex has both kinds and one dict, keyed by the row for open
+    twins and by the complemented closed row for closed twins, finds every
+    class in one pass.
+    """
+    first: dict[int, int] = {}
+    classes = []
+    for v, row in enumerate(g.adj):
+        cls = first.get(row)
+        if cls is None:
+            cls = first.setdefault(~(row | 1 << v), v)
+            first[row] = cls
+        classes.append(cls)
+    return classes
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph given by per-vertex neighbourhood bitmasks."""

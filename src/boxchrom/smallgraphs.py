@@ -1,10 +1,11 @@
 """Isomorph-free generation of small graphs, canonical forms, random graphs.
 
 Canonical labelling uses colour refinement to split vertices into invariant
-classes, then a backtracking search for the class-respecting labelling whose
-upper-triangle bitstring is smallest.  That is enough to dedupe exhaustive
-augmentation up to the supported cap of 8 vertices; it is not a general
-isomorphism engine.
+classes, then finds the class-respecting labelling whose upper-triangle
+bitstring is smallest by a level-by-level search: it keeps every prefix whose
+columns so far are least and tries one vertex per twin class at each step.
+That is enough to dedupe exhaustive augmentation up to the supported cap of 8
+vertices; it is not a general isomorphism engine.
 
 Generation adds one vertex to every graph on n-1 vertices in every way, but
 canonicalises only the augmentations whose new vertex has maximum degree.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, emit_graph6, iter_bits
+from .graphs import Graph, _twin_classes, emit_graph6, iter_bits
 
 __all__ = [
     "CanonicalFormError",
@@ -72,75 +73,37 @@ def _refinement_classes(g: Graph) -> list[list[int]]:
 
 
 def _canonical_perm(g: Graph) -> list[int]:
-    """Class-respecting vertex order minimizing the column-major triangle bits."""
-    n = g.n
-    if n == 0:
-        return []
-    blocks = _refinement_classes(g)
-    pos_block: list[int] = []
-    for bi, block in enumerate(blocks):
-        pos_block.extend([bi] * len(block))
+    """Class-respecting vertex order minimizing the column-major triangle bits.
+
+    The frontier holds every class-respecting prefix whose columns so far are
+    least.  Each position extends every frontier prefix by the unplaced
+    vertices of that position's refinement class and keeps the extensions
+    whose new column is least.  Every prefix extends to a full order, so that
+    column is the optimum's.  Swapping two unplaced twins is an automorphism
+    fixing the prefix and the classes, so one vertex per twin class is tried.
+    """
     adj = g.adj
-    best_perm: list[int] | None = None
-    best_cols: list[int] = []
-    perm: list[int] = []
-    used = [False] * n
-    cols: list[int] = []
-
-    def column(v: int) -> int:
-        # adjacency to the placed prefix, first placed vertex most significant:
-        # columns of one length compare as ints exactly as the bit tuples would
-        row = adj[v]
-        col = 0
-        for u in perm:
-            col = col << 1 | row >> u & 1
-        return col
-
-    def install_greedy() -> None:
-        # extend the current prefix arbitrarily to refresh the incumbent, so
-        # pruning stays active after a strictly smaller prefix is found
-        nonlocal best_perm, best_cols
-        saved = len(perm)
-        for p in range(saved, n):
-            for v in blocks[pos_block[p]]:
-                if not used[v]:
-                    cols.append(column(v))
-                    perm.append(v)
-                    used[v] = True
-                    break
-        best_perm = perm.copy()
-        best_cols = cols.copy()
-        while len(perm) > saved:
-            used[perm.pop()] = False
-            cols.pop()
-
-    def rec(pos: int) -> None:
-        if pos == n:
-            return
-        for v in blocks[pos_block[pos]]:
-            if used[v]:
-                continue
-            col = column(v)
-            if best_perm is not None:
-                seg = best_cols[pos]
-                if col > seg:
-                    continue
-                smaller = col < seg
-            else:
-                smaller = True
-            perm.append(v)
-            used[v] = True
-            cols.append(col)
-            if smaller:
-                install_greedy()
-            rec(pos + 1)
-            used[perm.pop()] = False
-            cols.pop()
-
-    rec(0)
-    if best_perm is None:
+    twin = _twin_classes(g)
+    frontier: list[tuple[int, ...]] = [()]
+    for block in _refinement_classes(g):
+        for _ in block:
+            least = -1
+            extended: list[tuple[int, ...]] = []
+            for prefix in frontier:
+                for v in {twin[v]: v for v in block if v not in prefix}.values():
+                    # adjacency to the prefix, first placed vertex most significant:
+                    # columns of one length compare as ints as the bit tuples would
+                    col = 0
+                    for u in prefix:
+                        col = col << 1 | adj[v] >> u & 1
+                    if least < 0 or col < least:
+                        least, extended = col, []
+                    if col == least:
+                        extended.append(prefix + (v,))
+            frontier = extended
+    if not frontier:
         raise CanonicalFormError(f"no labelling found for {emit_graph6(g)}")
-    return best_perm
+    return list(frontier[0])
 
 
 def canonical_form(g: Graph) -> Graph:

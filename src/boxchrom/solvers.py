@@ -69,7 +69,7 @@ from fractions import Fraction
 
 from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
-from .graphs import Graph, complete_graph, iter_bits, strong_product
+from .graphs import Graph, _twin_classes, complete_graph, iter_bits, strong_product
 
 __all__ = [
     "SearchInvariantError",
@@ -170,23 +170,11 @@ def _require_cap(g: Graph) -> None:
 def _branch_order(g: Graph) -> tuple[list[int], list[int]]:
     """Branch order and, per position, the position of the previous twin (-1 if none).
 
-    u and w are twins when N(u) - w = N(w) - u: equal open neighbourhoods
-    (equal ``adj`` rows) or equal closed ones (equal ``adj | 1 << v``).  A
-    vertex with an open twin is not adjacent to it and one with a closed twin
-    is, so no vertex has both kinds and one dict, keyed by the row for open
-    twins and by the complemented closed row for closed twins, finds every
-    class in one pass.  Twins have equal degree, so the key (-degree, class,
-    v) keeps each class contiguous; a twin-free graph keeps (-degree, v).
+    Twins (``graphs._twin_classes``) have equal degree, so the key (-degree,
+    class, v) keeps each class contiguous; a twin-free graph keeps (-degree, v).
     """
-    first: dict[int, int] = {}
-    keys = []
-    for v, row in enumerate(g.adj):
-        cls = first.get(row)
-        if cls is None:
-            cls = first.setdefault(~(row | 1 << v), v)
-            first[row] = cls
-        keys.append((-row.bit_count(), cls, v))
-    keys.sort()
+    twin = _twin_classes(g)
+    keys = sorted((-row.bit_count(), twin[v], v) for v, row in enumerate(g.adj))
     order = [v for _, _, v in keys]
     prev = [i - 1 if i and keys[i - 1][1] == cls else -1 for i, (_, cls, _) in enumerate(keys)]
     return order, prev

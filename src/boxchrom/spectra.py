@@ -171,25 +171,31 @@ def spectrum(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> Spectrum:
 
 
 @lru_cache(maxsize=1024)
-def _perron_cached(g: Graph) -> tuple[float, ...]:
-    s, v = eigensolve(graph_matrix(g))
-    vec = v[:, 0]
-    if vec[0] < 0:
-        vec = -vec
+def _perron_cached(g: Graph, base: tuple[Graph, int] | None) -> tuple[float, ...]:
+    # base (g._base) keys the cache as in ``_spectrum_cached``
+    if base is None:
+        vec = eigensolve(graph_matrix(g))[1][:, 0]
+        if vec[0] < 0:
+            vec = -vec
+    else:
+        h, t = base
+        vec = np.repeat(perron_vector(h), t) / np.sqrt(t)
     if np.min(vec) <= 0:
         raise ArithmeticError("leading eigenvector is not strictly positive")
     return tuple(float(x) for x in vec)
 
+
 def perron_vector(g: Graph) -> np.ndarray:
     """Positive unit eigenvector of the largest adjacency eigenvalue.
 
-    Only defined for connected graphs with at least one vertex.
+    Only defined for connected graphs with at least one vertex.  g = base * K_t
+    takes base's vector, repeated over each fibre and divided by sqrt(t).
     """
     if g.n == 0:
         raise ValueError("empty graph")
     if not g.is_connected():
         raise ValueError("Perron vector requires a connected graph")
-    return np.array(_perron_cached(g))
+    return np.array(_perron_cached(g, g._base))
 
 
 def product_spectrum_identity_check(g: Graph, n: int, kind: MatrixKind = MatrixKind.ADJACENCY,

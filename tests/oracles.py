@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -125,6 +125,17 @@ def brute_clique(g: Graph) -> int:
             if all(g.adjacent(u, v) for u, v in combinations(subset, 2)):
                 return size
     return 1 if g.n else 0
+
+
+def columns(g: Graph, order) -> tuple[tuple[int, ...], ...]:
+    """Per position, the adjacency bits of that vertex to every earlier one."""
+    return tuple(tuple(g.adj[v] >> u & 1 for u in order[:p]) for p, v in enumerate(order))
+
+
+def brute_canonical_columns(g: Graph, classes) -> tuple[tuple[int, ...], ...]:
+    """Least column sequence over every order that lists ``classes`` in turn."""
+    return min(columns(g, [v for part in parts for v in part])
+               for parts in product(*(permutations(c) for c in classes)))
 
 
 def component_set(g: Graph, seed: int, within: int) -> set[int]:

@@ -234,6 +234,12 @@ class TestTransfer:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err and "Traceback" not in err
 
+    def test_over_cap_product_is_an_input_error(self, capsys):
+        # petersen * K5 has 50 vertices
+        assert main(["transfer", "--named", "petersen", "-t", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cap" in err and "Traceback" not in err
+
     def test_invalid_colouring_rejected(self, capsys):
         code = main([
             "transfer", "--named", "c4", "-t", "2", "-l", "1",
@@ -286,6 +292,17 @@ class TestConjecture:
 
     def test_bad_named_graph(self, capsys):
         assert main(["conjecture", "--named", "nonsense", "-d", "1"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--named", "c5", "--timeout", "0"],
+        ["--named", "c5", "--timeout", "nan"],
+        ["--named", "c5", "--timeout", "inf"],
+        ["--named", "k5,5", "-d", "4"],  # k5,5 * K5 has 50 vertices
+    ])
+    def test_bad_flag_is_an_input_error(self, capsys, flags):
+        assert main(["conjecture", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_exit_code_on_timeout(self, capsys, monkeypatch):
         real = cli.chromatic_clustered
@@ -379,7 +396,8 @@ class TestSweepScript:
 
     @pytest.mark.parametrize("flags", [
         ["--max-n", "9"], ["--max-n", "0"], ["-d", "0"], ["-d", "x"],
-        ["--jobs", "0"], ["--timeout", "0"],
+        ["--jobs", "0"], ["--timeout", "0"], ["--timeout", "nan"], ["--timeout", "inf"],
+        ["--max-n", "3", "-d", "13"],
     ])
     def test_bad_flag_is_an_input_error(self, capsys, monkeypatch, flags):
         monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", *flags])

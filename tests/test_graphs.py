@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from boxchrom.graphs import (
     Graph,
     Graph6Error,
+    _twin_classes,
     bowtie_graph,
     complement,
     complete_bipartite,
@@ -36,7 +37,7 @@ from boxchrom.graphs import (
     strong_product,
 )
 
-from oracles import component_set, graphs
+from oracles import component_set, graphs, twin_graphs
 
 
 class TestGraphModel:
@@ -78,6 +79,17 @@ class TestGraphModel:
         within = data.draw(st.integers(0, (1 << g.n) - 1))
         expected = sum(1 << v for v in component_set(g, seed, within))
         assert component_mask(g.adj, seed, within) == expected
+
+    @given(st.one_of(graphs(max_n=9), twin_graphs()))
+    @settings(max_examples=80, deadline=None)
+    def test_twin_classes_match_the_pairwise_definition(self, g):
+        # u, w are twins iff N(u) - w = N(w) - u; each class is named by its least vertex
+        cls = _twin_classes(g)
+        for u in range(g.n):
+            twins = [w for w in range(g.n)
+                     if g.adj[u] & ~(1 << w) == g.adj[w] & ~(1 << u)]
+            assert cls[u] == min(twins)
+            assert all(cls[w] == cls[u] for w in twins)
 
     def test_iter_bits(self):
         assert list(iter_bits(0b10110)) == [1, 2, 4]

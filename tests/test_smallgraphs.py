@@ -1,7 +1,8 @@
 """Canonical forms, exhaustive generation, and seeded random graphs.
 
-The canonical labelling is checked for invariance under random relabelling,
-and the generator is pinned to the known counts of unlabelled graphs and to
+The canonical labelling is checked for invariance under random relabelling
+and against a brute-force search over every class-respecting order, and the
+generator is pinned to the known counts of unlabelled graphs and to
 the exact graph6 lists it has always produced.
 """
 
@@ -11,8 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxchrom.graphs import Graph, complement, cycle_graph, emit_graph6, petersen_graph
+from boxchrom.graphs import (
+    Graph,
+    complement,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    emit_graph6,
+    empty_graph,
+    matching_graph,
+    petersen_graph,
+    strong_product,
+)
 from boxchrom.smallgraphs import (
+    _refinement_classes,
     all_graphs,
     canonical_certificate,
     canonical_form,
@@ -20,7 +34,7 @@ from boxchrom.smallgraphs import (
     random_connected_graph,
     random_graph,
 )
-from oracles import graphs
+from oracles import brute_canonical_columns, columns, graphs, twin_graphs
 
 # unlabelled simple graphs and connected ones, n = 1..7
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
@@ -58,6 +72,24 @@ class TestCanonicalForm:
         assert cf.n == g.n and cf.edge_count == g.edge_count
         assert sorted(cf.degree_sequence()) == sorted(g.degree_sequence())
         assert canonical_form(cf).adj == cf.adj
+
+    @given(st.one_of(graphs(min_n=1, max_n=7), twin_graphs()))
+    @settings(max_examples=40, deadline=None)
+    def test_least_columns_match_brute_force(self, g):
+        cf = canonical_form(g)
+        assert columns(cf, range(g.n)) == brute_canonical_columns(g, _refinement_classes(g))
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(7),
+        empty_graph(7),
+        complete_bipartite(3, 3),
+        disjoint_union(complete_graph(3), complete_graph(3)),
+        complement(matching_graph(3)),  # K_{2,2,2}
+        strong_product(cycle_graph(4), complete_graph(2)),
+    ], ids=["K7", "E7", "K3,3", "2K3", "K2,2,2", "C4xK2"])
+    def test_twin_heavy_graphs_match_brute_force(self, g):
+        cf = canonical_form(g)
+        assert columns(cf, range(g.n)) == brute_canonical_columns(g, _refinement_classes(g))
 
     def test_self_complementary_five_cycle(self):
         c5 = cycle_graph(5)

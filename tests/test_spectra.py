@@ -206,6 +206,32 @@ class TestPerronVector:
         with pytest.raises(ValueError):
             perron_vector(disjoint_union(complete_graph(2), complete_graph(2)))
 
+    @given(graphs(min_n=1, max_n=7, connected=True), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=30, deadline=None)
+    def test_product_vector_matches_direct(self, g, t):
+        # the copy has no provenance, so its vector is diagonalised
+        prod = strong_product(g, complete_graph(t))
+        direct = perron_vector(Graph(prod.n, prod.adj))
+        assert np.allclose(perron_vector(prod), direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g", [paley9_graph(), petersen_graph(), cycle_graph(7)],
+                             ids=["paley9", "petersen", "c7"])
+    def test_products_diagonalise_only_their_base(self, g, monkeypatch):
+        shapes = []
+
+        def counting(m):
+            shapes.append(m.shape[0])
+            return eigensolve(m)
+
+        monkeypatch.setattr(spectra, "eigensolve", counting)
+        spectra._perron_cached.cache_clear()
+        for t in range(1, 5):
+            prod = strong_product(g, complete_graph(t))
+            v = perron_vector(prod)
+            direct = eigensolve(graph_matrix(prod))[1][:, 0]
+            assert np.allclose(v, np.abs(direct), rtol=0, atol=1e-12)
+        assert shapes == [g.n]
+
 
 class TestProductSpectrumIdentity:
     @given(
