@@ -19,7 +19,7 @@ import json
 import sys
 from collections import Counter
 
-from boxchrom.cli import SweepSpec, _parse_int_list, run_sweep, sweep_exit
+from boxchrom.cli import SweepSpec, _check_out, _parse_int_list, run_sweep, sweep_exit
 from boxchrom.smallgraphs import GENERATION_CAP, connected_graphs
 
 
@@ -36,6 +36,7 @@ def main() -> int:
     try:
         if not 1 <= args.max_n <= GENERATION_CAP:
             raise ValueError(f"--max-n supports 1..{GENERATION_CAP}")
+        _check_out(args.out)
         ds = _parse_int_list(args.d)
         spec = SweepSpec(
             family=f"all-connected<={args.max_n}",
@@ -71,8 +72,12 @@ def main() -> int:
         print(f"  {r['graph6']}  d={r['d']}  chi={r['chi']}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+        except OSError as e:
+            print(f"error: cannot write --out: {e}", file=sys.stderr)
+            return 1
         print(f"wrote {args.out}")
     return sweep_exit(report)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -419,6 +420,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise CliInputError(f"bad integer list {text!r}") from e
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an output path whose directory is missing, before any work runs."""
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise CliInputError(f"--out directory does not exist: {path}")
+
+
 def cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
     ds = _parse_int_list(args.d or "1")
     if args.all_connected is not None:
@@ -523,6 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         payload, code = args.func(args)
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -531,8 +539,12 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"schema": SCHEMA, "command": args.command, **payload}
     text = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"error: cannot write --out: {e}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return code

@@ -165,12 +165,13 @@ class Graph:
 # -- constructions -------------------------------------------------------
 
 
-def _trusted(adj: list[int], base: tuple[Graph, int] | None = None) -> Graph:
+def _trusted(adj: Sequence[int], base: tuple[Graph, int] | None = None,
+             name: str | None = None) -> Graph:
     """A Graph on rows a construction built symmetric and loop-free, unchecked."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", len(adj))
     object.__setattr__(g, "adj", tuple(adj))
-    object.__setattr__(g, "name", None)
+    object.__setattr__(g, "name", name)
     object.__setattr__(g, "_base", base)
     return g
 

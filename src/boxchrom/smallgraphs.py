@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, _twin_classes, emit_graph6, iter_bits
+from .graphs import Graph, _trusted, _twin_classes, emit_graph6, iter_bits
 
 __all__ = [
     "CanonicalFormError",
@@ -113,7 +113,7 @@ def canonical_form(g: Graph) -> Graph:
     for i, v in enumerate(perm):
         position[v] = i
     adj = tuple(sum(1 << position[u] for u in iter_bits(g.adj[v])) for v in perm)
-    return Graph(g.n, adj, g.name)
+    return _trusted(adj, name=g.name)
 
 
 def canonical_certificate(g: Graph) -> str:
@@ -146,7 +146,7 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                 for v in range(n - 1):
                     if attach >> v & 1:
                         adj[v] |= 1 << (n - 1)
-                candidate = canonical_form(Graph(n, tuple(adj)))
+                candidate = canonical_form(_trusted(adj))
                 out.setdefault(emit_graph6(candidate), candidate)
     result = tuple(out[key] for key in sorted(out))
     _ALL_CACHE[n] = result

@@ -7,14 +7,14 @@ lower bound used to seed the search.
 
 Every colouring search keeps one bitmask per colour class and asks one
 question of it, the admission rule of the mode: may vertex v join this class?
-One piece of state answers it (``_palette``), updated as vertices join and
-leave.  A graph has maximum degree at most 1 iff every component has at most
-2 vertices, so 2-clustered colouring is decided by the 1-improper rule, and
-proper and 1-clustered colouring by the 0-improper one.  The minimum-colour
-solves, the fold solves and the uniqueness count in ``hoffman`` run the
-kernel ``_search``; the maximal admissible sets of the fractional LP grow one
-class through the same state.  ``alpha_d`` keeps the same kind of state for
-its one class and bounds each subtree by the candidates still admissible.
+``_admission`` answers it from the class mask alone, with no state kept
+between questions.  A graph has maximum degree at most 1 iff every component
+has at most 2 vertices, so 2-clustered colouring is decided by the 1-improper
+rule, and proper and 1-clustered colouring by the 0-improper one.  The
+minimum-colour solves, the fold solves and the uniqueness count in ``hoffman``
+run the kernel ``_search``; the maximal admissible sets of the fractional LP
+grow one class by the same rule.  ``alpha_d`` keeps degree counters for its
+one class and bounds each subtree by the candidates still admissible.
 
 The minimum-colour solves run one colour ladder on G with twin blocks, the
 fold solves on G x K_b with fibre blocks.  It first runs the kernel with n
@@ -111,8 +111,9 @@ class SolveResult:
 
     For minimisation problems value-1 is certified infeasible (by exhausted
     search or by the seeded lower bound); for maximisation problems value+1
-    is.  A timeout carries the best bounds known instead of a value; the
-    minimum-colour solves also return their incumbent colouring as witness.
+    is.  A timeout carries the best bounds known instead of a value, and the
+    best witness found so far: the incumbent colouring of a minimum-colour
+    solve, or the re-checked largest set of ``alpha_d`` or ``clique_number``.
     """
 
     value: int | float | Fraction | None
@@ -198,95 +199,46 @@ def _rule_mode(mode: Mode) -> Mode:
     return mode
 
 
-_Join = Callable[[int, int], object]
-_Leave = Callable[[int, int, object], None]
+def _admission(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int], bool]:
+    """``admits(v, mask)``: may v join the admissible class ``mask`` (v not in it)?
 
+    Read off the mask alone, by the rule of ``_rule_mode(mode)``:
 
-def _palette(adj: tuple[int, ...], mode: Mode, k: int) -> tuple[list[int], _Join, _Leave]:
-    """Colour classes 1..k of a partial colouring, with the state that decides admission.
-
-    Returns ``(masks, join, leave)``.  ``masks[c]`` holds the members of class
-    c.  ``join(v, c)`` puts v into class c and returns an undo token, or
-    returns None and changes nothing when the rule refuses v; ``leave(v, c,
-    token)`` takes the last joined v out again.  The rule, as the state
-    answers it:
-
-    - d-improper, and so proper and 1-clustered as 0-improper and
-      2-clustered as 1-improper: ``sat[c]`` holds the members of c that
-      already have d neighbours in c, so v may join iff ``hit = adj[v] &
-      masks[c]`` has at most d vertices and ``hit & sat[c] == 0``;
-    - t-clustered, t >= 3: ``comp[x]`` is the component of a coloured x inside
-      its class, so v may join iff the union of ``comp[x]`` over x in ``hit``
-      has fewer than t vertices.
+    - d-improper: ``hit = adj[v] & mask`` has at most d vertices, and no x in
+      ``hit`` already has d neighbours in the mask;
+    - t-clustered, t >= 3: v's component inside the mask grows one vertex at a
+      time, and v is refused once it holds t others.  Every component of the
+      class has at most t vertices, so fewer than t * t rows are read.
     """
     mode = _rule_mode(mode)
-    masks = [0] * (k + 1)
+    d = t = mode.param
     if mode.kind == "improper":
-        d = mode.param
-        sat = [0] * (k + 1)
 
-        def join(v: int, c: int) -> object:
-            mask = masks[c]
+        def admits(v: int, mask: int) -> bool:
             hit = adj[v] & mask
-            old = sat[c]
-            grown = mask | 1 << v
-            if hit:
-                if hit & old or hit.bit_count() > d:
-                    return None
-                full = old | (1 << v if hit.bit_count() == d else 0)
-                while hit:
-                    low = hit & -hit
-                    hit ^= low
-                    if (adj[low.bit_length() - 1] & grown).bit_count() == d:
-                        full |= low
-                sat[c] = full
-            masks[c] = grown
-            return old
-
-        def leave(v: int, c: int, old: object) -> None:
-            masks[c] ^= 1 << v
-            sat[c] = old
-    else:
-        t = mode.param
-        comp = [0] * len(adj)
-
-        def join(v: int, c: int) -> object:
-            mask = masks[c]
-            hit = adj[v] & mask
-            bit = 1 << v
-            if not hit:
-                comp[v] = bit
-                masks[c] = mask | bit
-                return ()
-            if hit.bit_count() >= t:
-                return None
-            parts = []
-            union = bit
+            if hit.bit_count() > d:
+                return False
             while hit:
                 low = hit & -hit
-                part = comp[low.bit_length() - 1]
-                parts.append(part)
-                union |= part
-                hit &= ~part
-            if union.bit_count() > t:
-                return None
-            rest = union
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                comp[low.bit_length() - 1] = union
-            masks[c] = mask | bit
-            return parts
+                hit ^= low
+                if (adj[low.bit_length() - 1] & mask).bit_count() == d:
+                    return False
+            return True
+    else:
 
-        def leave(v: int, c: int, parts: object) -> None:
-            masks[c] ^= 1 << v
-            for part in parts:
-                rest = part
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    comp[low.bit_length() - 1] = part
-    return masks, join, leave
+        def admits(v: int, mask: int) -> bool:
+            comp = 0
+            size = 0
+            front = adj[v] & mask
+            while front:
+                low = front & -front
+                comp |= low
+                size += 1
+                if size >= t:
+                    return False
+                front = (front | adj[low.bit_length() - 1] & mask) & ~comp
+            return True
+    return admits
 
 
 def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clock: _Clock,
@@ -305,7 +257,8 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
     """
     n = g.n
     adj = g.adj
-    _, join, leave = _palette(adj, mode, k)
+    admits = _admission(adj, mode)
+    masks = [0] * (k + 1)  # masks[c]: the members of class c
     colour = [0] * n
     seen = [0] * (k + 1)  # seen[c]: the vertices next to class c
     blocks: dict[int, list[int]] = {}
@@ -333,9 +286,10 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
         row = adj[v]
         for c in range(colour[block[j - 1]] + step if j else 1, min(max_used + 1, k) + 1):
             tick()
-            token = join(v, c)
-            if token is None:
+            mask = masks[c]
+            if not admits(v, mask):
                 continue
+            masks[c] = mask | 1 << v
             colour[v] = c
             near = seen[c]
             fresh = rest = row & free & ~near  # heads that see colour c for the first time
@@ -351,25 +305,25 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
                 low = fresh & -fresh
                 fresh ^= low
                 key[low.bit_length() - 1] -= n
-            leave(v, c, token)
+            masks[c] = mask
         return False
 
     # the empty block is complete at once, so the first call picks the first block
     return colour if place([], 0, 0, 0, sum(1 << h for h in heads)) else None
 
 
-def _lower_bound(g: Graph, mode: Mode, b: int, ratio: bool) -> tuple[int, str]:
+def _lower_bound(g: Graph, mode: Mode, b: int) -> tuple[int, str]:
     """The lower bound on b-fold colourings of g (n > 0) under the mode, with its source.
 
-    The clique bound of the module docstring; with ``ratio`` also the ratio
-    bound at d = c - 1.  The fold solves take the clique bound alone.
+    The clique bound of the module docstring; at b = 1, the plain solve, also
+    the ratio bound at d = c - 1.
     """
     if g.edge_count == 0:
         return b, "trivial"
     rule = _rule_mode(mode)
     c = rule.param + (rule.kind == "improper")
     lb, src = max(b, -(-(b * clique_number(g).value) // c)), "clique"
-    if ratio:
+    if b == 1:
         hb = ceil_lower(hoffman_bilu(g, c - 1))
         if hb > lb:
             lb, src = hb, "hoffman"
@@ -417,7 +371,7 @@ def _solve_min_colours(g: Graph, mode: Mode, timeout: float | None,
     clock = _Clock(timeout)
     if g.n == 0:
         return SolveResult(0, Colouring(()), 0, clock.millis(), "optimal", 0, "trivial", 0)
-    lb, src = _lower_bound(g, mode, 1, ratio=True)
+    lb, src = _lower_bound(g, mode, 1)
     best = None
     if upper_witness is not None:
         if _check(g, upper_witness, mode) is not None:
@@ -466,7 +420,7 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *,
     clock = _Clock(timeout)
     if g.n == 0:
         return SolveResult(0, BFoldColouring(()), 0, clock.millis(), "optimal", 0, "trivial", 0)
-    lb, src = _lower_bound(g, mode, b, ratio=False)
+    lb, src = _lower_bound(g, mode, b)
     if src == "trivial":
         wit = BFoldColouring.from_sets([tuple(range(1, b + 1))] * g.n)
         return SolveResult(b, wit, 0, clock.millis(), "optimal", b, src, b)
@@ -528,15 +482,15 @@ def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
 
     try:
         grow(0, 0, (1 << n) - 1, 0, (-1,) + (0,) * (d + 1))
+        value = ub = best[0]
     except Timeout:
-        return SolveResult(None, None, clock.nodes, clock.millis(), "timeout",
-                           best[0], "search", n)
+        value, ub = None, n
     wit = tuple(iter_bits(best[1]))
     for v in wit:
         if (adj[v] & best[1]).bit_count() > d:
             raise WitnessError(f"alpha_{d} witness vertex {v} has too many chosen neighbours")
-    return SolveResult(best[0], wit, clock.nodes, clock.millis(), "optimal",
-                       best[0], "search", best[0])
+    return SolveResult(value, wit, clock.nodes, clock.millis(),
+                       "timeout" if value is None else "optimal", best[0], "search", ub)
 
 
 def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
@@ -566,17 +520,16 @@ def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
 
     try:
         expand((1 << base.n) - 1 if base.n else 0, 0, 0)
+        value = ub = best[0] * t
     except Timeout:
-        return SolveResult(None, None, clock.nodes, clock.millis(), "timeout",
-                           best[0] * t, "search", g.n)
-    value = best[0] * t
+        value, ub = None, g.n
     wit = tuple(u * t + i for u in iter_bits(best[1]) for i in range(t))
     mask = sum(1 << v for v in wit)
     for v in wit:
         if (g.adj[v] | 1 << v) & mask != mask:
             raise WitnessError(f"clique witness vertex {v} misses a witness neighbour")
-    return SolveResult(value, wit, clock.nodes, clock.millis(), "optimal",
-                       value, "search", value)
+    return SolveResult(value, wit, clock.nodes, clock.millis(),
+                       "timeout" if value is None else "optimal", len(wit), "search", ub)
 
 
 # -- fractional chromatic number --------------------------------------------
@@ -590,29 +543,19 @@ def _maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
     maximal when the class refuses every vertex outside it.
     """
     n = g.n
-    masks, join, leave = _palette(g.adj, mode, 1)
+    admits = _admission(g.adj, mode)
     out = []
 
-    def admits(v: int) -> bool:
-        token = join(v, 1)
-        if token is None:
-            return False
-        leave(v, 1, token)
-        return True
-
-    def grow(v: int) -> None:
+    def grow(v: int, members: int) -> None:
         if v == n:
-            members = masks[1]
-            if not any(admits(u) for u in range(n) if not members >> u & 1):
+            if not any(admits(u, members) for u in range(n) if not members >> u & 1):
                 out.append(members)
             return
-        token = join(v, 1)
-        if token is not None:
-            grow(v + 1)
-            leave(v, 1, token)
-        grow(v + 1)
+        if admits(v, members):
+            grow(v + 1, members | 1 << v)
+        grow(v + 1, members)
 
-    grow(0)
+    grow(0, 0)
     return sorted(out)
 
 

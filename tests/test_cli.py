@@ -287,6 +287,15 @@ class TestConjecture:
         payload = json.loads(out.read_text())
         assert payload["command"] == "conjecture" and payload["schema"] == 1
 
+    @pytest.mark.parametrize("command", [["spectrum", "--named", "c5"],
+                                         ["conjecture", "--named", "k3", "-d", "1"]])
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, command):
+        # a missing directory is refused before the work; a directory target fails on write
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            assert main([*command, "--out", str(target)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
+
     def test_requires_a_corpus(self, capsys):
         assert main(["conjecture", "-d", "1"]) == 1
 
@@ -401,6 +410,15 @@ class TestSweepScript:
     ])
     def test_bad_flag_is_an_input_error(self, capsys, monkeypatch, flags):
         monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", *flags])
+        assert self.script.main() == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_missing_out_directory_is_refused_before_the_sweep(self, capsys, monkeypatch,
+                                                               tmp_path):
+        target = tmp_path / "missing" / "sweep.json"
+        monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--max-n", "3", "-d", "1",
+                                          "--out", str(target)])
         assert self.script.main() == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")

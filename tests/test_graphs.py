@@ -36,7 +36,7 @@ from boxchrom.graphs import (
     petersen_graph,
     strong_product,
 )
-
+from boxchrom.smallgraphs import canonical_form
 from oracles import component_set, graphs, twin_graphs
 
 
@@ -172,12 +172,16 @@ class TestProducts:
     @given(graphs(max_n=5), graphs(max_n=4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_unchecked_outputs_pass_the_checks(self, g, h, data):
-        # strong_product and induced_subgraph skip Graph's validation
+        # strong_product, induced_subgraph and canonical_form skip Graph's validation
         prod = strong_product(g, h)
         vs = data.draw(st.permutations(range(prod.n)))[:data.draw(st.integers(0, prod.n))]
-        for out in (prod, induced_subgraph(prod, vs), induced_subgraph(g, [v for v in vs if v < g.n])):
+        sub = induced_subgraph(prod, vs)
+        outs = (prod, sub, induced_subgraph(g, [v for v in vs if v < g.n]),
+                canonical_form(Graph(g.n, g.adj, "g")), canonical_form(sub))
+        for out in outs:
             copy = Graph(out.n, out.adj)
             assert copy == out and hash(copy) == hash(out)
+        assert outs[3].name == "g"
 
     @given(graphs(max_n=5), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)

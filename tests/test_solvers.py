@@ -33,10 +33,10 @@ from boxchrom.graphs import (
 from boxchrom.smallgraphs import random_connected_graph, random_graph
 from boxchrom.solvers import (
     SolverCapError,
+    _admission,
     _branch_order,
     _Clock,
     _maximal_admissible_sets,
-    _palette,
     _search,
     alpha_d,
     chromatic_bfold,
@@ -179,34 +179,32 @@ ALL_MODES = [Mode.proper(), Mode.improper(0), Mode.improper(1), Mode.improper(2)
              Mode.clustered(1), Mode.clustered(2), Mode.clustered(3), Mode.clustered(4)]
 
 
-class TestPalette:
-    """The kernel's kept admission state must decide exactly as the mode's definition does."""
+class TestAdmission:
+    """The kernel's admission test must decide exactly as the mode's definition does."""
 
     @given(SEARCH_INPUTS, st.sampled_from(ALL_MODES), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_join_decides_as_the_oracle(self, g, mode, data):
-        k = 3
-        masks, join, leave = _palette(g.adj, mode, k)
-        joined = []  # (v, c, token, masks before)
+    def test_admits_decides_as_the_oracle(self, g, mode, data):
+        # grow and shrink one class under `mode` the way the search does: a vertex
+        # joins when admitted, and the last to join leaves first.  At each step every
+        # mode whose rule the class obeys is asked about every vertex outside it.
+        admits = {m: _admission(g.adj, m) for m in ALL_MODES}
+        mask = 0
+        joined = []
         for _ in range(data.draw(st.integers(0, 4 * g.n))):
-            uncoloured = [v for v in range(g.n) if not any(m >> v & 1 for m in masks)]
-            if joined and (not uncoloured or data.draw(st.integers(0, 3)) == 0):
-                v, c, token, before = joined.pop()
-                leave(v, c, token)
-                assert masks == before
+            outside = [v for v in range(g.n) if not mask >> v & 1]
+            if joined and (not outside or data.draw(st.integers(0, 3)) == 0):
+                mask ^= 1 << joined.pop()
                 continue
-            v = data.draw(st.sampled_from(uncoloured))
-            c = data.draw(st.integers(1, k))
-            before = list(masks)
-            expected = admissible(g, masks[c] | 1 << v, mode)
-            token = join(v, c)
-            assert (token is not None) == expected
-            if token is None:
-                assert masks == before
-            else:
-                assert masks[c] == before[c] | 1 << v
-                joined.append((v, c, token, before))
-        assert all(admissible(g, m, mode) for m in masks)
+            for m in ALL_MODES:
+                if admissible(g, mask, m):
+                    for u in outside:
+                        assert admits[m](u, mask) == admissible(g, mask | 1 << u, m)
+            v = data.draw(st.sampled_from(outside))
+            if admits[mode](v, mask):
+                mask |= 1 << v
+                joined.append(v)
+        assert admissible(g, mask, mode)
 
 
 class TestTwinPruning:
@@ -346,10 +344,22 @@ class TestAlphaAndClique:
 
     def test_clique_of_product_timeout_scales_base_bounds(self):
         # the base search needs 5,740 nodes, so the clock is read past its deadline
-        base = complement(matching_graph(10))
-        res = clique_number(strong_product(base, complete_graph(2)), timeout=0.0)
+        prod = strong_product(complement(matching_graph(10)), complete_graph(2))
+        res = clique_number(prod, timeout=0.0)
         assert res.status == "timeout" and res.value is None
         assert res.lower_bound % 2 == 0 and 0 < res.lower_bound <= 20 and res.upper_bound == 40
+        # the incumbent survives: the fibres of the base clique found so far
+        assert len(res.witness) == res.lower_bound
+        assert all(prod.adjacent(u, v) for u, v in combinations(res.witness, 2))
+
+    def test_alpha_timeout_returns_incumbent(self):
+        # the search needs far more than 2,048 nodes, so the clock is read past its deadline
+        g = random_graph(40, .25, 1)
+        res = alpha_d(g, 1, timeout=0.0)
+        assert res.status == "timeout" and res.value is None
+        assert 0 < res.lower_bound == len(res.witness) and res.upper_bound == 40
+        chosen = set(res.witness)
+        assert all(sum(1 for u in g.neighbours(v) if u in chosen) <= 1 for v in chosen)
 
 
 class TestBFold:
@@ -382,6 +392,13 @@ class TestBFold:
             g = random_connected_graph(6, 0.5, seed)
             assert chromatic_bfold(g, 1, Mode.proper()).value == \
                 chromatic_improper(g, 0).value
+
+    def test_fold_one_takes_the_ratio_bound(self):
+        # a 1-fold solve is the plain solve, so it starts at the ratio bound 3 on C5
+        res = chromatic_bfold(cycle_graph(5), 1, Mode.proper())
+        plain = chromatic_improper(cycle_graph(5), 0)
+        assert (res.value, res.lower_bound_source, res.nodes) == (3, "hoffman", 9)
+        assert (plain.lower_bound_source, plain.nodes) == ("hoffman", 9)
 
     @pytest.mark.parametrize("b", [2, 3])
     def test_fold_equals_product_chromatic(self, b):
