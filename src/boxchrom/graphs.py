@@ -8,6 +8,7 @@ graphs hashable (so spectra can be memoised).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -140,8 +141,9 @@ class Graph:
                 out.append((u, v))
         return out
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
+        # cached in the instance dict, which equality and hashing never read
         return sum(row.bit_count() for row in self.adj) // 2
 
     def degree_sequence(self) -> tuple[int, ...]:

@@ -10,7 +10,16 @@ vertices; it is not a general isomorphism engine.
 Generation adds one vertex to every graph on n-1 vertices in every way, but
 canonicalises only the augmentations whose new vertex has maximum degree.
 Every graph has a maximum-degree vertex, and deleting it leaves a graph on
-n-1 vertices, so no graph is missed.  The output is sorted by graph6 string.
+n-1 vertices, so no graph is missed.  Of those, it canonicalises one attach
+mask per orbit of the parent's automorphism group (the orbit step of McKay's
+canonical augmentation, J. Algorithms 26, 1998).  The generators come from
+the same search: any two least orders π_0, π_i give the automorphism
+π_0[k] -> π_i[k], and every twin pair gives a transposition.  An automorphism
+of the parent maps one attach mask onto another and extends to an isomorphism
+of the two children, so pruning drops only isomorphic duplicates; a smaller
+generated group would cost speed, never a graph.  Automorphisms preserve
+degrees, so a whole orbit passes or fails the maximum-degree filter together.
+The output is sorted by graph6 string.
 """
 
 from __future__ import annotations
@@ -72,15 +81,17 @@ def _refinement_classes(g: Graph) -> list[list[int]]:
     return [classes[c] for c in sorted(classes)]
 
 
-def _canonical_perm(g: Graph) -> list[int]:
-    """Class-respecting vertex order minimizing the column-major triangle bits.
+def _least_orders(g: Graph) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every class-respecting least order up to twin swaps, and the twin classes.
 
-    The frontier holds every class-respecting prefix whose columns so far are
-    least.  Each position extends every frontier prefix by the unplaced
-    vertices of that position's refinement class and keeps the extensions
-    whose new column is least.  Every prefix extends to a full order, so that
-    column is the optimum's.  Swapping two unplaced twins is an automorphism
-    fixing the prefix and the classes, so one vertex per twin class is tried.
+    An order is least when the column-major triangle bits of g relabelled by
+    it are smallest.  The frontier holds every class-respecting prefix whose
+    columns so far are least.  Each position extends every frontier prefix by
+    the unplaced vertices of that position's refinement class and keeps the
+    extensions whose new column is least.  Every prefix extends to a full
+    order, so that column is the optimum's.  Swapping two unplaced twins is an
+    automorphism fixing the prefix and the classes, so one vertex per twin
+    class is tried.
     """
     adj = g.adj
     twin = _twin_classes(g)
@@ -103,12 +114,36 @@ def _canonical_perm(g: Graph) -> list[int]:
             frontier = extended
     if not frontier:
         raise CanonicalFormError(f"no labelling found for {emit_graph6(g)}")
-    return list(frontier[0])
+    return frontier, twin
+
+
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of g, as vertex images, that generate Aut(g).
+
+    Two least orders relabel g to the same graph, so π_0[k] -> π_i[k] is an
+    automorphism; so is the transposition of two twins.  They generate the
+    whole group: an automorphism maps π_0 to a least order, and swapping
+    twins position by position turns that order into a frontier order.
+    """
+    orders, twin = _least_orders(g)
+    first = orders[0]
+    gens = []
+    for order in orders[1:]:
+        image = [0] * g.n
+        for u, v in zip(first, order):
+            image[u] = v
+        gens.append(tuple(image))
+    for v, cls in enumerate(twin):
+        if cls != v:
+            image = list(range(g.n))
+            image[v], image[cls] = cls, v
+            gens.append(tuple(image))
+    return gens
 
 
 def canonical_form(g: Graph) -> Graph:
     """Isomorphism-invariant relabelling: equal adj tuples iff isomorphic."""
-    perm = _canonical_perm(g)
+    perm = _least_orders(g)[0][0]
     position = [0] * g.n
     for i, v in enumerate(perm):
         position[v] = i
@@ -130,25 +165,38 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     if n in _ALL_CACHE:
         return _ALL_CACHE[n]
     if n == 1:
-        out: dict[str, Graph] = {"@": Graph(1, (0,))}
+        result: tuple[Graph, ...] = (Graph(1, (0,)),)
     else:
-        out = {}
+        out: dict[tuple[int, ...], Graph] = {}
         for g in all_graphs(n - 1):
+            gens = _automorphism_generators(g)
             degrees = [row.bit_count() for row in g.adj]
             top = max(degrees)
             top_mask = sum(1 << v for v, deg in enumerate(degrees) if deg == top)
+            seen: set[int] = set()
             for attach in range(1 << (n - 1)):
-                # keep only augmentations whose new vertex has maximum degree
+                # keep only augmentations whose new vertex has maximum degree,
+                # and of those one per orbit of Aut(g)
                 k = attach.bit_count()
-                if k < top or (k == top and attach & top_mask):
+                if k < top or (k == top and attach & top_mask) or attach in seen:
                     continue
+                seen.add(attach)
+                stack = [attach]
+                while stack:
+                    mask = stack.pop()
+                    for image in gens:
+                        moved = 0
+                        for v in iter_bits(mask):
+                            moved |= 1 << image[v]
+                        if moved not in seen:
+                            seen.add(moved)
+                            stack.append(moved)
                 adj = list(g.adj) + [attach]
-                for v in range(n - 1):
-                    if attach >> v & 1:
-                        adj[v] |= 1 << (n - 1)
+                for v in iter_bits(attach):
+                    adj[v] |= 1 << (n - 1)
                 candidate = canonical_form(_trusted(adj))
-                out.setdefault(emit_graph6(candidate), candidate)
-    result = tuple(out[key] for key in sorted(out))
+                out.setdefault(candidate.adj, candidate)
+        result = tuple(sorted(out.values(), key=emit_graph6))
     _ALL_CACHE[n] = result
     return result
 

@@ -66,6 +66,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
@@ -493,18 +494,9 @@ def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
                        "timeout" if value is None else "optimal", best[0], "search", ub)
 
 
-def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
-    """Largest clique, by branch and bound over candidate masks.
-
-    On g = base * K_t a clique of base blows up to one of t times its size,
-    and a clique of g projects onto one of base, so omega(g) = t * omega(base):
-    the search runs on base, and the fibres of its clique are the witness.
-    """
-    _require_cap(g)
-    clock = _Clock(timeout)
-    base, t = g._base or (g, 1)
+def _clique_search(base: Graph, clock: _Clock, best: list[int]) -> None:
+    """Branch and bound over candidate masks; best = [size, mask] holds the incumbent."""
     adj = base.adj
-    best = [0, 0]
 
     def expand(cand: int, chosen: int, count: int) -> None:
         while cand:
@@ -518,8 +510,36 @@ def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
         if count > best[0]:
             best[0], best[1] = count, chosen
 
+    expand((1 << base.n) - 1 if base.n else 0, 0, 0)
+
+
+@lru_cache(maxsize=4096)
+def _finished_clique(base: Graph) -> tuple[int, int, int]:
+    """Size, mask and node count of an untimed, hence finished, search on base."""
+    clock, best = _Clock(None), [0, 0]
+    _clique_search(base, clock, best)
+    return best[0], best[1], clock.nodes
+
+
+def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
+    """Largest clique, by branch and bound over candidate masks.
+
+    On g = base * K_t a clique of base blows up to one of t times its size,
+    and a clique of g projects onto one of base, so omega(g) = t * omega(base):
+    the search runs on base, and the fibres of its clique are the witness.
+    An untimed search always finishes, so its result, node count included,
+    is memoised per base graph; a timed one runs afresh and is never stored.
+    The witness is checked against g on every call.
+    """
+    _require_cap(g)
+    clock = _Clock(timeout)
+    base, t = g._base or (g, 1)
+    best = [0, 0]
     try:
-        expand((1 << base.n) - 1 if base.n else 0, 0, 0)
+        if timeout is None:
+            best[0], best[1], clock.nodes = _finished_clique(base)
+        else:
+            _clique_search(base, clock, best)
         value = ub = best[0] * t
     except Timeout:
         value, ub = None, g.n

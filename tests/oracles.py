@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -15,9 +16,10 @@ from boxchrom.graphs import (
     empty_graph,
     iter_bits,
     lexicographic_product,
+    parse_graph6,
     strong_product,
 )
-from boxchrom.smallgraphs import random_connected_graph, random_graph
+from boxchrom.smallgraphs import canonical_certificate, random_connected_graph, random_graph
 
 
 @st.composite
@@ -136,6 +138,39 @@ def brute_canonical_columns(g: Graph, classes) -> tuple[tuple[int, ...], ...]:
     """Least column sequence over every order that lists ``classes`` in turn."""
     return min(columns(g, [v for part in parts for v in part])
                for parts in product(*(permutations(c) for c in classes)))
+
+
+@lru_cache(maxsize=None)
+def every_augmentation_graph6(n: int) -> tuple[str, ...]:
+    """Sorted graph6 of every graph on n vertices, canonicalising every augmentation.
+
+    The generator without orbit pruning: each graph on n-1 vertices gains a
+    vertex in every way whose new vertex has maximum degree, and every such
+    child is canonicalised and deduplicated by its graph6 string.
+    """
+    if n == 1:
+        return ("@",)
+    out = set()
+    for parent in every_augmentation_graph6(n - 1):
+        g = parse_graph6(parent)
+        top = g.max_degree()
+        top_mask = sum(1 << v for v in range(g.n) if g.degree(v) == top)
+        for attach in range(1 << (n - 1)):
+            k = attach.bit_count()
+            if k < top or (k == top and attach & top_mask):
+                continue
+            adj = list(g.adj) + [attach]
+            for v in iter_bits(attach):
+                adj[v] |= 1 << (n - 1)
+            out.add(canonical_certificate(Graph(n, tuple(adj))))
+    return tuple(sorted(out))
+
+
+def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """Every vertex permutation, as images, that maps edges onto edges."""
+    edges = set(g.edges())
+    return {p for p in permutations(range(g.n))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)}
 
 
 def component_set(g: Graph, seed: int, within: int) -> set[int]:

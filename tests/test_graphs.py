@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from boxchrom.graphs import (
     Graph,
     Graph6Error,
+    _trusted,
     _twin_classes,
     bowtie_graph,
     complement,
@@ -56,6 +57,12 @@ class TestGraphModel:
     def test_from_edges_dedupes(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
+
+    def test_edge_count_is_cached_outside_equality(self):
+        g, h = petersen_graph(), _trusted(petersen_graph().adj)
+        assert g.edge_count == 15 and "edge_count" in vars(g) and "edge_count" not in vars(h)
+        assert g == h and hash(g) == hash(h)
+        assert h.edge_count == 15 and g == h
 
     def test_edges_sorted(self):
         g = cycle_graph(4)

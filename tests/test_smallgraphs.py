@@ -3,7 +3,9 @@
 The canonical labelling is checked for invariance under random relabelling
 and against a brute-force search over every class-respecting order, and the
 generator is pinned to the known counts of unlabelled graphs and to
-the exact graph6 lists it has always produced.
+the exact graph6 lists it has always produced.  The orbit pruning is checked
+against the generator that canonicalises every augmentation, and its
+generators against a brute-force automorphism search.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxchrom import smallgraphs
 from boxchrom.graphs import (
     Graph,
     complement,
@@ -26,6 +29,7 @@ from boxchrom.graphs import (
     strong_product,
 )
 from boxchrom.smallgraphs import (
+    _automorphism_generators,
     _refinement_classes,
     all_graphs,
     canonical_certificate,
@@ -34,12 +38,19 @@ from boxchrom.smallgraphs import (
     random_connected_graph,
     random_graph,
 )
-from oracles import brute_canonical_columns, columns, graphs, twin_graphs
+from oracles import (
+    brute_automorphisms,
+    brute_canonical_columns,
+    columns,
+    every_augmentation_graph6,
+    graphs,
+    twin_graphs,
+)
 
-# unlabelled simple graphs and connected ones, n = 1..7
-ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
-CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
-# sha256 of "\n".join(graph6 of all_graphs(n)), n = 1..7, as generated by
+# unlabelled simple graphs and connected ones, n = 1..8
+ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
+CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
+# sha256 of "\n".join(graph6 of all_graphs(n)), n = 1..8, as generated by
 # canonicalising every augmentation; later speed-ups must keep them
 ALL_GRAPH6_SHA256 = [
     "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
@@ -49,6 +60,7 @@ ALL_GRAPH6_SHA256 = [
     "ba6b2702ab1d647a7964e0bb2815cb74b90f811b2cbc759e36bc8ad37c4c4bfb",
     "a3c0be81f949312e42271323fbf63d26ea9c17eb62bc28b00a1df42c41213ab8",
     "cf43d74eea2e83dd129ee163ab4ba9c0f95efd52978be61a3b45e8d9557307a0",
+    "3e503c8c6bec0555cca2382d86a1bb2ede4f18a9e854b4caed44bad3415cacb5",
 ]
 
 
@@ -108,15 +120,15 @@ class TestCanonicalForm:
 
 
 class TestGeneration:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_all_graph_counts(self, n):
         assert len(all_graphs(n)) == ALL_COUNTS[n - 1]
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_connected_counts(self, n):
         assert len(connected_graphs(n)) == CONNECTED_COUNTS[n - 1]
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_graph6_list_is_pinned(self, n):
         text = "\n".join(emit_graph6(g) for g in all_graphs(n))
         assert hashlib.sha256(text.encode()).hexdigest() == ALL_GRAPH6_SHA256[n - 1]
@@ -124,6 +136,42 @@ class TestGeneration:
     def test_connected_order_is_pinned(self):
         # the benchmark's sweep sample indexes into this tuple
         assert emit_graph6(connected_graphs(7)[476]) == "FLr~w"
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_orbit_pruning_matches_every_augmentation(self, n):
+        assert tuple(emit_graph6(g) for g in all_graphs(n)) == every_augmentation_graph6(n)
+
+    def test_one_canonical_form_per_orbit(self, monkeypatch):
+        # 3,131 calls canonicalise every max-degree augmentation for n <= 7
+        calls = []
+        canonical = smallgraphs.canonical_form
+        monkeypatch.setattr(smallgraphs, "_ALL_CACHE", {})
+        monkeypatch.setattr(smallgraphs, "canonical_form", lambda g: calls.append(g) or canonical(g))
+        all_graphs(7)
+        assert len(calls) == 1639
+
+    @given(st.one_of(graphs(min_n=1, max_n=8), twin_graphs()))
+    @settings(max_examples=60, deadline=None)
+    def test_generators_are_automorphisms(self, g):
+        edges = set(g.edges())
+        for image in _automorphism_generators(g):
+            assert sorted(image) == list(range(g.n))
+            assert {tuple(sorted((image[u], image[v]))) for u, v in edges} == edges
+
+    @given(st.one_of(graphs(min_n=1, max_n=6), twin_graphs()))
+    @settings(max_examples=40, deadline=None)
+    def test_generators_generate_the_automorphism_group(self, g):
+        gens = _automorphism_generators(g)
+        group = {tuple(range(g.n))}
+        stack = list(group)
+        while stack:
+            p = stack.pop()
+            for image in gens:
+                q = tuple(image[p[v]] for v in range(g.n))
+                if q not in group:
+                    group.add(q)
+                    stack.append(q)
+        assert group == brute_automorphisms(g)
 
     def test_output_is_canonical_and_deduplicated(self):
         gs = all_graphs(5)

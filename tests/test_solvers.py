@@ -36,6 +36,7 @@ from boxchrom.solvers import (
     _admission,
     _branch_order,
     _Clock,
+    _finished_clique,
     _maximal_admissible_sets,
     _search,
     alpha_d,
@@ -351,6 +352,23 @@ class TestAlphaAndClique:
         # the incumbent survives: the fibres of the base clique found so far
         assert len(res.witness) == res.lower_bound
         assert all(prod.adjacent(u, v) for u, v in combinations(res.witness, 2))
+
+    def test_clique_memo_keeps_only_finished_searches(self):
+        base = complement(matching_graph(10))
+        prod = strong_product(base, complete_graph(2))
+        _finished_clique.cache_clear()
+        # a timeout is not stored: the untimed call after it searches and finishes
+        assert clique_number(prod, timeout=0.0).status == "timeout"
+        first = clique_number(base)
+        assert first.value == 10 and _finished_clique.cache_info().misses == 1
+        # the product and a repeat of the base read the base's finished search
+        res = clique_number(prod)
+        again = clique_number(base)
+        assert _finished_clique.cache_info().hits == 2
+        assert res.value == 20 and res.witness == tuple(v for u in first.witness for v in (2 * u, 2 * u + 1))
+        assert (again.value, again.witness, again.nodes) == (first.value, first.witness, first.nodes)
+        # a stored search never answers a timed call
+        assert clique_number(prod, timeout=0.0).status == "timeout"
 
     def test_alpha_timeout_returns_incumbent(self):
         # the search needs far more than 2,048 nodes, so the clock is read past its deadline
