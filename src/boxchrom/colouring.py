@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graphs import Graph, component_mask, iter_bits
 
@@ -167,15 +167,18 @@ def check_improper(g: Graph, c: Colouring, d: int) -> Violation | None:
 def mono_components(g: Graph, c: Colouring) -> list[tuple[int, tuple[int, ...]]]:
     """Monochromatic components as (colour, vertices), ordered by smallest vertex."""
     _require_total(g, c)
+    return [(colour, tuple(iter_bits(comp)))
+            for colour, comp in _live_components(g, c, (1 << g.n) - 1)]
+
+
+def _live_components(g: Graph, c: Colouring, live: int) -> Iterator[tuple[int, int]]:
+    """(colour, mask) of each monochromatic component of g[live], by smallest vertex."""
     masks = _class_masks(c)
-    seen = 0
-    out = []
-    for v, colour in enumerate(c.colours):
-        if not seen >> v & 1:
-            comp = component_mask(g.adj, v, masks[colour])
-            seen |= comp
-            out.append((colour, tuple(iter_bits(comp))))
-    return out
+    while live:
+        v = (live & -live).bit_length() - 1
+        comp = component_mask(g.adj, v, masks[c.colours[v]] & live)
+        live &= ~comp
+        yield c.colours[v], comp
 
 
 def check_clustered(g: Graph, c: Colouring, t: int) -> Violation | None:

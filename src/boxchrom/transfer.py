@@ -12,18 +12,19 @@ The engine behind the descent is an incidence structure between base vertices
 and monochromatic product components.  Once that structure is acyclic, some
 component touches few base vertices; colouring and deleting its footprint
 shrinks the graph and the argument repeats.  ``descend`` builds g * K_t once
-and deletes footprints with ``induced_subgraph``; the stages take that product
-(base order ``product.n // t``) or the ``Incidence`` built on it, which
-carries its colouring and its shortest cycle.
+and deletes footprints by clearing their fibres from a mask of live product
+vertices, so every round keeps the original labels; the stages take that
+product (base order ``product.n // t``) or the ``Incidence`` built on it,
+which carries its colouring and its shortest cycle.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
-from .colouring import Colouring, check_clustered, colour_multiset, mono_components
-from .graphs import Graph, complete_graph, induced_subgraph, strong_product
+from .colouring import Colouring, _live_components, check_clustered, colour_multiset
+from .graphs import Graph, complete_graph, iter_bits, strong_product
 
 __all__ = [
     "ComponentPick",
@@ -79,9 +80,20 @@ def build_incidence(product: Graph, c: Colouring, t: int) -> Incidence:
         raise ValueError(f"product order {product.n} is not a multiple of t={t}")
     if c.n != product.n:
         raise ValueError(f"colouring has {c.n} entries, product needs {product.n}")
+    return _incidence(product, c, t, (1 << product.n) - 1)
+
+
+def _incidence(product: Graph, c: Colouring, t: int, live: int) -> Incidence:
+    """The incidence of c on the product vertices in ``live``, a union of fibres.
+
+    Components of product[live] come in the order of their smallest vertex,
+    the order ``induced_subgraph`` on the live fibres would give them, and
+    keep their original labels; dead base vertices are isolated nodes.
+    """
     n = product.n // t
     comps = []
-    for colour, vertices in mono_components(product, c):
+    for colour, comp in _live_components(product, c, live):
+        vertices = tuple(iter_bits(comp))
         cover = tuple(sorted({pv // t for pv in vertices}))
         comps.append(MonoComponent(colour, vertices, cover))
     adj: list[list[int]] = [[] for _ in range(n + len(comps))]
@@ -126,27 +138,30 @@ def _is_forest(adj: tuple[tuple[int, ...], ...]) -> bool:
 def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """Vertices of a shortest cycle, canonically rotated, or None if acyclic.
 
-    BFS from every vertex; each non-tree edge closes a candidate cycle through
-    the endpoints' lowest common tree ancestor.
+    BFS from every vertex in turn; each non-tree edge closes a candidate cycle
+    through the endpoints' lowest common tree ancestor, and the first strictly
+    shorter candidate is kept.  adj must be bipartite and simple, as every
+    incidence is (``build_incidence`` rejects a second cover of a vertex and
+    colour), so no cycle is shorter than 4 and the search returns at its first
+    4-cycle, the one the full search would keep.  On other graphs only whether
+    the result is None is promised.
     """
     nv = len(adj)
     best: tuple[int, ...] | None = None
     for root in range(nv):
-        depth = {root: 0}
-        parent = {root: -1}
-        order = deque([root])
-        tree_edges = set()
-        while order:
-            x = order.popleft()
+        depth = [-1] * nv
+        parent = [-1] * nv
+        depth[root] = 0
+        order = [root]
+        for x in order:  # order grows while it is read: a BFS queue
             for y in adj[x]:
-                if y not in depth:
+                if depth[y] < 0:
                     depth[y] = depth[x] + 1
                     parent[y] = x
-                    tree_edges.add((min(x, y), max(x, y)))
                     order.append(y)
-        for x in depth:
+        for x in order:
             for y in adj[x]:
-                if y < x or (x, y) in tree_edges or y not in depth:
+                if y < x or parent[y] == x or parent[x] == y:
                     continue
                 px = [x]
                 py = [y]
@@ -158,6 +173,8 @@ def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
                 cycle = px[:-1] + py[::-1]  # x .. lca .. y, plus closing edge y-x
                 if best is None or len(cycle) < len(best):
                     best = _canonical_rotation(cycle)
+                    if len(best) == 4:
+                        return best
     return best
 
 
@@ -334,11 +351,12 @@ def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
 
     Eliminates incidence cycles once, then repeatedly picks a component whose
     base footprint has at most ell vertices; that footprint takes the
-    component's colour and leaves the graph.  Deleting a footprint from an
-    acyclic incidence cannot close a cycle, so later rounds eliminate nothing
-    (``find_small_component`` still checks).  The output colours each vertex
-    from its original fibre palette, uses no new colours, and is verified
-    ell-clustered before returning.
+    component's colour and its fibres leave the mask of live product
+    vertices, whose monochromatic components make the next round's
+    incidence.  Deleting a footprint from an acyclic incidence cannot close a
+    cycle, so later rounds eliminate nothing (``find_small_component`` still
+    checks).  The output colours each vertex from its original fibre palette,
+    uses no new colours, and is verified ell-clustered before returning.
     """
     if t < 1 or ell < 1:
         raise ValueError("t and ell must be positive")
@@ -346,24 +364,18 @@ def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
     original_palettes = [set(c.colours[v * t : (v + 1) * t]) for v in range(g.n)]
 
     out: list[int | None] = [None] * g.n
-    labels = tuple(range(g.n))
     inc, elims = eliminate_cycles(product, c, t, ell * t)
+    live = (1 << product.n) - 1
+    fibre = (1 << t) - 1  # the copies of base vertex 0
     rounds = []
-    while labels:
+    while live:
         if rounds:
-            inc, elims = build_incidence(product, cur_c, t), ()
+            inc, elims = _incidence(product, inc.colouring, t, live), ()
         comp = find_small_component(inc, ell)
-        pick = ComponentPick(comp.colour, tuple(labels[v] for v in comp.cover))
-        for v in pick.base_vertices:
+        for v in comp.cover:
             out[v] = comp.colour
-        rounds.append((elims, pick))
-        covered = set(comp.cover)
-        kept = [v for v in range(len(labels)) if v not in covered]
-        labels = tuple(labels[v] for v in kept)
-        # fibres stay in base order, so the shrunk product is (g - cover) * K_t
-        fibres = [v * t + x for v in kept for x in range(t)]
-        product = induced_subgraph(product, fibres)
-        cur_c = Colouring(tuple(inc.colouring.colours[p] for p in fibres))
+            live &= ~(fibre << v * t)
+        rounds.append((elims, ComponentPick(comp.colour, comp.cover)))
 
     missing = [v for v, col in enumerate(out) if col is None]
     if missing:
@@ -385,7 +397,12 @@ def replay_trace(g: Graph, c: Colouring, t: int, trace: TransferTrace) -> Colour
 
     Applies every recolour with its expected before-value checked, then the
     component picks; a mismatch means the trace does not belong to (g, c, t).
+    The replayed colouring must be ``trace.ell``-clustered on g.
     """
+    if t != trace.t:
+        raise ValueError(f"trace was recorded at t={trace.t}, not t={t}")
+    if c.n != g.n * t:
+        raise ValueError(f"colouring has {c.n} entries, g * K_{t} has {g.n * t} vertices")
     colours = list(c.colours)
     out: list[int | None] = [None] * g.n
     for elims, pick in trace.rounds:
@@ -407,4 +424,8 @@ def replay_trace(g: Graph, c: Colouring, t: int, trace: TransferTrace) -> Colour
             out[v] = pick.colour
     if any(col is None for col in out):
         raise TransferInvariantError("trace leaves vertices uncoloured")
-    return Colouring(tuple(out))  # type: ignore[arg-type]
+    result = Colouring(tuple(out))  # type: ignore[arg-type]
+    bad = check_clustered(g, result, trace.ell)
+    if bad:
+        raise TransferInvariantError(f"replayed colouring is not {trace.ell}-clustered: {bad}")
+    return result

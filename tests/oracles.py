@@ -9,17 +9,25 @@ from itertools import combinations, permutations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from boxchrom.colouring import Mode
+from boxchrom.colouring import Colouring, Mode
 from boxchrom.graphs import (
     Graph,
     complete_graph,
     empty_graph,
+    induced_subgraph,
     iter_bits,
     lexicographic_product,
     parse_graph6,
     strong_product,
 )
 from boxchrom.smallgraphs import canonical_certificate, random_connected_graph, random_graph
+from boxchrom.transfer import (
+    ComponentPick,
+    TransferTrace,
+    build_incidence,
+    eliminate_cycles,
+    find_small_component,
+)
 
 
 @st.composite
@@ -184,6 +192,72 @@ def component_set(g: Graph, seed: int, within: int) -> set[int]:
                 comp.add(u)
                 queue.append(u)
     return comp
+
+
+def smallest_cycle(adj) -> tuple[int, ...] | None:
+    """Shortest cycle by the full search, canonically rotated, or None if acyclic.
+
+    BFS from every vertex with dict depths and a set of tree edges; every
+    non-tree edge closes a candidate through the lowest common ancestor, and
+    the first strictly shorter candidate wins.  No early exit.
+    """
+    best = None
+    for root in range(len(adj)):
+        depth, parent = {root: 0}, {root: -1}
+        queue, tree_edges = [root], set()
+        for x in queue:
+            for y in adj[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    parent[y] = x
+                    tree_edges.add((min(x, y), max(x, y)))
+                    queue.append(y)
+        for x in depth:
+            for y in adj[x]:
+                if y < x or (x, y) in tree_edges or y not in depth:
+                    continue
+                px, py = [x], [y]
+                while px[-1] != py[-1]:
+                    if depth[px[-1]] >= depth[py[-1]]:
+                        px.append(parent[px[-1]])
+                    else:
+                        py.append(parent[py[-1]])
+                cycle = px[:-1] + py[::-1]
+                if best is None or len(cycle) < len(best):
+                    start = cycle.index(min(cycle))
+                    rotated = cycle[start:] + cycle[:start]
+                    best = tuple(min(rotated, [rotated[0]] + rotated[1:][::-1]))
+    return best
+
+
+def descend_by_induced_subgraph(g: Graph, c: Colouring, t: int,
+                                ell: int) -> tuple[Colouring, TransferTrace]:
+    """The descent's round loop on shrinking products.
+
+    Each round deletes the picked footprint with ``induced_subgraph``,
+    re-slices the colouring to the kept fibres and builds the next incidence
+    on the relabelled product; picks map back to g's labels.  Output checks
+    are left to the caller.
+    """
+    product = strong_product(g, complete_graph(t))
+    out = [0] * g.n
+    labels = tuple(range(g.n))
+    inc, elims = eliminate_cycles(product, c, t, ell * t)
+    rounds = []
+    while labels:
+        if rounds:
+            inc, elims = build_incidence(product, cur_c, t), ()
+        comp = find_small_component(inc, ell)
+        pick = ComponentPick(comp.colour, tuple(labels[v] for v in comp.cover))
+        for v in pick.base_vertices:
+            out[v] = comp.colour
+        rounds.append((elims, pick))
+        kept = [v for v in range(len(labels)) if v not in comp.cover]
+        labels = tuple(labels[v] for v in kept)
+        fibres = [v * t + x for v in kept for x in range(t)]
+        product = induced_subgraph(product, fibres)
+        cur_c = Colouring(tuple(inc.colouring.colours[p] for p in fibres))
+    return Colouring(tuple(out)), TransferTrace(t, ell, tuple(rounds))
 
 
 def admissible(g: Graph, members: int, mode: Mode) -> bool:

@@ -4,16 +4,21 @@ A hand-built cyclic instance exercises one surgery step in detail; the rest
 drives solver witnesses through the full descent on exhaustive and random
 inputs, replaying every trace to confirm the recorded rewrites reproduce the
 output exactly.  A few deterministic descents are pinned by the digest of
-their output colouring and trace.
+their output colouring and trace.  The early-exit cycle search and the
+live-mask round loop are held to their full-search and induced-subgraph
+oracles in ``oracles.py``.
 """
 
+import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from boxchrom import graphs, transfer
 from boxchrom.colouring import Colouring, check_clustered, colour_multiset, lift_colouring
 from boxchrom.graphs import (
     component_mask,
@@ -36,6 +41,8 @@ from boxchrom.transfer import (
     replay_trace,
 )
 
+from oracles import descend_by_induced_subgraph, graphs as graph_strategy, smallest_cycle
+
 # On C4 x K2, palettes (1,2),(1,2),(3,3),(4,4) chain components 1 and 2
 # through two base vertices each: the incidence contains a 4-cycle.
 CYCLIC_C4 = Colouring((1, 2, 1, 2, 3, 3, 4, 4))
@@ -43,6 +50,38 @@ CYCLIC_C4 = Colouring((1, 2, 1, 2, 3, 3, 4, 4))
 
 def _product(g, t):
     return strong_product(g, complete_graph(t))
+
+
+def _first_fit(product, cap, order):
+    """First fit with monochromatic components <= cap, visiting product vertices in order."""
+    classes: dict[int, int] = {}
+    colours = [0] * product.n
+    for v in order:
+        c = 1
+        while component_mask(product.adj, v, classes.get(c, 0) | 1 << v).bit_count() > cap:
+            c += 1
+        classes[c] = classes.get(c, 0) | 1 << v
+        colours[v] = c
+    return Colouring(tuple(colours))
+
+
+@st.composite
+def first_fit_descents(draw):
+    """(g, c, t, ell): an ell*t-clustered first fit of g * K_t in a random order.
+
+    Random orders mix colours inside fibres, so about half the incidences
+    have cycles, some longer than 4.
+    """
+    g = draw(graph_strategy(min_n=2, max_n=7))
+    t = draw(st.integers(2, 3))
+    ell = draw(st.integers(1, 2))
+    order = draw(st.permutations(range(g.n * t)))
+    return g, _first_fit(_product(g, t), ell * t, order), t, ell
+
+
+def _incidence_of(descent):
+    g, c, t, _ = descent
+    return build_incidence(_product(g, t), c, t)
 
 
 class TestIncidence:
@@ -82,7 +121,34 @@ class TestIncidence:
             adj[u].append(v)
             adj[v].append(u)
         adj = tuple(tuple(sorted(row)) for row in adj)
+        # these graphs need not be bipartite or simple, so only None-ness is promised
         assert _is_forest(adj) == (_smallest_cycle(adj) is None)
+
+    @given(first_fit_descents())
+    @settings(max_examples=200, deadline=None)
+    def test_cycle_is_the_full_search_cycle(self, descent):
+        inc = _incidence_of(descent)
+        assert inc.cycle == smallest_cycle(inc.adj)
+
+    @given(graph_strategy(min_n=3, max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_matches_full_search_without_4_cycles(self, g):
+        # g's vertex-edge incidence is bipartite and simple with no 4-cycle, so
+        # the search runs to its end and the tie-break between longer cycles shows
+        edges = g.edges()
+        adj = [[] for _ in range(g.n + len(edges))]
+        for node, (u, v) in enumerate(edges, start=g.n):
+            adj[u].append(node)
+            adj[v].append(node)
+            adj[node] += [u, v]
+        adj = tuple(tuple(sorted(row)) for row in adj)
+        assert _smallest_cycle(adj) == smallest_cycle(adj)
+
+    def test_first_fit_draws_long_cycles(self):
+        # the early exit at 4 leaves longer cycles to the full enumeration
+        inc = _incidence_of(find(first_fit_descents(),
+                                 lambda d: len(_incidence_of(d).cycle or ()) > 4))
+        assert len(inc.cycle) > 4 and inc.cycle == smallest_cycle(inc.adj)
 
 
 class TestEliminateCycles:
@@ -181,6 +247,35 @@ class TestDescend:
         with pytest.raises(ValueError):
             descend(g, Colouring((1,) * 8), 2, 1)
 
+    @given(first_fit_descents())
+    @settings(max_examples=60, deadline=None)
+    def test_rounds_match_the_induced_subgraph_loop(self, descent):
+        g, c, t, ell = descent
+        res = descend(g, c, t, ell)
+        colouring, trace = descend_by_induced_subgraph(g, c, t, ell)
+        assert res.colouring == colouring
+        assert res.trace.to_json() == trace.to_json()
+
+    def test_one_product_and_no_induced_subgraph(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(transfer, "strong_product", counting("product", strong_product))
+        for module in (graphs, transfer):
+            monkeypatch.setattr(module, "induced_subgraph",
+                                counting("induced", graphs.induced_subgraph), raising=False)
+        for g, t, ell, stride in [(petersen_graph(), 3, 2, 7), (cycle_graph(7), 3, 1, 5)]:
+            c = _first_fit_clustered(_product(g, t), ell * t, stride)
+            calls.clear()
+            res = descend(g, c, t, ell)
+            assert len(res.trace.rounds) > 1
+            assert calls == {"product": 1}
+
 
 class TestReplay:
     def test_replay_reproduces_output(self):
@@ -206,6 +301,25 @@ class TestReplay:
         with pytest.raises(TransferInvariantError):
             replay_trace(g, other, 2, res.trace)
 
+    def test_replay_checks_the_traced_ell(self):
+        g, c = path_graph(3), Colouring((1, 2, 1, 2, 1, 2))
+        res = descend(g, c, 2, 2)
+        assert replay_trace(g, c, 2, res.trace) == res.colouring
+        assert check_clustered(g, res.colouring, 1) is not None
+        with pytest.raises(TransferInvariantError):
+            replay_trace(g, c, 2, dataclasses.replace(res.trace, ell=1))
+
+    def test_replay_rejects_a_wrong_length(self):
+        res = descend(cycle_graph(4), CYCLIC_C4, 2, 1)
+        with pytest.raises(ValueError):
+            replay_trace(cycle_graph(4), Colouring(CYCLIC_C4.colours + (1, 1)), 2, res.trace)
+
+    def test_replay_rejects_a_foreign_t(self):
+        # 8 vertices at t = 1 match the colouring's length; only t differs
+        res = descend(cycle_graph(4), CYCLIC_C4, 2, 1)
+        with pytest.raises(ValueError):
+            replay_trace(cycle_graph(8), CYCLIC_C4, 1, res.trace)
+
     def test_trace_serialises(self):
         g = cycle_graph(4)
         res = descend(g, CYCLIC_C4, 2, 1)
@@ -223,15 +337,7 @@ def _first_fit_clustered(product, cap, stride):
     colours and the incidence has cycles to eliminate.
     """
     n = product.n
-    classes: dict[int, int] = {}
-    colours = [0] * n
-    for v in sorted(range(n), key=lambda v: v * stride % n):
-        c = 1
-        while component_mask(product.adj, v, classes.get(c, 0) | 1 << v).bit_count() > cap:
-            c += 1
-        classes[c] = classes.get(c, 0) | 1 << v
-        colours[v] = c
-    return Colouring(tuple(colours))
+    return _first_fit(product, cap, sorted(range(n), key=lambda v: v * stride % n))
 
 
 class TestPinnedTraces:
