@@ -4,9 +4,11 @@
 Runs the exact solvers over every connected graph up to a size cap (or a
 named family list), checks the clustered equality as it goes, and reports
 which proven cases cover each instance.  A counterexample here would be a
-publishable event; the expected count is zero.  Exits 1 on a counterexample,
-otherwise 2 if any instance timed out, otherwise 0.  Bad flags print an
-``error:`` line and exit 1, as the ``boxchrom`` CLI does.
+publishable event; the expected count is zero.  An instance that raises is
+recorded with status "error" and the sweep goes on.  Exits 1 on a
+counterexample, otherwise 3 if any instance raised, otherwise 2 if any
+instance timed out, otherwise 0.  Bad flags print an ``error:`` line and
+exit 1, as the ``boxchrom`` CLI does.
 
 Usage:
     python scripts/conjecture_sweep.py --max-n 5 -d 1,2 --jobs 4 --out sweep.json
@@ -58,8 +60,11 @@ def main() -> int:
     )
     print(f"family: {report['family']}   d: {report['d_values']}")
     print(f"instances: {report['instances']}")
-    for status in ("verified", "counterexample", "timeout"):
+    for status in ("verified", "counterexample", "timeout", "error"):
         print(f"  {status:15s} {by_status.get(status, 0)}")
+    print(f"errors: {report['errors']}")
+    for r in [r for r in report["records"] if r["status"] == "error"][:10]:
+        print(f"  {r['graph6']}  d={r['d']}  {r['error']['type']}: {r['error']['message']}")
     print("proven-case coverage:")
     for tag, count in sorted(annotation_counts.items()):
         print(f"  {tag:25s} {count}")

@@ -167,17 +167,17 @@ def check_improper(g: Graph, c: Colouring, d: int) -> Violation | None:
 def mono_components(g: Graph, c: Colouring) -> list[tuple[int, tuple[int, ...]]]:
     """Monochromatic components as (colour, vertices), ordered by smallest vertex."""
     _require_total(g, c)
-    return [(colour, tuple(iter_bits(comp)))
-            for colour, comp in _live_components(g, c, (1 << g.n) - 1)]
+    return [(colour, tuple(iter_bits(comp))) for colour, comp in _component_masks(g, c)]
 
 
-def _live_components(g: Graph, c: Colouring, live: int) -> Iterator[tuple[int, int]]:
-    """(colour, mask) of each monochromatic component of g[live], by smallest vertex."""
+def _component_masks(g: Graph, c: Colouring) -> Iterator[tuple[int, int]]:
+    """(colour, mask) of each monochromatic component, by smallest vertex."""
     masks = _class_masks(c)
-    while live:
-        v = (live & -live).bit_length() - 1
-        comp = component_mask(g.adj, v, masks[c.colours[v]] & live)
-        live &= ~comp
+    left = (1 << g.n) - 1
+    while left:
+        v = (left & -left).bit_length() - 1
+        comp = component_mask(g.adj, v, masks[c.colours[v]] & left)
+        left &= ~comp
         yield c.colours[v], comp
 
 

@@ -16,6 +16,18 @@ and deletes footprints by clearing their fibres from a mask of live product
 vertices, so every round keeps the original labels; the stages take that
 product (base order ``product.n // t``) or the ``Incidence`` built on it,
 which carries its colouring and its shortest cycle.
+
+The pick rounds do not rebuild the incidence.  Deleting vertices only splits
+monochromatic components and never merges them, so ``descend`` keeps the
+list of live components and re-searches only those that meet the cleared
+fibres.  A component that misses them keeps every vertex and gains no
+neighbour, so it is still a whole component of the live product, with the
+same cover.  A component that meets them falls apart into pieces whose
+covers are disjoint parts of its old cover, since one fibre's copies of a
+colour sit in one component.  In the incidence, a split replaces one
+component node by several, each taking some of its edges, and deletes the
+edges to dead vertices; a forest stays a forest under both, so a split
+cannot close a cycle.
 """
 
 from __future__ import annotations
@@ -23,8 +35,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .colouring import Colouring, _live_components, check_clustered, colour_multiset
-from .graphs import Graph, complete_graph, iter_bits, strong_product
+from .colouring import Colouring, _component_masks, check_clustered, colour_multiset
+from .graphs import Graph, complete_graph, component_mask, iter_bits, strong_product
 
 __all__ = [
     "ComponentPick",
@@ -70,9 +82,10 @@ class Incidence:
 def build_incidence(product: Graph, c: Colouring, t: int) -> Incidence:
     """Component/vertex incidence of a colouring of product = g * K_t.
 
-    Every fibre is a clique, so for a fixed base vertex and colour all product
-    vertices of that colour sit in one component; that uniqueness is asserted
-    because later cycle surgery depends on it.
+    Components come in the order of their smallest vertex.  Every fibre is a
+    clique, so for a fixed base vertex and colour all product vertices of that
+    colour sit in one component; that uniqueness is checked because later
+    cycle surgery depends on it.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -80,43 +93,34 @@ def build_incidence(product: Graph, c: Colouring, t: int) -> Incidence:
         raise ValueError(f"product order {product.n} is not a multiple of t={t}")
     if c.n != product.n:
         raise ValueError(f"colouring has {c.n} entries, product needs {product.n}")
-    return _incidence(product, c, t, (1 << product.n) - 1)
-
-
-def _incidence(product: Graph, c: Colouring, t: int, live: int) -> Incidence:
-    """The incidence of c on the product vertices in ``live``, a union of fibres.
-
-    Components of product[live] come in the order of their smallest vertex,
-    the order ``induced_subgraph`` on the live fibres would give them, and
-    keep their original labels; dead base vertices are isolated nodes.
-    """
     n = product.n // t
-    comps = []
-    for colour, comp in _live_components(product, c, live):
-        vertices = tuple(iter_bits(comp))
-        cover = tuple(sorted({pv // t for pv in vertices}))
-        comps.append(MonoComponent(colour, vertices, cover))
+    comps = [MonoComponent(colour, tuple(iter_bits(comp)), _cover(comp, t))
+             for colour, comp in _component_masks(product, c)]
+    forest = _is_forest(n, [(comp.colour, comp.cover) for comp in comps])
     adj: list[list[int]] = [[] for _ in range(n + len(comps))]
-    seen: set[tuple[int, int]] = set()
-    for idx, comp in enumerate(comps):
-        node = n + idx
+    for node, comp in enumerate(comps, start=n):
         for v in comp.cover:
-            key = (v, comp.colour)
-            if key in seen:
-                raise TransferInvariantError(
-                    f"base vertex {v} is covered by two components of colour {comp.colour}"
-                )
-            seen.add(key)
             adj[v].append(node)
             adj[node].append(v)
     sorted_adj = tuple(tuple(sorted(a)) for a in adj)
-    cycle = None if _is_forest(sorted_adj) else _smallest_cycle(sorted_adj)
+    cycle = None if forest else _smallest_cycle(sorted_adj)
     return Incidence(n, tuple(comps), sorted_adj, c, cycle)
 
 
-def _is_forest(adj: tuple[tuple[int, ...], ...]) -> bool:
-    """True when adj has no cycle: one union-find pass, a repeated entry being one edge."""
-    root = list(range(len(adj)))
+def _cover(comp: int, t: int) -> tuple[int, ...]:
+    """The base vertices whose fibres meet the product vertex mask comp, ascending."""
+    return tuple(dict.fromkeys(pv // t for pv in iter_bits(comp)))
+
+
+def _is_forest(n_base: int, comps: list[tuple[int, tuple[int, ...]]]) -> bool:
+    """Whether the incidence of comps, given as (colour, cover) pairs, has no cycle.
+
+    One union-find pass over the covers: a component joins the trees of its
+    cover vertices, and closes a cycle when two of them already share a tree.
+    Every cover is also checked for a base vertex that a component of the
+    same colour already covers, which raises, cycle or not.
+    """
+    root = list(range(n_base))
 
     def find(x: int) -> int:
         while root[x] != x:
@@ -124,15 +128,21 @@ def _is_forest(adj: tuple[tuple[int, ...], ...]) -> bool:
             x = root[x]
         return x
 
-    for x, row in enumerate(adj):
-        for y in set(row):
-            if y < x:
-                continue  # each edge once, from its lower end; a loop y == x closes a cycle
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            root[rx] = ry
-    return True
+    seen: set[tuple[int, int]] = set()
+    forest = True
+    for colour, cover in comps:
+        for v in cover:
+            if (v, colour) in seen:
+                raise TransferInvariantError(
+                    f"base vertex {v} is covered by two components of colour {colour}")
+            seen.add((v, colour))
+        joined = find(cover[0])
+        for v in cover[1:]:
+            r = find(v)
+            if r == joined:
+                forest = False
+            root[r] = joined
+    return forest
 
 
 def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
@@ -293,13 +303,42 @@ def find_small_component(inc: Incidence, ell: int) -> MonoComponent:
     """
     if inc.cycle is not None:
         raise TransferInvariantError("incidence graph still has a cycle")
-    for comp in inc.components:
-        if len(comp.cover) <= ell:
-            return comp
+    return inc.components[_first_small([cc.cover for cc in inc.components], ell)]
+
+
+def _first_small(covers: list[tuple[int, ...]], ell: int) -> int:
+    """Index of the first cover of at most ell base vertices."""
+    for i, cover in enumerate(covers):
+        if len(cover) <= ell:
+            return i
     raise TransferInvariantError(
         f"acyclic incidence but no component covers <= {ell} vertices; "
-        f"covers: {[len(cc.cover) for cc in inc.components]}"
+        f"covers: {[len(cover) for cover in covers]}"
     )
+
+
+def _clear(product: Graph, comps: list[tuple[int, int, tuple[int, ...]]], live: int, dead: int,
+           t: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The components of product[live] once the product vertices in dead have left it.
+
+    comps are the components before, as (colour, vertex mask, cover) by
+    smallest vertex, and so is the result.  A component that misses dead is
+    kept as it is; one that meets it is replaced by the components of its
+    surviving vertices.
+    """
+    kept = []
+    for entry in comps:
+        colour, comp, _ = entry
+        if not comp & dead:
+            kept.append(entry)
+            continue
+        left = region = comp & live
+        while left:
+            piece = component_mask(product.adj, (left & -left).bit_length() - 1, region)
+            left &= ~piece
+            kept.append((colour, piece, _cover(piece, t)))
+    kept.sort(key=lambda entry: entry[1] & -entry[1])
+    return kept
 
 
 @dataclass(frozen=True)
@@ -349,14 +388,19 @@ class DescentResult:
 def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
     """Turn an ell*t-clustered colouring of g * K_t into an ell-clustered one of g.
 
-    Eliminates incidence cycles once, then repeatedly picks a component whose
-    base footprint has at most ell vertices; that footprint takes the
-    component's colour and its fibres leave the mask of live product
-    vertices, whose monochromatic components make the next round's
-    incidence.  Deleting a footprint from an acyclic incidence cannot close a
-    cycle, so later rounds eliminate nothing (``find_small_component`` still
-    checks).  The output colours each vertex from its original fibre palette,
-    uses no new colours, and is verified ell-clustered before returning.
+    Eliminates incidence cycles once, then repeatedly picks the first
+    component, by smallest vertex, whose base footprint has at most ell
+    vertices; that footprint takes the component's colour and its fibres
+    leave the mask of live product vertices.  The components of the live
+    vertices are kept from round to round as (colour, vertex mask, cover):
+    the untouched ones stay whole components with their covers, and only
+    those that met the cleared fibres are split, by ``_clear``, so the list
+    is the one a rebuild on the live mask would give, in the same order.
+    Deleting a footprint cannot close a cycle (see the module docstring), so
+    later rounds eliminate nothing; every round still checks one component
+    per base vertex and colour and an acyclic incidence.  The output colours
+    each vertex from its original fibre palette, uses no new colours, and is
+    verified ell-clustered before returning.
     """
     if t < 1 or ell < 1:
         raise ValueError("t and ell must be positive")
@@ -365,17 +409,23 @@ def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
 
     out: list[int | None] = [None] * g.n
     inc, elims = eliminate_cycles(product, c, t, ell * t)
+    comps = [(cc.colour, sum(1 << pv for pv in cc.vertices), cc.cover) for cc in inc.components]
     live = (1 << product.n) - 1
     fibre = (1 << t) - 1  # the copies of base vertex 0
     rounds = []
     while live:
-        if rounds:
-            inc, elims = _incidence(product, inc.colouring, t, live), ()
-        comp = find_small_component(inc, ell)
-        for v in comp.cover:
-            out[v] = comp.colour
-            live &= ~(fibre << v * t)
-        rounds.append((elims, ComponentPick(comp.colour, comp.cover)))
+        if not _is_forest(g.n, [(colour, cover) for colour, _, cover in comps]):
+            raise TransferInvariantError("incidence graph still has a cycle")
+        colour, _, cover = comps[_first_small([entry[2] for entry in comps], ell)]
+        dead = 0
+        for v in cover:
+            if out[v] is not None:  # every round colours new vertices, so the loop ends
+                raise TransferInvariantError(f"vertex {v} picked twice")
+            out[v] = colour
+            dead |= fibre << v * t
+        live &= ~dead
+        rounds.append((elims, ComponentPick(colour, cover)))
+        comps, elims = _clear(product, comps, live, dead, t), ()
 
     missing = [v for v, col in enumerate(out) if col is None]
     if missing:

@@ -194,6 +194,24 @@ def component_set(g: Graph, seed: int, within: int) -> set[int]:
     return comp
 
 
+def live_components(g: Graph, c: Colouring, t: int,
+                    live: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(colour, vertices, cover) of each monochromatic component of g[live], by smallest vertex.
+
+    Rebuilt from scratch with ``component_set``; covers are base vertices of
+    g = base * K_t.
+    """
+    out = []
+    left = {v for v in range(g.n) if live >> v & 1}
+    while left:
+        v = min(left)
+        same = sum(1 << u for u in left if c.colours[u] == c.colours[v])
+        comp = component_set(g, v, same)
+        left -= comp
+        out.append((c.colours[v], tuple(sorted(comp)), tuple(sorted({u // t for u in comp}))))
+    return out
+
+
 def smallest_cycle(adj) -> tuple[int, ...] | None:
     """Shortest cycle by the full search, canonically rotated, or None if acyclic.
 

@@ -2,8 +2,8 @@
 
 Each command runs through main() with capsys, asserting on the JSON payload
 and the exit code.  Graph resolution shorthands and the failure paths (bad
-input 1, timeout 2, sweep counterexample 1) are covered too, and the bad-flag
-exits of ``scripts/conjecture_sweep.py``.
+input 1, timeout 2, sweep counterexample 1, sweep error 3) are covered too,
+and the bad-flag exits of ``scripts/conjecture_sweep.py``.
 """
 
 import importlib.util
@@ -18,6 +18,24 @@ from boxchrom import cli
 from boxchrom.cli import CliInputError, SweepInvariantError, main, resolve_named
 from boxchrom.colouring import Colouring, check_improper, lift_colouring
 from boxchrom.graphs import complete_graph, cycle_graph, emit_graph6, strong_product
+
+K3 = emit_graph6(complete_graph(3))
+
+
+def _without_millis(payload):
+    return {**payload, "records": [{k: v for k, v in r.items() if k != "millis"}
+                                   for r in payload["records"]]}
+
+
+def _fail_on_k3(monkeypatch):
+    """Make the sweep's clique solve raise on K3, and only there."""
+    real = cli.clique_number
+
+    def failing(g, *args, **kwargs):
+        if emit_graph6(g) == K3:
+            raise RuntimeError("injected failure")
+        return real(g, *args, **kwargs)
+    monkeypatch.setattr(cli, "clique_number", failing)
 
 
 def run_cli(capsys, *argv):
@@ -47,7 +65,7 @@ class TestSpectrum:
     def test_adjacency_groups(self, capsys):
         code, payload = run_cli(capsys, "spectrum", "--named", "petersen")
         assert code == 0
-        assert payload["schema"] == 1 and payload["command"] == "spectrum"
+        assert payload["schema"] == 2 and payload["command"] == "spectrum"
         groups = {round(v): m for v, m in payload["groups"]}
         assert groups == {3: 1, 1: 5, -2: 4}
 
@@ -285,7 +303,7 @@ class TestConjecture:
         assert code == 0
         assert capsys.readouterr().out == ""
         payload = json.loads(out.read_text())
-        assert payload["command"] == "conjecture" and payload["schema"] == 1
+        assert payload["command"] == "conjecture" and payload["schema"] == 2
 
     @pytest.mark.parametrize("command", [["spectrum", "--named", "c5"],
                                          ["conjecture", "--named", "k3", "-d", "1"]])
@@ -334,6 +352,44 @@ class TestConjecture:
         code, payload = run_cli(capsys, "conjecture", "--named", "c5", "--named", "k3", "-d", "1")
         assert code == 1
         assert payload["counterexamples"] == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_raising_instance_is_an_error_record(self, capsys, monkeypatch, jobs):
+        flags = ["conjecture", "--all-connected", "4", "-d", "1,2", "--jobs", jobs]
+        _, clean = run_cli(capsys, *flags)
+        _fail_on_k3(monkeypatch)
+        code, payload = run_cli(capsys, *flags)
+        assert code == 3
+        assert payload["errors"] == 2 and clean["errors"] == 0  # K3 at d = 1 and d = 2
+        assert payload["instances"] == clean["instances"] == 20
+        for rec, ref in zip(_without_millis(payload)["records"], _without_millis(clean)["records"]):
+            if rec["graph6"] != K3:
+                assert rec == ref
+                continue
+            assert rec["status"] == "error" and (rec["n"], rec["d"]) == (ref["n"], ref["d"])
+            assert (rec["error"]["type"], rec["error"]["message"]) == ("RuntimeError",
+                                                                     "injected failure")
+            assert "in failing" in rec["error"]["traceback"]
+            assert rec["chi"] is None and rec["witness"] is None and ref["error"] is None
+
+    def test_pooled_records_equal_the_serial_ones(self, capsys, monkeypatch):
+        chunks = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1, **kwargs):
+                chunks.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        flags = ["conjecture", "--all-connected", "5", "-d", "1,2"]
+        _, serial = run_cli(capsys, *flags, "--jobs", "1")
+        _, pooled = run_cli(capsys, *flags, "--jobs", "2")
+        assert chunks == [7]  # 31 graphs at two d: 62 // (4 chunks * 2 workers)
+        assert _without_millis(pooled) == _without_millis(serial)
+
+    def test_error_exit_sits_between_counterexample_and_timeout(self):
+        assert cli.sweep_exit({"counterexamples": 1, "errors": 1, "timeouts": 1}) == 1
+        assert cli.sweep_exit({"counterexamples": 0, "errors": 1, "timeouts": 1}) == 3
+        assert cli.sweep_exit({"counterexamples": 0, "errors": 0, "timeouts": 1}) == 2
 
     def test_counterexample_outranks_timeout(self):
         assert cli.sweep_exit({"counterexamples": 1, "timeouts": 3}) == 1
@@ -422,6 +478,13 @@ class TestSweepScript:
         assert self.script.main() == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    def test_errors_are_counted(self, capsys, monkeypatch):
+        _fail_on_k3(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--max-n", "3", "-d", "1"])
+        assert self.script.main() == 3
+        out = capsys.readouterr().out
+        assert "errors: 1" in out and f"{K3}  d=1  RuntimeError: injected failure" in out
 
     def test_small_sweep_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--max-n", "3", "-d", "1"])

@@ -6,7 +6,8 @@ inputs, replaying every trace to confirm the recorded rewrites reproduce the
 output exactly.  A few deterministic descents are pinned by the digest of
 their output colouring and trace.  The early-exit cycle search and the
 live-mask round loop are held to their full-search and induced-subgraph
-oracles in ``oracles.py``.
+oracles in ``oracles.py``, and the component list that the rounds keep is
+held to a rebuild from scratch on every round.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from boxchrom.graphs import (
     component_mask,
     complete_graph,
     cycle_graph,
+    iter_bits,
     path_graph,
     petersen_graph,
     strong_product,
@@ -41,7 +43,12 @@ from boxchrom.transfer import (
     replay_trace,
 )
 
-from oracles import descend_by_induced_subgraph, graphs as graph_strategy, smallest_cycle
+from oracles import (
+    descend_by_induced_subgraph,
+    graphs as graph_strategy,
+    live_components,
+    smallest_cycle,
+)
 
 # On C4 x K2, palettes (1,2),(1,2),(3,3),(4,4) chain components 1 and 2
 # through two base vertices each: the incidence contains a 4-cycle.
@@ -109,20 +116,23 @@ class TestIncidence:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_forest_test_matches_full_search(self, data):
-        # a random forest, then a few extra edges and repeated entries
-        n = data.draw(st.integers(1, 10))
-        edges = [(v, data.draw(st.integers(0, v - 1))) for v in range(1, n)
-                 if data.draw(st.booleans())]
-        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-        edges += data.draw(st.lists(pairs, max_size=2))
-        edges += data.draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        # random covers, one colour each, so no base vertex is covered twice
+        n = data.draw(st.integers(1, 8))
+        covers = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=6))
+        comps = [(colour, tuple(sorted(cover))) for colour, cover in enumerate(covers, start=1)]
+        adj = [[] for _ in range(n + len(comps))]
+        for node, (_, cover) in enumerate(comps, start=n):
+            for v in cover:
+                adj[v].append(node)
+                adj[node].append(v)
         adj = tuple(tuple(sorted(row)) for row in adj)
-        # these graphs need not be bipartite or simple, so only None-ness is promised
-        assert _is_forest(adj) == (_smallest_cycle(adj) is None)
+        assert _is_forest(n, comps) == (smallest_cycle(adj) is None)
+
+    def test_forest_test_rejects_a_double_cover(self):
+        # a cycle or not, a second component of colour 1 at vertex 1 raises
+        for second in [(1, (1,)), (1, (1, 2))]:
+            with pytest.raises(TransferInvariantError, match="vertex 1 is covered by two"):
+                _is_forest(3, [(1, (0, 1)), (2, (0, 2)), second])
 
     @given(first_fit_descents())
     @settings(max_examples=200, deadline=None)
@@ -255,6 +265,54 @@ class TestDescend:
         colouring, trace = descend_by_induced_subgraph(g, c, t, ell)
         assert res.colouring == colouring
         assert res.trace.to_json() == trace.to_json()
+
+    @given(first_fit_descents())
+    @settings(max_examples=60, deadline=None)
+    def test_kept_components_match_a_rebuild_every_round(self, descent):
+        g, c, t, ell = descent
+        colouring, calls = [], []
+        real_eliminate, real_clear = transfer.eliminate_cycles, transfer._clear
+
+        def eliminate(*args):
+            inc, steps = real_eliminate(*args)
+            colouring.append(inc.colouring)
+            return inc, steps
+
+        def clear(product, comps, live, dead, t):
+            kept = real_clear(product, comps, live, dead, t)
+            calls.append((product, comps, live | dead, kept, live))
+            return kept
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "eliminate_cycles", eliminate)
+            mp.setattr(transfer, "_clear", clear)
+            res = descend(g, c, t, ell)
+        assert len(calls) == len(res.trace.rounds)
+        for product, before, live_before, after, live in calls:
+            for comps, mask in ((before, live_before), (after, live)):
+                got = [(colour, tuple(iter_bits(comp)), cover) for colour, comp, cover in comps]
+                assert got == live_components(product, colouring[0], t, mask)
+
+    def test_a_later_round_rejects_a_double_cover(self, monkeypatch):
+        # P3 with palettes (1,1),(1,2),(2,2): the split leaves colour 2 on
+        # vertices 4 and 5, one fibre; reported as two pieces they double-cover it
+        g, c = path_graph(3), Colouring((1, 1, 1, 2, 2, 2))
+        assert len(descend(g, c, 2, 2).trace.rounds) == 2
+        monkeypatch.setattr(transfer, "component_mask", lambda adj, seed, within: 1 << seed)
+        with pytest.raises(TransferInvariantError, match="covered by two components of colour 2"):
+            descend(g, c, 2, 2)
+
+    def test_a_later_round_rejects_a_cycle(self, monkeypatch):
+        # P4 with palettes (1,1),(1,2),(2,3),(3,3): colours 1, 2, 3 cover {0,1},
+        # {1,2}, {2,3}.  Picking colour 1 splits colour 2 down to vertex 4; if
+        # that piece wrongly grows by fibre 3 (vertices 6, 7), it covers {2,3}
+        # as colour 3 does, and the two close a 4-cycle
+        g, c = path_graph(4), Colouring((1, 1, 1, 2, 2, 3, 3, 3))
+        assert len(descend(g, c, 2, 2).trace.rounds) == 3
+        monkeypatch.setattr(transfer, "component_mask",
+                            lambda adj, seed, within: component_mask(adj, seed, within) | 0b11 << 6)
+        with pytest.raises(TransferInvariantError, match="still has a cycle"):
+            descend(g, c, 2, 2)
 
     def test_one_product_and_no_induced_subgraph(self, monkeypatch):
         calls = Counter()
