@@ -93,6 +93,10 @@ class Graph:
     name: str | None = field(default=None, compare=False)
     # (base, t) when this graph is strong_product(base, K_t); not part of equality
     _base: tuple[Graph, int] | None = field(default=None, init=False, compare=False, repr=False)
+    # generators of Aut(g) as vertex images, when smallgraphs.canonical_form built
+    # this graph and read them off its labelling search; not part of equality
+    _automorphisms: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -168,13 +172,15 @@ class Graph:
 
 
 def _trusted(adj: Sequence[int], base: tuple[Graph, int] | None = None,
-             name: str | None = None) -> Graph:
+             name: str | None = None,
+             automorphisms: tuple[tuple[int, ...], ...] | None = None) -> Graph:
     """A Graph on rows a construction built symmetric and loop-free, unchecked."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", len(adj))
     object.__setattr__(g, "adj", tuple(adj))
     object.__setattr__(g, "name", name)
     object.__setattr__(g, "_base", base)
+    object.__setattr__(g, "_automorphisms", automorphisms)
     return g
 
 

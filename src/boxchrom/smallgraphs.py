@@ -13,8 +13,9 @@ Every graph has a maximum-degree vertex, and deleting it leaves a graph on
 n-1 vertices, so no graph is missed.  Of those, it canonicalises one attach
 mask per orbit of the parent's automorphism group (the orbit step of McKay's
 canonical augmentation, J. Algorithms 26, 1998).  The generators come from
-the same search: any two least orders π_0, π_i give the automorphism
-π_0[k] -> π_i[k], and every twin pair gives a transposition.  An automorphism
+the search that canonicalised the parent as a child one level down: any two
+least orders π_0, π_i give the automorphism π_0[k] -> π_i[k], and every twin
+pair gives a transposition, so no graph is searched twice.  An automorphism
 of the parent maps one attach mask onto another and extends to an isomorphism
 of the two children, so pruning drops only isomorphic duplicates; a smaller
 generated group would cost speed, never a graph.  Automorphisms preserve
@@ -117,38 +118,30 @@ def _least_orders(g: Graph) -> tuple[list[tuple[int, ...]], list[int]]:
     return frontier, twin
 
 
-def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Automorphisms of g, as vertex images, that generate Aut(g).
+def canonical_form(g: Graph) -> Graph:
+    """Isomorphism-invariant relabelling: equal adj tuples iff isomorphic.
 
-    Two least orders relabel g to the same graph, so π_0[k] -> π_i[k] is an
-    automorphism; so is the transposition of two twins.  They generate the
-    whole group: an automorphism maps π_0 to a least order, and swapping
-    twins position by position turns that order into a frontier order.
+    The result carries generators of its automorphism group, read off the
+    same search.  Two least orders π_0, π_j relabel g to the same graph, so
+    π_0[i] -> π_j[i] is an automorphism of g, which is i -> pos[π_j[i]] in the
+    new labels (pos inverts π_0); so is the transposition of two twins.  They
+    generate the whole group: an automorphism maps π_0 to a least order, and
+    swapping twins position by position turns that order into a frontier
+    order.
     """
     orders, twin = _least_orders(g)
     first = orders[0]
-    gens = []
-    for order in orders[1:]:
-        image = [0] * g.n
-        for u, v in zip(first, order):
-            image[u] = v
-        gens.append(tuple(image))
+    position = [0] * g.n
+    for i, v in enumerate(first):
+        position[v] = i
+    gens = [tuple(position[v] for v in order) for order in orders[1:]]
     for v, cls in enumerate(twin):
         if cls != v:
             image = list(range(g.n))
-            image[v], image[cls] = cls, v
+            image[position[v]], image[position[cls]] = position[cls], position[v]
             gens.append(tuple(image))
-    return gens
-
-
-def canonical_form(g: Graph) -> Graph:
-    """Isomorphism-invariant relabelling: equal adj tuples iff isomorphic."""
-    perm = _least_orders(g)[0][0]
-    position = [0] * g.n
-    for i, v in enumerate(perm):
-        position[v] = i
-    adj = tuple(sum(1 << position[u] for u in iter_bits(g.adj[v])) for v in perm)
-    return _trusted(adj, name=g.name)
+    adj = tuple(sum(1 << position[u] for u in iter_bits(g.adj[v])) for v in first)
+    return _trusted(adj, name=g.name, automorphisms=tuple(gens))
 
 
 def canonical_certificate(g: Graph) -> str:
@@ -165,11 +158,11 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     if n in _ALL_CACHE:
         return _ALL_CACHE[n]
     if n == 1:
-        result: tuple[Graph, ...] = (Graph(1, (0,)),)
+        result: tuple[Graph, ...] = (_trusted((0,), automorphisms=()),)
     else:
         out: dict[tuple[int, ...], Graph] = {}
         for g in all_graphs(n - 1):
-            gens = _automorphism_generators(g)
+            gens = g._automorphisms
             degrees = [row.bit_count() for row in g.adj]
             top = max(degrees)
             top_mask = sum(1 << v for v, deg in enumerate(degrees) if deg == top)

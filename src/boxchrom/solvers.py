@@ -16,6 +16,13 @@ run the kernel ``_search``; the maximal admissible sets of the fractional LP
 grow one class by the same rule.  ``alpha_d`` keeps degree counters for its
 one class and bounds each subtree by the candidates still admissible.
 
+The kernel is one loop over an explicit stack, one slot per coloured vertex,
+so it does not recurse and its speed does not depend on the caller's stack
+depth.  A node is one colour tried for one vertex.  Every timed search, the
+kernel included, polls its deadline every ``_Clock.POLL`` nodes.  ``alpha_d``,
+the clique search and the maximal admissible sets still recurse, one frame
+per branching vertex.
+
 The minimum-colour solves run one colour ladder on G with twin blocks, the
 fold solves on G x K_b with fibre blocks.  It first runs the kernel with n
 colours, a greedy first fit, since the fresh colour is always admissible and
@@ -147,7 +154,9 @@ class SolveResult:
 
 
 class _Clock:
-    """Wall clock with a cooperative deadline, polled every few thousand nodes."""
+    """Wall clock with a cooperative deadline, polled every ``POLL`` nodes."""
+
+    POLL = 2048
 
     def __init__(self, timeout: float | None):
         self.start = time.monotonic()
@@ -156,7 +165,7 @@ class _Clock:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 2048 == 0:
+        if self.deadline is not None and self.nodes % self.POLL == 0:
             if time.monotonic() > self.deadline:
                 raise Timeout
 
@@ -207,7 +216,8 @@ def _admission(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int], bool]:
 
     - d-improper: ``hit = adj[v] & mask`` has at most d vertices, and no x in
       ``hit`` already has d neighbours in the mask;
-    - t-clustered, t >= 3: v's component inside the mask grows one vertex at a
+    - t-clustered, t >= 3: v is refused at once when it has t neighbours in
+      the mask.  Otherwise v's component inside the mask grows one vertex at a
       time, and v is refused once it holds t others.  Every component of the
       class has at most t vertices, so fewer than t * t rows are read.
     """
@@ -228,9 +238,11 @@ def _admission(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int], bool]:
     else:
 
         def admits(v: int, mask: int) -> bool:
+            front = adj[v] & mask
+            if front.bit_count() >= t:
+                return False
             comp = 0
             size = 0
-            front = adj[v] & mask
             while front:
                 low = front & -front
                 comp |= low
@@ -255,6 +267,12 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
     to the lower rank.  Without ``leaf`` the search stops at the first complete
     colouring; with it, each complete colouring is passed to ``leaf`` with its
     number of colours, and the search stops once ``leaf`` returns True.
+
+    One loop walks the tree over an explicit stack, one slot per coloured
+    vertex, so its speed does not depend on the caller's stack depth.  A node
+    is one colour tried for one vertex.  The count is kept locally, written
+    back to ``clock.nodes`` on every exit, and the deadline is polled every
+    ``_Clock.POLL`` nodes, at the same counts as ``_Clock.tick``.
     """
     n = g.n
     adj = g.adj
@@ -262,55 +280,99 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
     masks = [0] * (k + 1)  # masks[c]: the members of class c
     colour = [0] * n
     seen = [0] * (k + 1)  # seen[c]: the vertices next to class c
-    blocks: dict[int, list[int]] = {}
     # key[v] = (distinct colours next to v) * n + n - 1 - rank: max picks the block
     key = [0] * n
+    after = [-1] * n  # after[v]: the next member of v's block, -1 at its end
+    heads = set()
     for i, v in enumerate(order):
         key[v] = n - 1 - i
         if prev[i] < 0:
-            head = v
-            blocks[v] = []
-        blocks[head].append(v)
-    heads = set(blocks)
-    tick = clock.tick
-
-    def place(block: list[int], j: int, max_used: int, done: int, free: int) -> bool:
-        if j == len(block):
-            if done == n:
-                return leaf is None or leaf(max_used)
-            h = max(heads, key=key.__getitem__)
-            heads.remove(h)
-            found = place(blocks[h], 0, max_used, done, free ^ 1 << h)
-            heads.add(h)
-            return found
-        v = block[j]
-        row = adj[v]
-        for c in range(colour[block[j - 1]] + step if j else 1, min(max_used + 1, k) + 1):
-            tick()
-            mask = masks[c]
-            if not admits(v, mask):
+            heads.add(v)
+        else:
+            after[order[prev[i]]] = v
+    # slot s holds the s-th coloured vertex, the colours used before it,
+    # seen[c] before it joined class c, and the heads that saw c for the first
+    # time through it
+    vertex = [0] * n
+    used = [0] * n
+    near = [0] * n
+    fresh = [0] * n
+    nodes = clock.nodes
+    deadline = clock.deadline
+    period = _Clock.POLL
+    poll = -1 if deadline is None else nodes - nodes % period + period
+    monotonic = time.monotonic
+    free = starts = sum(1 << h for h in heads)  # the heads of the blocks not yet begun
+    max_used = 0
+    s = 0
+    v = -1
+    descend = True
+    try:
+        while True:
+            if descend:
+                if s == n:  # complete: the leaf decides, or backtrack from the last slot
+                    if leaf is None or leaf(max_used):
+                        return colour
+                    descend = False
+                    continue
+                w = after[v] if s else -1
+                if w < 0:
+                    w = max(heads, key=key.__getitem__)
+                    heads.remove(w)
+                    free ^= 1 << w
+                    c = 1
+                else:
+                    c = colour[v] + step
+                v = w
+                vertex[s] = v
+                used[s] = max_used
+            else:
+                s -= 1
+                if s < 0:
+                    return None
+                v = vertex[s]
+                c = colour[v]
+                masks[c] ^= 1 << v
+                seen[c] = near[s]
+                rest = fresh[s]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    key[low.bit_length() - 1] -= n
+                max_used = used[s]
+                c += 1
+            for c in range(c, (max_used + 1 if max_used < k else k) + 1):
+                nodes += 1
+                if nodes == poll:
+                    poll += period
+                    if monotonic() > deadline:
+                        raise Timeout
+                mask = masks[c]
+                if admits(v, mask):
+                    break
+            else:  # every colour tried: leave the slot, and reopen the block it began
+                if starts >> v & 1:
+                    heads.add(v)
+                    free |= 1 << v
+                descend = False
                 continue
             masks[c] = mask | 1 << v
             colour[v] = c
-            near = seen[c]
-            fresh = rest = row & free & ~near  # heads that see colour c for the first time
+            row = adj[v]
+            was = seen[c]
+            near[s] = was
+            fresh[s] = rest = row & free & ~was  # heads that see colour c for the first time
             while rest:
                 low = rest & -rest
                 rest ^= low
                 key[low.bit_length() - 1] += n
-            seen[c] = near | row
-            if place(block, j + 1, max(max_used, c), done + 1, free):
-                return True
-            seen[c] = near
-            while fresh:
-                low = fresh & -fresh
-                fresh ^= low
-                key[low.bit_length() - 1] -= n
-            masks[c] = mask
-        return False
-
-    # the empty block is complete at once, so the first call picks the first block
-    return colour if place([], 0, 0, 0, sum(1 << h for h in heads)) else None
+            seen[c] = was | row
+            if c > max_used:
+                max_used = c
+            s += 1
+            descend = True
+    finally:
+        clock.nodes = nodes
 
 
 def _lower_bound(g: Graph, mode: Mode, b: int) -> tuple[int, str]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -21,6 +22,7 @@ from boxchrom.graphs import (
     strong_product,
 )
 from boxchrom.smallgraphs import canonical_certificate, random_connected_graph, random_graph
+from boxchrom.solvers import _Clock, _admission
 from boxchrom.transfer import (
     ComponentPick,
     TransferTrace,
@@ -302,6 +304,71 @@ def admissible(g: Graph, members: int, mode: Mode) -> bool:
             return False
         left &= ~comp
     return True
+
+
+def recursive_search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int],
+                     clock: _Clock, leaf: Callable[[int], bool] | None = None,
+                     step: int = 0) -> list[int] | None:
+    """The colouring kernel in recursive form, one frame per coloured vertex.
+
+    Arguments and result are those of ``solvers._search``, which must walk the
+    same tree: the same colours, node count and leaf calls.
+    """
+    n = g.n
+    adj = g.adj
+    admits = _admission(adj, mode)
+    masks = [0] * (k + 1)  # masks[c]: the members of class c
+    colour = [0] * n
+    seen = [0] * (k + 1)  # seen[c]: the vertices next to class c
+    blocks: dict[int, list[int]] = {}
+    # key[v] = (distinct colours next to v) * n + n - 1 - rank: max picks the block
+    key = [0] * n
+    for i, v in enumerate(order):
+        key[v] = n - 1 - i
+        if prev[i] < 0:
+            head = v
+            blocks[v] = []
+        blocks[head].append(v)
+    heads = set(blocks)
+    tick = clock.tick
+
+    def place(block: list[int], j: int, max_used: int, done: int, free: int) -> bool:
+        if j == len(block):
+            if done == n:
+                return leaf is None or leaf(max_used)
+            h = max(heads, key=key.__getitem__)
+            heads.remove(h)
+            found = place(blocks[h], 0, max_used, done, free ^ 1 << h)
+            heads.add(h)
+            return found
+        v = block[j]
+        row = adj[v]
+        for c in range(colour[block[j - 1]] + step if j else 1, min(max_used + 1, k) + 1):
+            tick()
+            mask = masks[c]
+            if not admits(v, mask):
+                continue
+            masks[c] = mask | 1 << v
+            colour[v] = c
+            near = seen[c]
+            fresh = rest = row & free & ~near  # heads that see colour c for the first time
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                key[low.bit_length() - 1] += n
+            seen[c] = near | row
+            if place(block, j + 1, max(max_used, c), done + 1, free):
+                return True
+            seen[c] = near
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                key[low.bit_length() - 1] -= n
+            masks[c] = mask
+        return False
+
+    # the empty block is complete at once, so the first call picks the first block
+    return colour if place([], 0, 0, 0, sum(1 << h for h in heads)) else None
 
 
 def brute_bfold(g: Graph, b: int, mode: Mode) -> int:

@@ -29,7 +29,6 @@ from boxchrom.graphs import (
     strong_product,
 )
 from boxchrom.smallgraphs import (
-    _automorphism_generators,
     _refinement_classes,
     all_graphs,
     canonical_certificate,
@@ -150,18 +149,34 @@ class TestGeneration:
         all_graphs(7)
         assert len(calls) == 1639
 
+    def test_one_canonical_search_per_canonical_form(self, monkeypatch):
+        # a parent's generators come from the search that canonicalised it as a
+        # child, so no graph is searched again when it becomes a parent
+        searches, forms = [], []
+        least_orders, canonical = smallgraphs._least_orders, smallgraphs.canonical_form
+        monkeypatch.setattr(smallgraphs, "_ALL_CACHE", {})
+        monkeypatch.setattr(smallgraphs, "_least_orders",
+                            lambda g: searches.append(g) or least_orders(g))
+        monkeypatch.setattr(smallgraphs, "canonical_form", lambda g: forms.append(g) or canonical(g))
+        for n in range(1, 7):
+            all_graphs(n)
+            assert len(searches) == len(forms)
+        assert len(forms) == 238
+
     @given(st.one_of(graphs(min_n=1, max_n=8), twin_graphs()))
     @settings(max_examples=60, deadline=None)
     def test_generators_are_automorphisms(self, g):
-        edges = set(g.edges())
-        for image in _automorphism_generators(g):
+        cf = canonical_form(g)
+        edges = set(cf.edges())
+        for image in cf._automorphisms:
             assert sorted(image) == list(range(g.n))
             assert {tuple(sorted((image[u], image[v]))) for u, v in edges} == edges
 
     @given(st.one_of(graphs(min_n=1, max_n=6), twin_graphs()))
     @settings(max_examples=40, deadline=None)
     def test_generators_generate_the_automorphism_group(self, g):
-        gens = _automorphism_generators(g)
+        g = canonical_form(g)
+        gens = g._automorphisms
         group = {tuple(range(g.n))}
         stack = list(group)
         while stack:

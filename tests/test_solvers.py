@@ -33,10 +33,12 @@ from boxchrom.graphs import (
 from boxchrom.smallgraphs import random_connected_graph, random_graph
 from boxchrom.solvers import (
     SolverCapError,
+    Timeout,
     _admission,
     _branch_order,
     _Clock,
     _finished_clique,
+    _lower_bound,
     _maximal_admissible_sets,
     _search,
     alpha_d,
@@ -55,6 +57,7 @@ from oracles import (
     brute_clique,
     graphs,
     maximal_admissible_sets,
+    recursive_search,
     twin_graphs,
 )
 
@@ -264,6 +267,78 @@ class TestTwinPruning:
         assert improper.value == 5 and improper.lower_bound_source == "search"
         assert clustered.value == 5 and clustered.lower_bound_source == "search"
         assert improper.nodes == clustered.nodes == 2_848
+
+
+KERNEL_MODES = [Mode.improper(0), Mode.improper(1), Mode.improper(2),
+                Mode.clustered(2), Mode.clustered(3), Mode.clustered(4)]
+
+
+@st.composite
+def kernel_layouts(draw):
+    """(graph, order, prev, step) as the three callers lay out the kernel's blocks.
+
+    Twin blocks from ``_branch_order`` (the minimum-colour solves), singleton
+    blocks in index order (the uniqueness count in ``hoffman``), and the fibres
+    of G x K_b under a strict floor (``chromatic_bfold``).
+    """
+    layout = draw(st.sampled_from(["twin", "singleton", "fibre"]))
+    if layout == "fibre":
+        base, b = draw(graphs(max_n=4)), draw(st.integers(1, 3))
+        order = [v * b + i for v in _branch_order(base)[0] for i in range(b)]
+        prev = [i - 1 if i % b else -1 for i in range(base.n * b)]
+        return strong_product(base, complete_graph(b)), order, prev, 1
+    g = draw(SEARCH_INPUTS)
+    if layout == "singleton":
+        return g, list(range(g.n)), [-1] * g.n, 0
+    return g, *_branch_order(g), 0
+
+
+class TestExplicitStackKernel:
+    """The loop kernel walks the recursive reference's tree node for node."""
+
+    @given(kernel_layouts(), st.sampled_from(KERNEL_MODES), st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_follows_the_recursive_reference(self, layout, mode, stop):
+        g, order, prev, step = layout
+        for k in range(1, g.n + 1):
+            runs = []
+            for search in (_search, recursive_search):
+                calls = []
+
+                def leaf(used, calls=calls):
+                    calls.append(used)
+                    return len(calls) == stop
+
+                clock = _Clock(None)
+                raw = search(g, k, mode, order, prev, clock, None if stop is None else leaf, step)
+                runs.append((None if raw is None else list(raw), clock.nodes, calls))
+            assert runs[0] == runs[1]
+
+    def test_timeout_at_the_first_poll(self):
+        # refuting k = 4 takes far more than one poll period; the deadline of
+        # _Clock(0.0) has passed by the first poll, as under _Clock.tick
+        g = random_graph(30, 0.5, 0)
+        mode = Mode.clustered(3)
+        order, prev = _branch_order(g)
+        for search in (_search, recursive_search):
+            clock = _Clock(0.0)
+            with pytest.raises(Timeout):
+                search(g, 4, mode, order, prev, clock)
+            assert clock.nodes == _Clock.POLL == 2048
+
+    def test_ladder_timeout_keeps_the_first_fit(self):
+        g = random_graph(30, 0.5, 0)
+        mode = Mode.clustered(3)
+        order, prev = _branch_order(g)
+        first = _Clock(None)
+        raw = _search(g, g.n, mode, order, prev, first)
+        res = chromatic_clustered(g, 3, timeout=0.0)
+        assert res.status == "timeout" and res.value is None
+        assert res.witness == Colouring(tuple(raw))
+        assert check_clustered(g, res.witness, 3) is None
+        assert (res.lower_bound, res.lower_bound_source) == _lower_bound(g, mode, 1)
+        assert res.upper_bound == max(raw) > res.lower_bound
+        assert res.nodes == (first.nodes // _Clock.POLL + 1) * _Clock.POLL
 
 
 def mycielskian(g):
