@@ -118,6 +118,17 @@ def parse_colours(text: str, expected: int) -> Colouring:
         raise CliInputError(str(e)) from e
 
 
+def _check_timeout(seconds: float) -> None:
+    """Refuse a timeout that is not finite and positive.
+
+    A NaN deadline never fires, since no clock reading is greater than NaN,
+    so NaN would mean no limit, as infinity does; a run without a limit
+    leaves the flag out.
+    """
+    if not 0 < seconds < math.inf:
+        raise ValueError(f"timeout must be finite and positive, got {seconds}")
+
+
 def _solve_exit(result: SolveResult) -> int:
     return 2 if result.status == "timeout" else 0
 
@@ -275,8 +286,7 @@ class SweepSpec:
     def __post_init__(self):
         if not self.ds or any(d < 1 for d in self.ds):
             raise ValueError("d values must be positive")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError("timeout must be finite and positive")
+        _check_timeout(self.timeout)
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
         # checked before any worker starts: one over-cap product would lose the sweep
@@ -568,6 +578,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
+        if getattr(args, "timeout", None) is not None:  # every subcommand that has --timeout
+            try:
+                _check_timeout(args.timeout)
+            except ValueError as e:
+                raise CliInputError(f"--{e}") from e
         payload, code = args.func(args)
     except CliInputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -28,14 +28,25 @@ colour sit in one component.  In the incidence, a split replaces one
 component node by several, each taking some of its edges, and deletes the
 edges to dead vertices; a forest stays a forest under both, so a split
 cannot close a cycle.
+
+Cycle elimination does not rebuild the incidence either.  A surgery moves
+colour copies only between the colours of the components on its cycle: each
+base vertex on the cycle gives copies of one of them and receives copies of
+the one before it.  So the class of every other colour keeps every vertex,
+and its components, which depend only on the class and the product, are
+unchanged.  ``eliminate_cycles`` keeps the list of components, re-splits only
+the classes of the cycle's colours after each surgery, and builds the next
+incidence from that list, which is the list a rebuild from scratch would give.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .colouring import Colouring, _component_masks, check_clustered, colour_multiset
+from .colouring import Colouring, _class_masks, _component_masks, check_clustered, colour_multiset
 from .graphs import Graph, complete_graph, component_mask, iter_bits, strong_product
 
 __all__ = [
@@ -59,13 +70,17 @@ class TransferInvariantError(RuntimeError):
     """An internal invariant of the descent pipeline failed."""
 
 
-@dataclass(frozen=True)
-class MonoComponent:
+class MonoComponent(NamedTuple):
     """One monochromatic component of the product, with its base footprint."""
 
     colour: int
-    vertices: tuple[int, ...]  # product vertices
-    cover: tuple[int, ...]  # base vertices touched
+    mask: int  # product vertices, as a bit mask
+    cover: tuple[int, ...]  # base vertices touched, ascending
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """The product vertices, ascending."""
+        return tuple(iter_bits(self.mask))
 
 
 @dataclass(frozen=True)
@@ -93,23 +108,45 @@ def build_incidence(product: Graph, c: Colouring, t: int) -> Incidence:
         raise ValueError(f"product order {product.n} is not a multiple of t={t}")
     if c.n != product.n:
         raise ValueError(f"colouring has {c.n} entries, product needs {product.n}")
-    n = product.n // t
-    comps = [MonoComponent(colour, tuple(iter_bits(comp)), _cover(comp, t))
+    comps = [MonoComponent(colour, comp, _cover(comp, t))
              for colour, comp in _component_masks(product, c)]
-    forest = _is_forest(n, [(comp.colour, comp.cover) for comp in comps])
-    adj: list[list[int]] = [[] for _ in range(n + len(comps))]
-    for node, comp in enumerate(comps, start=n):
+    return _incidence(product.n // t, comps, c)
+
+
+def _incidence(n_base: int, comps: list[MonoComponent], c: Colouring) -> Incidence:
+    """The incidence of comps, the components of c by smallest vertex, on n_base vertices.
+
+    Each row of adj comes out ascending: a base vertex meets the component
+    nodes in the order they are numbered, and covers are ascending.
+    """
+    forest = _is_forest(n_base, [(comp.colour, comp.cover) for comp in comps])
+    adj: list[list[int] | tuple[int, ...]] = [[] for _ in range(n_base)]
+    for node, comp in enumerate(comps, start=n_base):
         for v in comp.cover:
             adj[v].append(node)
-            adj[node].append(v)
-    sorted_adj = tuple(tuple(sorted(a)) for a in adj)
-    cycle = None if forest else _smallest_cycle(sorted_adj)
-    return Incidence(n, tuple(comps), sorted_adj, c, cycle)
+        adj.append(comp.cover)
+    rows = tuple(map(tuple, adj))
+    cycle = None if forest else _smallest_cycle(rows)
+    return Incidence(n_base, tuple(comps), rows, c, cycle)
 
 
 def _cover(comp: int, t: int) -> tuple[int, ...]:
     """The base vertices whose fibres meet the product vertex mask comp, ascending."""
     return tuple(dict.fromkeys(pv // t for pv in iter_bits(comp)))
+
+
+def _split(product: Graph, colour: int, members: int, t: int) -> Iterator[MonoComponent]:
+    """The components of product[members], all of one colour, by smallest vertex."""
+    left = members
+    while left:
+        comp = component_mask(product.adj, (left & -left).bit_length() - 1, left)
+        left &= ~comp
+        yield MonoComponent(colour, comp, _cover(comp, t))
+
+
+def _smallest_vertex(comp: MonoComponent) -> int:
+    """Sort key putting components, which are disjoint, in order of smallest vertex."""
+    return comp.mask & -comp.mask
 
 
 def _is_forest(n_base: int, comps: list[tuple[int, tuple[int, ...]]]) -> bool:
@@ -145,25 +182,64 @@ def _is_forest(n_base: int, comps: list[tuple[int, tuple[int, ...]]]) -> bool:
     return forest
 
 
-def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
-    """Vertices of a shortest cycle, canonically rotated, or None if acyclic.
+def _girth(adj: tuple[tuple[int, ...], ...], least: int = 3) -> int | None:
+    """Length of a shortest cycle of the simple graph adj, or None if it has none.
 
-    BFS from every vertex in turn; each non-tree edge closes a candidate cycle
-    through the endpoints' lowest common tree ancestor, and the first strictly
-    shorter candidate is kept.  adj must be bipartite and simple, as every
-    incidence is (``build_incidence`` rejects a second cover of a vertex and
-    colour), so no cycle is shorter than 4 and the search returns at its first
-    4-cycle, the one the full search would keep.  On other graphs only whether
-    the result is None is promised.
+    A BFS from every vertex (Itai and Rodeh, SIAM J. Comput. 7(4), 1978): a
+    non-tree edge x-y closes a walk of length depth[x] + depth[y] + 1 through
+    the root, which holds a cycle no longer than that, and the BFS from a
+    vertex of a shortest cycle closes that cycle with exactly its length.  The
+    edges at x close at least 2 * depth[x], because a visited neighbour is at
+    most one level above x, so a BFS stops at its first vertex with
+    2 * depth >= best.  The scan stops at a cycle of length least, the
+    shortest adj can have: 3 in general, 4 if adj is bipartite.
     """
     nv = len(adj)
-    best: tuple[int, ...] | None = None
+    best = nv + 1  # longer than any cycle
     for root in range(nv):
         depth = [-1] * nv
         parent = [-1] * nv
         depth[root] = 0
         order = [root]
         for x in order:  # order grows while it is read: a BFS queue
+            dx = depth[x]
+            if 2 * dx >= best:
+                break
+            for y in adj[x]:
+                if depth[y] < 0:
+                    depth[y] = dx + 1
+                    parent[y] = x
+                    order.append(y)
+                elif y != parent[x] and dx + depth[y] + 1 < best:
+                    best = dx + depth[y] + 1
+        if best <= least:
+            break
+    return best if best <= nv else None
+
+
+def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
+    """Vertices of a shortest cycle, canonically rotated, or None if acyclic.
+
+    The girth L comes first, from ``_girth``.  Then a BFS from every vertex
+    in turn, in ascending order: each non-tree edge, scanned in BFS order and
+    ascending adjacency, closes a candidate cycle through the endpoints' lowest
+    common tree ancestor, and the first candidate of length L is returned.
+    Every candidate is a cycle, so none is shorter than L, and this is the
+    candidate a search through every root would keep as the first of least
+    length.  adj must be bipartite and simple, as every incidence is
+    (``build_incidence`` rejects a second cover of a vertex and colour), so
+    the girth search stops at its first 4-cycle.
+    """
+    length = _girth(adj, 4)
+    if length is None:
+        return None
+    nv = len(adj)
+    for root in range(nv):
+        depth = [-1] * nv
+        parent = [-1] * nv
+        depth[root] = 0
+        order = [root]
+        for x in order:  # a BFS queue, as in _girth
             for y in adj[x]:
                 if depth[y] < 0:
                     depth[y] = depth[x] + 1
@@ -181,11 +257,9 @@ def _smallest_cycle(adj: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
                     else:
                         py.append(parent[py[-1]])
                 cycle = px[:-1] + py[::-1]  # x .. lca .. y, plus closing edge y-x
-                if best is None or len(cycle) < len(best):
-                    best = _canonical_rotation(cycle)
-                    if len(best) == 4:
-                        return best
-    return best
+                if len(cycle) == length:
+                    return _canonical_rotation(cycle)
+    raise TransferInvariantError(f"no candidate cycle has the girth {length}")
 
 
 def _canonical_rotation(cycle: list[int]) -> tuple[int, ...]:
@@ -225,12 +299,19 @@ def eliminate_cycles(product: Graph, c: Colouring, t: int,
     ever shrinks fibre palettes; the total palette size strictly drops, which
     bounds the number of rounds.  Returns the acyclic incidence it stopped
     at, whose ``colouring`` is the rewritten c.
+
+    The components are kept from step to step as a list by smallest vertex.
+    A surgery changes only the classes of its cycle's colours (see the module
+    docstring), so only those are split again before the next incidence is
+    built from the list.
     """
     bad = check_clustered(product, c, cluster_cap)
     if bad:
         raise ValueError(f"input colouring is not {cluster_cap}-clustered on the product: {bad}")
     inc = build_incidence(product, c, t)
     n = inc.n_base
+    comps = list(inc.components)
+    classes = _class_masks(c)
     steps: list[EliminationStep] = []
     potential = float("inf")  # total fibre palette size: every step must lower it
     for _ in range(product.n + 1):
@@ -274,7 +355,15 @@ def eliminate_cycles(product: Graph, c: Colouring, t: int,
         nxt = Colouring(tuple(colours))
         _check_step_invariants(product, cur, nxt, cluster_cap, t, n, base, pivot, a)
         steps.append(EliminationStep(tuple(base), tuple(a), s, pivot, tuple(ops)))
-        inc = build_incidence(product, nxt, t)
+        for op in ops:
+            classes[op.old] &= ~(1 << op.product_vertex)
+            classes[op.new] |= 1 << op.product_vertex
+        touched = set(a)
+        comps = [comp for comp in comps if comp.colour not in touched]
+        for colour in touched:
+            comps += _split(product, colour, classes[colour], t)
+        comps.sort(key=_smallest_vertex)
+        inc = _incidence(n, comps, nxt)
     raise TransferInvariantError("cycle elimination exceeded its iteration bound")
 
 
@@ -317,12 +406,12 @@ def _first_small(covers: list[tuple[int, ...]], ell: int) -> int:
     )
 
 
-def _clear(product: Graph, comps: list[tuple[int, int, tuple[int, ...]]], live: int, dead: int,
-           t: int) -> list[tuple[int, int, tuple[int, ...]]]:
+def _clear(product: Graph, comps: list[MonoComponent], live: int, dead: int,
+           t: int) -> list[MonoComponent]:
     """The components of product[live] once the product vertices in dead have left it.
 
-    comps are the components before, as (colour, vertex mask, cover) by
-    smallest vertex, and so is the result.  A component that misses dead is
+    comps are the components before, by smallest vertex, and so is the
+    result.  A component that misses dead is
     kept as it is; one that meets it is replaced by the components of its
     surviving vertices.
     """
@@ -332,12 +421,8 @@ def _clear(product: Graph, comps: list[tuple[int, int, tuple[int, ...]]], live: 
         if not comp & dead:
             kept.append(entry)
             continue
-        left = region = comp & live
-        while left:
-            piece = component_mask(product.adj, (left & -left).bit_length() - 1, region)
-            left &= ~piece
-            kept.append((colour, piece, _cover(piece, t)))
-    kept.sort(key=lambda entry: entry[1] & -entry[1])
+        kept += _split(product, colour, comp & live, t)
+    kept.sort(key=_smallest_vertex)
     return kept
 
 
@@ -409,7 +494,7 @@ def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
 
     out: list[int | None] = [None] * g.n
     inc, elims = eliminate_cycles(product, c, t, ell * t)
-    comps = [(cc.colour, sum(1 << pv for pv in cc.vertices), cc.cover) for cc in inc.components]
+    comps = list(inc.components)
     live = (1 << product.n) - 1
     fibre = (1 << t) - 1  # the copies of base vertex 0
     rounds = []

@@ -214,6 +214,27 @@ def live_components(g: Graph, c: Colouring, t: int,
     return out
 
 
+def brute_girth(g: Graph) -> int | None:
+    """Length of a shortest cycle of g, or None if acyclic.
+
+    Walks every simple path that starts at its least vertex and closes every
+    one that can return to the start; no BFS and no depth cut.
+    """
+    best = None
+
+    def walk(path: list[int]) -> None:
+        nonlocal best
+        for u in g.neighbours(path[-1]):
+            if u == path[0] and len(path) >= 3:
+                best = len(path) if best is None else min(best, len(path))
+            elif u > path[0] and u not in path:
+                walk(path + [u])
+
+    for start in range(g.n):
+        walk([start])
+    return best
+
+
 def smallest_cycle(adj) -> tuple[int, ...] | None:
     """Shortest cycle by the full search, canonically rotated, or None if acyclic.
 

@@ -202,6 +202,31 @@ def test_negative_d_is_an_input_error(capsys, command):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+SOLVING_COMMANDS = {
+    "exact": ["exact", "--named", "c5", "--mode", "proper"],
+    "diagnose": ["diagnose", "--named", "c5"],
+    "transfer": ["transfer", "--named", "c5", "-t", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOLVING_COMMANDS))
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+def test_timeout_must_be_finite_and_positive(capsys, command, timeout):
+    # a NaN deadline never fires, so it would mean no limit; conjecture's rule holds everywhere
+    assert main([*SOLVING_COMMANDS[command], "--timeout", timeout]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --timeout") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(SOLVING_COMMANDS))
+def test_a_valid_timeout_still_solves(capsys, command):
+    code, timed = run_cli(capsys, *SOLVING_COMMANDS[command], "--timeout", "30")
+    untimed = run_cli(capsys, *SOLVING_COMMANDS[command])[1]
+    assert code == 0
+    assert {**timed, "millis": None} == {**untimed, "millis": None}
+    assert 3 in (timed.get("value"), timed.get("exact_value"), timed.get("product_value"))
+
+
 class TestDiagnose:
     def test_solves_when_colours_omitted(self, capsys):
         code, payload = run_cli(capsys, "diagnose", "--named", "k4", "-d", "0")

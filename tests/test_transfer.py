@@ -4,10 +4,11 @@ A hand-built cyclic instance exercises one surgery step in detail; the rest
 drives solver witnesses through the full descent on exhaustive and random
 inputs, replaying every trace to confirm the recorded rewrites reproduce the
 output exactly.  A few deterministic descents are pinned by the digest of
-their output colouring and trace.  The early-exit cycle search and the
-live-mask round loop are held to their full-search and induced-subgraph
-oracles in ``oracles.py``, and the component list that the rounds keep is
-held to a rebuild from scratch on every round.
+their output colouring and trace.  The girth, the girth-first cycle search
+and the live-mask round loop are held to their brute-force, full-search and
+induced-subgraph oracles in ``oracles.py``, and the component lists that
+cycle elimination and the rounds keep are held to a rebuild from scratch
+after every surgery and on every round.
 """
 
 import dataclasses
@@ -20,8 +21,15 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from boxchrom import graphs, transfer
-from boxchrom.colouring import Colouring, check_clustered, colour_multiset, lift_colouring
+from boxchrom.colouring import (
+    Colouring,
+    _component_masks,
+    check_clustered,
+    colour_multiset,
+    lift_colouring,
+)
 from boxchrom.graphs import (
+    Graph,
     component_mask,
     complete_graph,
     cycle_graph,
@@ -34,6 +42,7 @@ from boxchrom.smallgraphs import connected_graphs, random_connected_graph
 from boxchrom.solvers import chromatic_clustered, chromatic_improper
 from boxchrom.transfer import (
     TransferInvariantError,
+    _girth,
     _is_forest,
     _smallest_cycle,
     build_incidence,
@@ -44,6 +53,7 @@ from boxchrom.transfer import (
 )
 
 from oracles import (
+    brute_girth,
     descend_by_induced_subgraph,
     graphs as graph_strategy,
     live_components,
@@ -86,9 +96,37 @@ def first_fit_descents(draw):
     return g, _first_fit(_product(g, t), ell * t, order), t, ell
 
 
+@st.composite
+def sparse_graphs(draw):
+    """A random tree on 3..10 vertices plus up to three chords, relabelled.
+
+    Girths run from 3 to 10, odd and even, where the dense random graphs
+    mostly have triangles.
+    """
+    n = draw(st.integers(3, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.add((u, v))
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def _incidence_of(descent):
     g, c, t, _ = descent
     return build_incidence(_product(g, t), c, t)
+
+
+def _edge_incidence(g):
+    """g's vertex/edge incidence: bipartite and simple, and every cycle of g doubled."""
+    edges = g.edges()
+    adj = [[] for _ in range(g.n + len(edges))]
+    for node, (u, v) in enumerate(edges, start=g.n):
+        adj[u].append(node)
+        adj[v].append(node)
+        adj[node] += [u, v]
+    return tuple(tuple(sorted(row)) for row in adj)
 
 
 class TestIncidence:
@@ -145,17 +183,20 @@ class TestIncidence:
     def test_cycle_matches_full_search_without_4_cycles(self, g):
         # g's vertex-edge incidence is bipartite and simple with no 4-cycle, so
         # the search runs to its end and the tie-break between longer cycles shows
-        edges = g.edges()
-        adj = [[] for _ in range(g.n + len(edges))]
-        for node, (u, v) in enumerate(edges, start=g.n):
-            adj[u].append(node)
-            adj[v].append(node)
-            adj[node] += [u, v]
-        adj = tuple(tuple(sorted(row)) for row in adj)
+        adj = _edge_incidence(g)
         assert _smallest_cycle(adj) == smallest_cycle(adj)
 
+    @given(st.one_of(graph_strategy(min_n=1, max_n=8), sparse_graphs()))
+    @settings(max_examples=300, deadline=None)
+    def test_girth_is_the_brute_force_girth(self, g):
+        # general graphs have odd girths, so the depth cut is tested off the
+        # bipartite case; the doubled incidence tests the stop at 4
+        girth = brute_girth(g)
+        assert _girth(tuple(g.neighbours(v) for v in range(g.n))) == girth
+        assert _girth(_edge_incidence(g), 4) == (girth and 2 * girth)
+
     def test_first_fit_draws_long_cycles(self):
-        # the early exit at 4 leaves longer cycles to the full enumeration
+        # girths above 4 run the girth search past its stop at 4
         inc = _incidence_of(find(first_fit_descents(),
                                  lambda d: len(_incidence_of(d).cycle or ()) > 4))
         assert len(inc.cycle) > 4 and inc.cycle == smallest_cycle(inc.adj)
@@ -186,6 +227,47 @@ class TestEliminateCycles:
         inc, steps = eliminate_cycles(_product(cycle_graph(5), 2), lifted, 2, cluster_cap=2)
         assert steps == ()
         assert inc.colouring.colours == lifted.colours
+
+    @staticmethod
+    def _kept_lists(product, c, t, cap):
+        """Each component list an incidence is built from, with its colouring, and the steps."""
+        built, real = [], transfer._incidence
+
+        def incidence(n_base, comps, colouring):
+            built.append((list(comps), colouring))
+            return real(n_base, comps, colouring)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "_incidence", incidence)
+            inc, steps = eliminate_cycles(product, c, t, cap)
+        assert len(built) == len(steps) + 1 and built[-1][1] == inc.colouring
+        return built, steps
+
+    @staticmethod
+    def _rebuilt(product, colouring, t):
+        return [(colour, mask, tuple(sorted({pv // t for pv in iter_bits(mask)})))
+                for colour, mask in _component_masks(product, colouring)]
+
+    @given(first_fit_descents())
+    @settings(max_examples=100, deadline=None)
+    def test_kept_components_match_a_rebuild_after_every_surgery(self, descent):
+        g, c, t, ell = descent
+        product = _product(g, t)
+        for comps, colouring in self._kept_lists(product, c, t, ell * t)[0]:
+            assert [tuple(comp) for comp in comps] == self._rebuilt(product, colouring, t)
+
+    @pytest.mark.parametrize("g, t, ell, stride, surgeries", [
+        (petersen_graph(), 3, 2, 7, 5),
+        (random_connected_graph(8, 0.3, 0), 3, 2, 7, 7),
+        (cycle_graph(7), 3, 1, 5, 2),
+    ], ids=["petersen", "random8", "c7"])
+    def test_kept_components_on_the_pinned_descents(self, g, t, ell, stride, surgeries):
+        product = _product(g, t)
+        c = _first_fit_clustered(product, ell * t, stride)
+        built, steps = self._kept_lists(product, c, t, ell * t)
+        assert len(steps) == surgeries
+        for comps, colouring in built:
+            assert [tuple(comp) for comp in comps] == self._rebuilt(product, colouring, t)
 
     def test_rejects_overfull_clusters(self):
         # all-ones on C4 x K2 is one component of 8 > cap
