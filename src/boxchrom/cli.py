@@ -179,10 +179,11 @@ def cmd_exact(args: argparse.Namespace) -> tuple[dict, int]:
         raise CliInputError("-b must be positive")
     if b != 1 and args.mode not in ("proper", "improper", "clustered"):
         raise CliInputError(f"--mode {args.mode} has no b-fold version; -b must be 1")
-    ignored = {"proper": "dt", "clique": "dt", "improper": "t", "alpha": "t", "clustered": "d"}
-    for flag in ignored.get(args.mode, ""):
-        if getattr(args, flag) is not None:
-            raise CliInputError(f"--mode {args.mode} takes no -{flag}")
+    ignored = {"proper": ("-d", "-t"), "clique": ("-d", "-t"), "improper": ("-t",), "alpha": ("-t",),
+               "clustered": ("-d",), "fractional": ("--timeout",)}
+    for flag in ignored[args.mode]:
+        if getattr(args, flag.lstrip("-")) is not None:
+            raise CliInputError(f"--mode {args.mode} takes no {flag}")
     if args.mode == "fractional" and args.d is not None and args.t is not None:
         raise CliInputError("--mode fractional takes -d or -t, not both")
     try:

@@ -12,16 +12,12 @@ between questions.  A graph has maximum degree at most 1 iff every component
 has at most 2 vertices, so 2-clustered colouring is decided by the 1-improper
 rule, and proper and 1-clustered colouring by the 0-improper one.  The
 minimum-colour solves, the fold solves and the uniqueness count in ``hoffman``
-run the kernel ``_search``; the maximal admissible sets of the fractional LP
-grow one class by the same rule.  ``alpha_d`` keeps degree counters for its
-one class and bounds each subtree by the candidates still admissible.
-
-The kernel is one loop over an explicit stack, one slot per coloured vertex,
-so it does not recurse and its speed does not depend on the caller's stack
-depth.  A node is one colour tried for one vertex.  Every timed search, the
-kernel included, polls its deadline every ``_Clock.POLL`` nodes.  ``alpha_d``,
-the clique search and the maximal admissible sets still recurse, one frame
-per branching vertex.
+run the kernel ``_search``.  ``alpha_d``, ``clique_number`` (omega(G) is
+alpha_0 of the complement) and the maximal admissible sets of the fractional
+LP run ``_admissible_walk``, which grows one class by the same rule.  Both
+are one loop over an explicit stack, so neither recurses and their speed does
+not depend on the caller's stack depth.  Every timed search polls its
+deadline every ``_Clock.POLL`` nodes.
 
 The minimum-colour solves run one colour ladder on G with twin blocks, the
 fold solves on G x K_b with fibre blocks.  It first runs the kernel with n
@@ -163,12 +159,6 @@ class _Clock:
         self.deadline = None if timeout is None else self.start + timeout
         self.nodes = 0
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % self.POLL == 0:
-            if time.monotonic() > self.deadline:
-                raise Timeout
-
     def millis(self) -> float:
         return (time.monotonic() - self.start) * 1e3
 
@@ -272,7 +262,7 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
     vertex, so its speed does not depend on the caller's stack depth.  A node
     is one colour tried for one vertex.  The count is kept locally, written
     back to ``clock.nodes`` on every exit, and the deadline is polled every
-    ``_Clock.POLL`` nodes, at the same counts as ``_Clock.tick``.
+    ``_Clock.POLL`` nodes.
     """
     n = g.n
     adj = g.adj
@@ -501,53 +491,82 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *,
     return _ladder(strong_product(g, complete_graph(b)), mode, order, prev, 1, lb, src, read, clock)
 
 
-# -- independence-style and clique solvers ----------------------------------
+# -- the admissible-set walk: alpha_d, clique_number, maximal sets -----------
 
 
-def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
-    """Largest vertex set whose induced subgraph has maximum degree <= d.
+def _admissible_walk(adj: tuple[int, ...], mode: Mode, clock: _Clock,
+                     leaf: Callable[[int, int], int]) -> None:
+    """Branch and bound over the admissible classes of one colour, as bitmasks.
 
-    Branches on the live candidates in index order, taking each first.  A
-    candidate stays live while it has at most d chosen neighbours and no
-    chosen neighbour that already has d; both only grow as vertices are
-    chosen, so a vertex that leaves the live mask never returns in that
-    subtree, and ``count + popcount(live)`` bounds every set below a node.
+    A node is (chosen, count, live): the class, its size, and the undecided
+    vertices that ``_admission(adj, mode)`` still admits to it.  It takes the
+    lowest live vertex u and pushes the branch that skips u.  Admission is
+    hereditary, so ``live`` only shrinks; after u joins, only live vertices
+    next to comp, u's component in the class, are asked again, as the rule
+    reads the class only through v's neighbours there and theirs (improper)
+    or the component v would join (clustered).  A node is pruned when
+    ``count + popcount(live) <= floor``; the floor starts at -1, and a leaf
+    (``live == 0``) sets it to ``leaf(chosen, count)``.  Nodes (vertices
+    taken) are counted locally, written back to ``clock.nodes`` on every
+    exit, and the deadline is polled every ``_Clock.POLL`` nodes.
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    _require_cap(g)
+    admits = _admission(adj, mode)
+    floor = -1
+    stack = [(0, 0, (1 << len(adj)) - 1)]
+    nodes = clock.nodes
+    poll = -1 if clock.deadline is None else nodes - nodes % _Clock.POLL + _Clock.POLL
+    try:
+        while stack:
+            chosen, count, live = stack.pop()
+            while live and count + live.bit_count() > floor:
+                nodes += 1
+                if nodes == poll:
+                    poll += _Clock.POLL
+                    if time.monotonic() > clock.deadline:
+                        raise Timeout
+                low = live & -live
+                live ^= low
+                stack.append((chosen, count, live))
+                chosen |= low
+                count += 1
+                near = adj[low.bit_length() - 1]  # grows to the vertices next to comp
+                comp = low
+                front = near & chosen
+                while front:
+                    bit = front & -front
+                    comp |= bit
+                    near |= adj[bit.bit_length() - 1]
+                    front = near & chosen & ~comp
+                ask = live & near
+                while ask:
+                    bit = ask & -ask
+                    ask ^= bit
+                    if not admits(bit.bit_length() - 1, chosen):
+                        live ^= bit
+            if not live and count > floor:
+                floor = leaf(chosen, count)
+    finally:
+        clock.nodes = nodes
+
+
+def _largest(adj: tuple[int, ...], d: int, timeout: float | None) -> SolveResult:
+    """A largest d-improper set of the graph with rows ``adj``, by the walk.
+
+    Each leaf raises the floor to its size, so the last leaf is a largest
+    set, and on a timeout the largest found so far; either is re-checked.
+    """
     clock = _Clock(timeout)
-    n = g.n
-    adj = g.adj
     best = [0, 0]  # size, mask
 
-    def grow(chosen: int, count: int, live: int, dead: int, ge: tuple[int, ...]) -> None:
-        # ge[j]: the vertices with at least j chosen neighbours (ge[0] = all);
-        # dead: the neighbours of chosen vertices in ge[d]
-        if count + live.bit_count() <= best[0]:
-            return
-        if not live:
-            best[0], best[1] = count, chosen
-            return
-        clock.tick()
-        low = live & -live
-        live ^= low
-        row = adj[low.bit_length() - 1]
-        more = (-1,) + tuple(ge[j] | ge[j - 1] & row for j in range(1, d + 2))
-        grown = dead
-        gained = (chosen | low) & more[d] & ~(chosen & ge[d])
-        while gained:
-            bit = gained & -gained
-            gained ^= bit
-            grown |= adj[bit.bit_length() - 1]
-        grow(chosen | low, count + 1, live & ~(grown | more[d + 1]), grown, more)
-        grow(chosen, count, live, dead, ge)
+    def leaf(chosen: int, count: int) -> int:
+        best[0], best[1] = count, chosen
+        return count
 
     try:
-        grow(0, 0, (1 << n) - 1, 0, (-1,) + (0,) * (d + 1))
+        _admissible_walk(adj, Mode.improper(d), clock, leaf)
         value = ub = best[0]
     except Timeout:
-        value, ub = None, n
+        value, ub = None, len(adj)
     wit = tuple(iter_bits(best[1]))
     for v in wit:
         if (adj[v] & best[1]).bit_count() > d:
@@ -556,62 +575,44 @@ def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
                        "timeout" if value is None else "optimal", best[0], "search", ub)
 
 
-def _clique_search(base: Graph, clock: _Clock, best: list[int]) -> None:
-    """Branch and bound over candidate masks; best = [size, mask] holds the incumbent."""
-    adj = base.adj
-
-    def expand(cand: int, chosen: int, count: int) -> None:
-        while cand:
-            if count + cand.bit_count() <= best[0]:
-                return
-            clock.tick()
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            expand(cand & adj[v], chosen | low, count + 1)
-        if count > best[0]:
-            best[0], best[1] = count, chosen
-
-    expand((1 << base.n) - 1 if base.n else 0, 0, 0)
+def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
+    """Largest vertex set whose induced subgraph has maximum degree <= d."""
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    _require_cap(g)
+    return _largest(g.adj, d, timeout)
 
 
 @lru_cache(maxsize=4096)
-def _finished_clique(base: Graph) -> tuple[int, int, int]:
-    """Size, mask and node count of an untimed, hence finished, search on base."""
-    clock, best = _Clock(None), [0, 0]
-    _clique_search(base, clock, best)
-    return best[0], best[1], clock.nodes
+def _finished_clique(rows: tuple[int, ...]) -> SolveResult:
+    """The untimed, hence finished, search on the complement with these rows."""
+    return _largest(rows, 0, None)
 
 
 def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
-    """Largest clique, by branch and bound over candidate masks.
+    """Largest clique, as omega(G) = alpha_0 of the complement of G.
 
     On g = base * K_t a clique of base blows up to one of t times its size,
     and a clique of g projects onto one of base, so omega(g) = t * omega(base):
     the search runs on base, and the fibres of its clique are the witness.
-    An untimed search always finishes, so its result, node count included,
-    is memoised per base graph; a timed one runs afresh and is never stored.
-    The witness is checked against g on every call.
+    An untimed search always finishes, so its result, node count included, is
+    memoised per base graph; a timed one runs afresh.  The witness is checked
+    against g on every call.
     """
     _require_cap(g)
     clock = _Clock(timeout)
     base, t = g._base or (g, 1)
-    best = [0, 0]
-    try:
-        if timeout is None:
-            best[0], best[1], clock.nodes = _finished_clique(base)
-        else:
-            _clique_search(base, clock, best)
-        value = ub = best[0] * t
-    except Timeout:
-        value, ub = None, g.n
-    wit = tuple(u * t + i for u in iter_bits(best[1]) for i in range(t))
+    full = (1 << base.n) - 1
+    rows = tuple(full & ~(row | 1 << v) for v, row in enumerate(base.adj))  # base's complement
+    res = _finished_clique(rows) if timeout is None else _largest(rows, 0, timeout)
+    value = None if res.value is None else res.value * t
+    wit = tuple(u * t + i for u in res.witness for i in range(t))
     mask = sum(1 << v for v in wit)
     for v in wit:
         if (g.adj[v] | 1 << v) & mask != mask:
             raise WitnessError(f"clique witness vertex {v} misses a witness neighbour")
-    return SolveResult(value, wit, clock.nodes, clock.millis(),
-                       "timeout" if value is None else "optimal", len(wit), "search", ub)
+    return SolveResult(value, wit, res.nodes, clock.millis(), res.status, len(wit), "search",
+                       g.n if value is None else value)
 
 
 # -- fractional chromatic number --------------------------------------------
@@ -620,24 +621,20 @@ def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
 def _maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
     """All inclusion-maximal admissible vertex sets, ascending as bitmasks.
 
-    Admissible sets are closed under subsets, so every one is reached by
-    joining its vertices to one class in increasing order, and a set is
-    maximal when the class refuses every vertex outside it.
+    The admissible-set walk with the floor held at -1, so nothing is pruned.
+    A maximal set is reached by taking its vertices and skipping the rest, and
+    there it is a leaf, since a vertex it admitted would still be live.  A
+    leaf is kept when the class refuses every vertex outside it.
     """
-    n = g.n
     admits = _admission(g.adj, mode)
     out = []
 
-    def grow(v: int, members: int) -> None:
-        if v == n:
-            if not any(admits(u, members) for u in range(n) if not members >> u & 1):
-                out.append(members)
-            return
-        if admits(v, members):
-            grow(v + 1, members | 1 << v)
-        grow(v + 1, members)
+    def leaf(chosen: int, count: int) -> int:
+        if not any(admits(u, chosen) for u in range(g.n) if not chosen >> u & 1):
+            out.append(chosen)
+        return -1
 
-    grow(0, 0)
+    _admissible_walk(g.adj, mode, _Clock(None), leaf)
     return sorted(out)
 
 

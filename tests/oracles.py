@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Callable
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -22,7 +23,7 @@ from boxchrom.graphs import (
     strong_product,
 )
 from boxchrom.smallgraphs import canonical_certificate, random_connected_graph, random_graph
-from boxchrom.solvers import _Clock, _admission
+from boxchrom.solvers import Timeout, _Clock, _admission
 from boxchrom.transfer import (
     ComponentPick,
     TransferTrace,
@@ -327,6 +328,72 @@ def admissible(g: Graph, members: int, mode: Mode) -> bool:
     return True
 
 
+def node_tick(clock: _Clock) -> None:
+    """Count one node of a reference search; poll the deadline every ``_Clock.POLL`` nodes."""
+    clock.nodes += 1
+    if clock.deadline is not None and clock.nodes % clock.POLL == 0 \
+            and time.monotonic() > clock.deadline:
+        raise Timeout
+
+
+def recursive_alpha(g: Graph, d: int, clock: _Clock, best: list[int]) -> None:
+    """The recursive alpha_d search; best = [size, mask] holds the incumbent.
+
+    Branches on the live candidates in index order, taking each first.  A
+    candidate stays live while it has at most d chosen neighbours and no
+    chosen neighbour that already has d, kept as degree counters: ``ge[j]``
+    holds the vertices with at least j chosen neighbours and ``dead`` the
+    neighbours of chosen vertices in ``ge[d]``.  ``solvers.alpha_d`` must walk
+    the same tree: the same value, witness and node count.
+    """
+    adj = g.adj
+
+    def grow(chosen: int, count: int, live: int, dead: int, ge: tuple[int, ...]) -> None:
+        if count + live.bit_count() <= best[0]:
+            return
+        if not live:
+            best[0], best[1] = count, chosen
+            return
+        node_tick(clock)
+        low = live & -live
+        live ^= low
+        row = adj[low.bit_length() - 1]
+        more = (-1,) + tuple(ge[j] | ge[j - 1] & row for j in range(1, d + 2))
+        grown = dead
+        gained = (chosen | low) & more[d] & ~(chosen & ge[d])
+        while gained:
+            bit = gained & -gained
+            gained ^= bit
+            grown |= adj[bit.bit_length() - 1]
+        grow(chosen | low, count + 1, live & ~(grown | more[d + 1]), grown, more)
+        grow(chosen, count, live, dead, ge)
+
+    grow(0, 0, (1 << g.n) - 1, 0, (-1,) + (0,) * (d + 1))
+
+
+def recursive_clique(g: Graph, clock: _Clock, best: list[int]) -> None:
+    """The recursive clique search over candidate masks; best = [size, mask] holds the incumbent.
+
+    ``solvers.clique_number`` on a graph that is not a product must walk the
+    same tree: the same value, witness and node count.
+    """
+    adj = g.adj
+
+    def expand(cand: int, chosen: int, count: int) -> None:
+        while cand:
+            if count + cand.bit_count() <= best[0]:
+                return
+            node_tick(clock)
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            expand(cand & adj[v], chosen | low, count + 1)
+        if count > best[0]:
+            best[0], best[1] = count, chosen
+
+    expand((1 << g.n) - 1 if g.n else 0, 0, 0)
+
+
 def recursive_search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int],
                      clock: _Clock, leaf: Callable[[int], bool] | None = None,
                      step: int = 0) -> list[int] | None:
@@ -351,7 +418,7 @@ def recursive_search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[
             blocks[v] = []
         blocks[head].append(v)
     heads = set(blocks)
-    tick = clock.tick
+    tick = partial(node_tick, clock)
 
     def place(block: list[int], j: int, max_used: int, done: int, free: int) -> bool:
         if j == len(block):

@@ -161,6 +161,7 @@ class TestExact:
         ("alpha", ["-d", "1", "-t", "2"], "-t"),
         ("clustered", ["-d", "1", "-t", "2"], "-d"),
         ("fractional", ["-d", "1", "-t", "2"], "-d or -t"),
+        ("fractional", ["--timeout", "1e-9"], "--timeout"),
     ])
     def test_rejects_flags_the_mode_ignores(self, capsys, mode, flags, named):
         code = main(["exact", "--named", "petersen", "--mode", mode, *flags])

@@ -6,8 +6,9 @@ assert node, and on any ``raise AssertionError``: a failed check raises an
 error named after what went wrong.
 
 It also holds the package to one popcount idiom, ``int.bit_count``, and
-fails on ``bin(x).count("1")``, on unused imports, and on module-level
-private names that nothing else in the package reads.
+fails on ``bin(x).count("1")``, on unused imports, on module-level private
+names that nothing else in the package reads, and on a function in
+``solvers`` that calls itself.
 """
 
 import ast
@@ -109,4 +110,17 @@ def test_package_has_no_dead_private_names():
                                  if other != name or j != i))
             found += [f"{name}:{node.lineno} {x}" for x in sorted(defined)
                       if x.startswith("_") and not x.startswith("__") and x not in read]
+    assert found == []
+
+
+def test_solvers_do_not_recurse():
+    # every search keeps its branches on an explicit stack, so its speed does
+    # not depend on the caller's stack depth: no function of solvers, nested
+    # ones included, calls itself by name
+    path = PACKAGE / "solvers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"solvers.py:{node.lineno} {node.name}" for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                     and sub.func.id == node.name for sub in ast.walk(node))]
     assert found == []

@@ -6,7 +6,9 @@ structural identities between the invariants, and the failure paths (caps,
 timeouts, bad witnesses).
 """
 
+import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +26,7 @@ from boxchrom.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    iter_bits,
     lexicographic_product,
     matching_graph,
     path_graph,
@@ -57,6 +60,8 @@ from oracles import (
     brute_clique,
     graphs,
     maximal_admissible_sets,
+    recursive_alpha,
+    recursive_clique,
     recursive_search,
     twin_graphs,
 )
@@ -455,6 +460,54 @@ class TestAlphaAndClique:
         assert all(sum(1 for u in g.neighbours(v) if u in chosen) <= 1 for v in chosen)
 
 
+class TestAdmissibleWalk:
+    """alpha_d and clique_number walk the recursive references' trees node for node."""
+
+    @given(graphs(max_n=10), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_alpha_follows_the_recursive_reference(self, g, d):
+        res = alpha_d(g, d)
+        clock, best = _Clock(None), [0, 0]
+        recursive_alpha(g, d, clock, best)
+        assert (res.value, res.witness, res.nodes) == (best[0], tuple(iter_bits(best[1])), clock.nodes)
+
+    @given(graphs(max_n=10))
+    @settings(max_examples=100, deadline=None)
+    def test_clique_follows_the_recursive_reference(self, g):
+        clock, best = _Clock(None), [0, 0]
+        recursive_clique(g, clock, best)
+        ref = (best[0], tuple(iter_bits(best[1])), clock.nodes)
+        # the memoised search and a timed one, which runs afresh
+        for res in (clique_number(g), clique_number(g, timeout=3600.0)):
+            assert (res.value, res.witness, res.nodes) == ref
+
+    def test_timeout_at_the_first_poll(self):
+        # both searches need far more than 2,048 nodes: 37,777 and 5,740
+        g, base = random_graph(40, 0.25, 1), complement(matching_graph(10))
+        for res, reference in ((alpha_d(g, 1, timeout=0.0), partial(recursive_alpha, g, 1)),
+                               (clique_number(base, timeout=0.0), partial(recursive_clique, base))):
+            clock, best = _Clock(0.0), [0, 0]
+            with pytest.raises(Timeout):
+                reference(clock, best)
+            assert res.status == "timeout"
+            assert res.nodes == clock.nodes == _Clock.POLL == 2048
+            assert res.witness == tuple(iter_bits(best[1])) and res.lower_bound == best[0] > 0
+
+    def test_runs_near_the_recursion_limit(self):
+        # the walk keeps its branches on a list, so it needs a few frames
+        # whatever the depth of its tree
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 20)
+        try:
+            res = alpha_d(random_graph(40, 0.25, 1), 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.value, res.nodes) == (16, 37_777)
+
+
 class TestBFold:
     @given(graphs(max_n=5), st.integers(1, 3), st.sampled_from(ALL_MODES))
     @settings(max_examples=60, deadline=None)
@@ -555,6 +608,15 @@ class TestMaximalAdmissibleSets:
     @settings(max_examples=80, deadline=None)
     def test_matches_full_scan(self, g, mode):
         assert _maximal_admissible_sets(g, mode) == maximal_admissible_sets(g, mode)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_matches_full_scan_on_every_labelled_graph_on_five_vertices(self, mode):
+        # the walk takes vertices in label order; e.g. the star centred at 0
+        # at t = 3 needs a vertex next to u's component, not to u, re-asked
+        pairs = list(combinations(range(5), 2))
+        for edges in range(1 << len(pairs)):
+            g = Graph.from_edges(5, [p for i, p in enumerate(pairs) if edges >> i & 1])
+            assert _maximal_admissible_sets(g, mode) == maximal_admissible_sets(g, mode)
 
 
 def lp_cover_value(g, sets):
