@@ -1,9 +1,9 @@
 """Spectral and combinatorial lower bounds for improper chromatic numbers.
 
 Every bound here is a genuine lower bound on chi^d (and hence on the
-(d+1)-clustered chromatic number).  Integer ceilings are taken with a small
-safety margin so floating point noise can never push a bound above the true
-value.
+(d+1)-clustered chromatic number).  Integer ceilings are taken with the
+margin ``spectra.SNAP_TOL`` so floating point noise can never push a bound
+above the true value.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectra import MatrixKind, Spectrum, eigensolve, graph_matrix, spectrum
+from .spectra import (ROUNDOFF, SNAP_TOL, STRICT_MARGIN, MatrixKind, Spectrum, eigensolve,
+                      graph_matrix, spectrum)
 
 __all__ = [
     "BoundReport",
@@ -30,20 +31,16 @@ __all__ = [
     "wocjan_elphick",
 ]
 
-STRICT_MARGIN = 1e-9
-CEIL_EPS = 1e-6
-
-
 def ceil_lower(x: float) -> int:
     """Integer ceiling that errs downward under floating point noise."""
-    return math.ceil(x - CEIL_EPS)
+    return math.ceil(x - SNAP_TOL)
 
 
 class WeightedCompatibleMatrix:
     """Symmetric matrix supported on the edges of a graph with entries in [-1, 1].
 
     The diagonal may carry weights of absolute value at most 1 as well; all
-    other off-edge entries must vanish.
+    other off-edge entries must vanish.  Every entry must be finite.
     """
 
     def __init__(self, graph: Graph, matrix: np.ndarray):
@@ -51,9 +48,11 @@ class WeightedCompatibleMatrix:
         n = graph.n
         if w.shape != (n, n):
             raise ValueError(f"matrix shape {w.shape} does not match n={n}")
-        if float(np.abs(w - w.T).max(initial=0.0)) > 1e-12:
+        if not np.isfinite(w).all():
+            raise ValueError("weight entries must be finite")
+        if not float(np.abs(w - w.T).max(initial=0.0)) <= ROUNDOFF:
             raise ValueError("weight matrix must be symmetric")
-        if float(np.abs(w).max(initial=0.0)) > 1.0 + 1e-12:
+        if not float(np.abs(w).max(initial=0.0)) <= 1.0 + ROUNDOFF:
             raise ValueError("weight entries must lie in [-1, 1]")
         for u in range(n):
             for v in range(u + 1, n):

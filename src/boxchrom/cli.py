@@ -31,7 +31,7 @@ from .graphs import (
     parse_graph6,
     strong_product,
 )
-from .hoffman import TIGHT_TOL, diagnose_hoffman
+from .hoffman import diagnose_hoffman
 from .smallgraphs import GENERATION_CAP, connected_graphs
 from .solvers import (
     DEFAULT_CAP,
@@ -43,7 +43,7 @@ from .solvers import (
     clique_number,
     fractional_chromatic,
 )
-from .spectra import MatrixKind, spectrum
+from .spectra import SNAP_TOL, MatrixKind, spectrum
 from .transfer import descend
 
 __all__ = [
@@ -379,7 +379,7 @@ def _sweep_instance(task: tuple[Graph, int, float]) -> ConjectureRecord:
     if omega == base.value:
         annotations.append("proven:perfect-case")
     if g.edge_count:
-        if abs(hoffman_bilu(g, 0) - base.value) <= TIGHT_TOL:
+        if abs(hoffman_bilu(g, 0) - base.value) <= SNAP_TOL:
             annotations.append("proven:hoffman-tight")
 
     witness = None

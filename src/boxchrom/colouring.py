@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, component_mask, iter_bits
+from .graphs import Graph, _components, iter_bits
 
 __all__ = [
     "BFoldColouring",
@@ -171,14 +171,11 @@ def mono_components(g: Graph, c: Colouring) -> list[tuple[int, tuple[int, ...]]]
 
 
 def _component_masks(g: Graph, c: Colouring) -> Iterator[tuple[int, int]]:
-    """(colour, mask) of each monochromatic component, by smallest vertex."""
+    """(colour, mask) of each component of the monochromatic edges, by smallest vertex."""
     masks = _class_masks(c)
-    left = (1 << g.n) - 1
-    while left:
-        v = (left & -left).bit_length() - 1
-        comp = component_mask(g.adj, v, masks[c.colours[v]] & left)
-        left &= ~comp
-        yield c.colours[v], comp
+    mono = [row & masks[colour] for row, colour in zip(g.adj, c.colours)]
+    for comp in _components(mono, (1 << g.n) - 1):
+        yield c.colours[(comp & -comp).bit_length() - 1], comp
 
 
 def check_clustered(g: Graph, c: Colouring, t: int) -> Violation | None:
@@ -237,12 +234,9 @@ def _check_class(g: Graph, members: int, colour: int, mode: Mode) -> Violation |
                 return Violation(IMPROPER_DEGREE_EXCEEDED, (v,), colour, d)
         return None
     t = mode.param
-    left = members
-    while left:
-        comp = component_mask(g.adj, (left & -left).bit_length() - 1, members)
+    for comp in _components(g.adj, members):
         if comp.bit_count() > t:
             return Violation(CLUSTER_TOO_LARGE, tuple(iter_bits(comp)), colour, t)
-        left &= ~comp
     return None
 
 

@@ -63,6 +63,14 @@ def component_mask(adj: Sequence[int], seed: int, within: int) -> int:
     return comp
 
 
+def _components(adj: Sequence[int], within: int) -> Iterator[int]:
+    """Masks of the components of the subgraph induced on ``within``, by smallest vertex."""
+    while within:
+        comp = component_mask(adj, (within & -within).bit_length() - 1, within)
+        within &= ~comp
+        yield comp
+
+
 def _twin_classes(g: Graph) -> list[int]:
     """Per vertex, the least vertex of its twin class.
 

@@ -23,7 +23,7 @@ from .bounds import hoffman_bilu
 from .colouring import Colouring, Mode, check_improper, lift_colouring
 from .graphs import Graph, complete_graph, strong_product
 from .solvers import _Clock, _search
-from .spectra import graph_matrix, perron_vector, spectrum
+from .spectra import QUOTIENT_TOL, SNAP_TOL, graph_matrix, perron_vector, spectrum
 
 __all__ = [
     "HoffmanDiagnosis",
@@ -36,10 +36,6 @@ __all__ = [
     "quotient_matrix",
     "weighted_class_degrees",
 ]
-
-TIGHT_TOL = 1e-6
-QUOTIENT_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -117,9 +113,9 @@ def weighted_class_degrees(g: Graph, partition: Partition) -> np.ndarray:
     return _class_sums(g, partition, w) / w[:, None]
 
 
-def is_weight_regular(g: Graph, partition: Partition, tol: float = TIGHT_TOL) -> bool:
+def is_weight_regular(g: Graph, partition: Partition) -> bool:
     """True when Perron-weighted class degrees are constant on each part."""
-    return _constant_on_parts(weighted_class_degrees(g, partition), partition, tol)
+    return _constant_on_parts(weighted_class_degrees(g, partition), partition, SNAP_TOL)
 
 
 def _quotient(g: Graph, partition: Partition, weighted: np.ndarray) -> np.ndarray:
@@ -133,7 +129,7 @@ def _quotient(g: Graph, partition: Partition, weighted: np.ndarray) -> np.ndarra
     c = fold @ (w2[:, None] * weighted) / (fold @ w2)[:, None]
     lam1 = spectrum(g).largest
     rows = c.sum(axis=1)
-    if float(np.abs(rows - lam1).max(initial=0.0)) > QUOTIENT_TOL * (1.0 + abs(lam1)):
+    if not float(np.abs(rows - lam1).max(initial=0.0)) <= QUOTIENT_TOL * (1.0 + abs(lam1)):
         raise ArithmeticError("quotient row sums drift from the Perron eigenvalue")
     return c
 
@@ -253,7 +249,7 @@ def diagnose_hoffman(
     equitable = cross_ok = None
     if len(set(g.degree_sequence())) == 1:
         equitable = _constant_on_parts(table, partition)
-        cross_ok = bool((np.abs(table[~own] - (d - lam_n)) <= TIGHT_TOL).all())
+        cross_ok = bool((np.abs(table[~own] - (d - lam_n)) <= SNAP_TOL).all())
 
     unique = mult_exact = None
     if check_uniqueness:
@@ -269,12 +265,12 @@ def diagnose_hoffman(
         d=d,
         num_classes=m,
         bound=bound,
-        is_tight=abs(m - bound) <= TIGHT_TOL,
+        is_tight=abs(m - bound) <= SNAP_TOL,
         smallest_eigenvalue=lam_n,
         smallest_multiplicity=mult,
         multiplicity_sufficient=mult >= m - 1,
         classes_d_regular=d_regular,
-        weight_regular=_constant_on_parts(weighted, partition, TIGHT_TOL),
+        weight_regular=_constant_on_parts(weighted, partition, SNAP_TOL),
         equitable=equitable,
         cross_degrees_match=cross_ok,
         unique_colouring=unique,

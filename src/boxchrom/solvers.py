@@ -74,6 +74,7 @@ from functools import lru_cache
 from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
 from .graphs import Graph, _twin_classes, complete_graph, iter_bits, strong_product
+from .spectra import SNAP_TOL, STRICT_MARGIN
 
 __all__ = [
     "SearchInvariantError",
@@ -655,7 +656,7 @@ def _simplex_packing(incidence: list[int], n: int) -> tuple[float, list[float], 
         tab[i, -1] = 1.0
     tab[m, :n] = -1.0
     basis = [n + i for i in range(m)]
-    eps = 1e-9
+    eps = STRICT_MARGIN
     pivots = 0
     while True:
         enter = -1
@@ -701,17 +702,17 @@ def fractional_chromatic(g: Graph, mode: Mode = Mode.proper()) -> SolveResult:
     t0 = time.monotonic()
     sets = _maximal_admissible_sets(g, mode)
     value, duals, pivots = _simplex_packing(sets, g.n)
-    witness = tuple((tuple(iter_bits(s)), w) for s, w in zip(sets, duals) if w > 1e-9)
+    witness = tuple((tuple(iter_bits(s)), w) for s, w in zip(sets, duals) if w > STRICT_MARGIN)
     # certify the dual cover before reporting it
     for v in range(g.n):
         total = sum(w for s, w in zip(sets, duals) if s >> v & 1)
-        if total < 1.0 - 1e-6:
+        if not total >= 1.0 - SNAP_TOL:
             raise ArithmeticError(f"fractional cover misses vertex {v}")
-    if abs(sum(duals) - value) > 1e-6:
+    if not abs(sum(duals) - value) <= SNAP_TOL:
         raise ArithmeticError("duality gap in fractional solve")
     exact = Fraction(value).limit_denominator(g.n)
     out: int | float | Fraction
-    if abs(float(exact) - value) <= 1e-6:
+    if abs(float(exact) - value) <= SNAP_TOL:
         out = int(exact) if exact.denominator == 1 else exact
     else:
         out = value

@@ -1,14 +1,14 @@
-"""Eigenvalues of graph matrices via LAPACK (numpy.linalg.eigh).
+"""Eigenvalues of graph matrices via LAPACK (numpy.linalg.eigh), and the tolerance table.
 
-Every decomposition is checked before use: symmetric input, the residual
-||MV - VW|| and orthonormality of V.  Spectra are returned in descending
-order.  Near-equal eigenvalues are grouped with a fixed tolerance so
-multiplicity queries behave sensibly on the noisy output of floating point
-diagonalisation.
+Every decomposition is checked before use: finite symmetric input, the
+residual ||MV - VW|| and orthonormality of V.  Spectra are returned in
+descending order, near-equal eigenvalues grouped within ``MULT_TOL``.  Every
+float tolerance of the package is named once, in the table below.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -22,14 +22,19 @@ __all__ = [
     "Spectrum",
     "eigensolve",
     "graph_matrix",
-    "multiplicity",
     "perron_vector",
     "product_spectrum_identity_check",
     "spectrum",
 ]
 
-MULT_TOL = 1e-7
-RESIDUAL_TOL = 1e-9
+# Each check is written so that NaN fails it (``not err <= tol``).
+ROUNDOFF = 1e-12  # float noise on exact input: symmetry, [-1, 1] range, descending order
+RESIDUAL_TOL = 1e-9  # eigendecomposition residual (times 1 + max|m|) and orthonormality
+STRICT_MARGIN = 1e-9  # a margin a value must clear to count as strictly past a threshold
+TRACE_TOL = 1e-8  # spectrum sum against the matrix trace, per vertex
+MULT_TOL = 1e-7  # eigenvalues this close are one eigenvalue for multiplicity and groups
+QUOTIENT_TOL = 1e-7  # quotient row sums against the Perron eigenvalue (times 1 + |lam1|)
+SNAP_TOL = 1e-6  # a computed value this close to an exact one is that value
 
 
 class MatrixKind(Enum):
@@ -53,14 +58,13 @@ def graph_matrix(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> np.ndarra
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in descending order with a grouping tolerance."""
+    """Eigenvalues in descending order, grouped within ``MULT_TOL``."""
 
     values: tuple[float, ...]
-    tol: float = MULT_TOL
 
     def __post_init__(self) -> None:
         for a, b in zip(self.values, self.values[1:]):
-            if a < b - 1e-12:
+            if not a >= b - ROUNDOFF:
                 raise ValueError("spectrum values must be descending")
 
     def __len__(self) -> int:
@@ -75,14 +79,14 @@ class Spectrum:
         return self.values[-1]
 
     def multiplicity(self, value: float) -> int:
-        return sum(1 for x in self.values if abs(x - value) <= self.tol)
+        return sum(1 for x in self.values if abs(x - value) <= MULT_TOL)
 
     def groups(self) -> list[tuple[float, int]]:
         """Cluster near-equal values; each group is (mean value, count)."""
         out: list[tuple[float, int]] = []
         run: list[float] = []
         for x in self.values:
-            if run and run[-1] - x > self.tol:
+            if run and run[-1] - x > MULT_TOL:
                 out.append((sum(run) / len(run), len(run)))
                 run = []
             run.append(x)
@@ -91,16 +95,12 @@ class Spectrum:
         return out
 
 
-def multiplicity(s: Spectrum, value: float) -> int:
-    return s.multiplicity(value)
-
-
 def eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """Full symmetric eigendecomposition m = V diag(w) V^T.
 
     Eigenvalues come back descending, eigenvector k in column k of V.  The
     residual and orthonormality of the factorisation are verified before
-    returning; an asymmetric input is rejected.
+    returning; a non-finite or asymmetric input is rejected.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -108,15 +108,17 @@ def eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     if m.shape[0] == 0:
         raise ValueError("matrix must be non-empty")
     scale = 1.0 + float(np.abs(m).max())
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+    if not math.isfinite(scale):
+        raise ValueError("matrix has a non-finite entry")
+    if not float(np.abs(m - m.T).max()) <= ROUNDOFF * scale:
         raise ValueError("matrix is not symmetric")
     w, v = np.linalg.eigh(m)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    if float(np.abs(m @ v - v * w).max()) > RESIDUAL_TOL * scale:
+    if not float(np.abs(m @ v - v * w).max()) <= RESIDUAL_TOL * scale:
         raise ArithmeticError("eigendecomposition residual too large")
-    if float(np.abs(v.T @ v - np.eye(m.shape[0])).max()) > RESIDUAL_TOL:
+    if not float(np.abs(v.T @ v - np.eye(m.shape[0])).max()) <= RESIDUAL_TOL:
         raise ArithmeticError("eigenvectors are not orthonormal")
     return Spectrum(tuple(float(x) for x in w)), v
 
@@ -146,18 +148,23 @@ def _product_spectrum(base: Graph, t: int, kind: MatrixKind) -> Spectrum:
 
 
 @lru_cache(maxsize=4096)
-def _spectrum_cached(g: Graph, kind: MatrixKind, base: tuple[Graph, int] | None) -> Spectrum:
-    # base (g._base) keys the cache too: a product and an equal graph without
-    # provenance never answer for each other, so the latter stays an oracle
-    s = eigensolve(graph_matrix(g, kind))[0] if base is None else _product_spectrum(*base, kind)
-    n = g.n
-    tot = sum(s.values)
-    if kind is MatrixKind.ADJACENCY and abs(tot) > 1e-8 * max(n, 1):
-        raise ArithmeticError("adjacency spectrum does not sum to zero")
-    if kind in (MatrixKind.LAPLACIAN, MatrixKind.SIGNLESS_LAPLACIAN):
-        if abs(tot - 2 * g.edge_count) > 1e-8 * max(n, 1):
-            raise ArithmeticError("Laplacian-type trace mismatch")
-    return s
+def _spectrum_cached(g: Graph, kind: MatrixKind,
+                     base: tuple[Graph, int] | None) -> tuple[Spectrum, np.ndarray | None]:
+    # the checked spectrum and, for a plain adjacency matrix, the read-only leading
+    # eigenvector of the same eigensolve, signed so its first entry is >= 0; base
+    # (g._base) keys the cache too, so an equal graph without provenance stays an oracle
+    lead = None
+    if base is None:
+        s, vecs = eigensolve(graph_matrix(g, kind))
+        if kind is MatrixKind.ADJACENCY:
+            lead = -vecs[:, 0] if vecs[0, 0] < 0 else vecs[:, 0].copy()
+            lead.flags.writeable = False
+    else:
+        s = _product_spectrum(*base, kind)
+    trace = 0 if kind is MatrixKind.ADJACENCY else 2 * g.edge_count
+    if not abs(sum(s.values) - trace) <= TRACE_TOL * max(g.n, 1):
+        raise ArithmeticError(f"{kind.value} spectrum does not sum to the trace")
+    return s, lead
 
 
 def spectrum(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> Spectrum:
@@ -167,44 +174,36 @@ def spectrum(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> Spectrum:
     """
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
-    return _spectrum_cached(g, kind, g._base)
-
-
-@lru_cache(maxsize=1024)
-def _perron_cached(g: Graph, base: tuple[Graph, int] | None) -> tuple[float, ...]:
-    # base (g._base) keys the cache as in ``_spectrum_cached``
-    if base is None:
-        vec = eigensolve(graph_matrix(g))[1][:, 0]
-        if vec[0] < 0:
-            vec = -vec
-    else:
-        h, t = base
-        vec = np.repeat(perron_vector(h), t) / np.sqrt(t)
-    if np.min(vec) <= 0:
-        raise ArithmeticError("leading eigenvector is not strictly positive")
-    return tuple(float(x) for x in vec)
+    return _spectrum_cached(g, kind, g._base)[0]
 
 
 def perron_vector(g: Graph) -> np.ndarray:
-    """Positive unit eigenvector of the largest adjacency eigenvalue.
+    """Positive unit eigenvector of the largest adjacency eigenvalue, as a new array.
 
-    Only defined for connected graphs with at least one vertex.  g = base * K_t
+    Only defined for connected graphs with at least one vertex.  A plain graph
+    reads the vector of the eigensolve behind ``spectrum(g)``; g = base * K_t
     takes base's vector, repeated over each fibre and divided by sqrt(t).
     """
     if g.n == 0:
         raise ValueError("empty graph")
     if not g.is_connected():
         raise ValueError("Perron vector requires a connected graph")
-    return np.array(_perron_cached(g, g._base))
+    if g._base is not None:
+        h, t = g._base
+        return np.repeat(perron_vector(h), t) / np.sqrt(t)
+    vec = _spectrum_cached(g, MatrixKind.ADJACENCY, None)[1]
+    if not np.min(vec) > 0:
+        raise ArithmeticError("leading eigenvector is not strictly positive")
+    return vec.copy()
 
 
-def product_spectrum_identity_check(g: Graph, n: int, kind: MatrixKind = MatrixKind.ADJACENCY,
-                                    tol: float = MULT_TOL) -> bool:
+def product_spectrum_identity_check(g: Graph, n: int,
+                                    kind: MatrixKind = MatrixKind.ADJACENCY) -> bool:
     """Check the closed-form spectrum of g * K_n against a direct diagonalisation.
 
     ``spectrum`` of the product takes the closed form of ``_product_spectrum``;
     the check compares it, value by value, with ``eigensolve`` of the
-    product's matrix.
+    product's matrix, within ``MULT_TOL``.
     """
     if n < 1:
         raise ValueError("factor size must be at least 1")
@@ -213,4 +212,4 @@ def product_spectrum_identity_check(g: Graph, n: int, kind: MatrixKind = MatrixK
     actual = eigensolve(graph_matrix(product, kind))[0].values
     if len(pred) != len(actual):
         return False
-    return all(abs(a - b) <= tol for a, b in zip(pred, actual))
+    return all(abs(a - b) <= MULT_TOL for a, b in zip(pred, actual))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .colouring import Colouring, _class_masks, _component_masks, check_clustered, colour_multiset
-from .graphs import Graph, complete_graph, component_mask, iter_bits, strong_product
+from .graphs import Graph, _components, complete_graph, iter_bits, strong_product
 
 __all__ = [
     "ComponentPick",
@@ -137,10 +137,7 @@ def _cover(comp: int, t: int) -> tuple[int, ...]:
 
 def _split(product: Graph, colour: int, members: int, t: int) -> Iterator[MonoComponent]:
     """The components of product[members], all of one colour, by smallest vertex."""
-    left = members
-    while left:
-        comp = component_mask(product.adj, (left & -left).bit_length() - 1, left)
-        left &= ~comp
+    for comp in _components(product.adj, members):
         yield MonoComponent(colour, comp, _cover(comp, t))
 
 

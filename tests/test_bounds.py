@@ -114,6 +114,15 @@ class TestWeightedMatrix:
         with pytest.raises(ValueError):
             WeightedCompatibleMatrix(path_graph(3), m)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", [(0, 1), (0, 0)], ids=["edge", "diagonal"])
+    def test_rejects_non_finite_entries(self, entry, at):
+        # NaN passes every `x > tol` range check, and reached eigensolve
+        m = np.zeros((2, 2))
+        m[at] = m[at[::-1]] = entry
+        with pytest.raises(ValueError, match="finite"):
+            WeightedCompatibleMatrix(path_graph(2), m)
+
     def test_diagonal_weights_allowed(self):
         m = np.diag([0.5, -0.5])
         w = WeightedCompatibleMatrix(matching_graph(1), m + np.array([[0, 1], [1, 0]]) * 0.25)

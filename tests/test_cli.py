@@ -109,6 +109,17 @@ class TestBounds:
         assert code == 0
         assert any(e["name"] == "inertia_supplied" for e in payload["entries"])
 
+    @pytest.mark.parametrize("rows", ["0 nan\nnan 0", "nan 1\n1 0"],
+                             ids=["off_diagonal", "diagonal"])
+    def test_nan_weight_is_an_input_error(self, capsys, tmp_path, rows):
+        # a NaN weight once gave exit 0 and an inertia bound from a NaN spectrum
+        path = tmp_path / "w.txt"
+        path.write_text(f"2\n{rows}\n")
+        code = main(["bounds", "--named", "k2", "--weights", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
 
 class TestExact:
     def test_bowtie_improper(self, capsys):

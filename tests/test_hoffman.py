@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxchrom import spectra
 from boxchrom.colouring import Colouring
 from boxchrom.graphs import (
     bowtie_graph,
@@ -24,6 +25,7 @@ from boxchrom.graphs import (
     empty_graph,
     lexicographic_product,
     line_graph,
+    paley9_graph,
     path_graph,
     petersen_graph,
     strong_product,
@@ -229,6 +231,22 @@ class TestDiagnoseHoffman:
             diagnose_hoffman(g, 0, Colouring((1, 2, 1, 2)))
         with pytest.raises(ValueError):
             diagnose_hoffman(empty_graph(1), 0, Colouring((1,)))
+
+    def test_one_eigensolve_per_graph(self, monkeypatch):
+        # the spectrum, the Perron vector and the quotient's eigenvalue all
+        # read one decomposition of the adjacency matrix
+        shapes = []
+
+        def counting(m):
+            shapes.append(m.shape[0])
+            return real(m)
+
+        real = spectra.eigensolve
+        monkeypatch.setattr(spectra, "eigensolve", counting)
+        spectra._spectrum_cached.cache_clear()
+        for g in (paley9_graph(), petersen_graph()):
+            diagnose_hoffman(g, 0, chromatic_improper(g, 0).witness)
+        assert shapes == [9, 10]
 
     def test_uniqueness_cap(self):
         g = strong_product(cycle_graph(4), complete_bipartite(2, 2))

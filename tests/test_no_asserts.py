@@ -7,8 +7,9 @@ error named after what went wrong.
 
 It also holds the package to one popcount idiom, ``int.bit_count``, and
 fails on ``bin(x).count("1")``, on unused imports, on module-level private
-names that nothing else in the package reads, and on a function in
-``solvers`` that calls itself.
+names that nothing else in the package reads, on a function in ``solvers``
+that calls itself, and on a float tolerance written anywhere but the table
+at the top of ``spectra``.
 """
 
 import ast
@@ -123,4 +124,19 @@ def test_solvers_do_not_recurse():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
                      and sub.func.id == node.name for sub in ast.walk(node))]
+    assert found == []
+
+
+
+def test_float_tolerances_live_in_the_spectra_table():
+    # a non-zero float literal below 1e-3 is a tolerance: it may only be the
+    # value of a module-level constant of spectra, which the other modules read
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    table = {id(node.value) for node in trees["spectra.py"].body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)}
+    found = [f"{name}:{node.lineno} {node.value!r}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, float)
+             and 0 < abs(node.value) < 1e-3 and id(node) not in table]
     assert found == []

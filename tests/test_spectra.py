@@ -34,7 +34,6 @@ from boxchrom.spectra import (
     Spectrum,
     eigensolve,
     graph_matrix,
-    multiplicity,
     perron_vector,
     product_spectrum_identity_check,
     spectrum,
@@ -70,6 +69,25 @@ class TestEigensolve:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eigensolve(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            eigensolve(np.array([[0.0, entry], [entry, 0.0]]))
+
+    @pytest.mark.parametrize("corrupt", ["values", "vectors"])
+    def test_nan_factorisation_fails_the_residual_check(self, monkeypatch, corrupt):
+        # every check reads `not err <= tol`, which NaN fails
+        real_eigh = np.linalg.eigh
+
+        def poisoned(m):
+            w, v = real_eigh(m)
+            if corrupt == "values":
+                return np.full_like(w, np.nan), v
+            return w, np.full_like(v, np.nan)
+        monkeypatch.setattr("boxchrom.spectra.np.linalg.eigh", poisoned)
+        with pytest.raises(ArithmeticError, match="residual"):
+            eigensolve(graph_matrix(cycle_graph(5)))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -112,8 +130,8 @@ class TestSpectrumObject:
         s = Spectrum((2.0 + 1e-9, 2.0, 0.0, -1.0, -1.0, -1.0))
         g = s.groups()
         assert [m for _, m in g] == [2, 1, 3]
-        assert multiplicity(s, -1.0) == 3
-        assert multiplicity(s, 5.0) == 0
+        assert s.multiplicity(-1.0) == 3
+        assert s.multiplicity(5.0) == 0
         assert abs(s.largest - 2.0) < 1e-8
         assert s.smallest == -1.0
 
@@ -121,12 +139,17 @@ class TestSpectrumObject:
         with pytest.raises(ValueError):
             Spectrum((0.0, 1.0))
 
+    @pytest.mark.parametrize("values", [(1.0, math.nan), (math.nan, 0.0)])
+    def test_rejects_nan(self, values):
+        with pytest.raises(ValueError):
+            Spectrum(values)
+
 
 class TestGraphSpectra:
     def test_complete_graph(self):
         s = spectrum(complete_graph(5))
         assert abs(s.largest - 4.0) < 1e-9
-        assert multiplicity(s, -1.0) == 4
+        assert s.multiplicity(-1.0) == 4
 
     def test_cycle_four(self):
         s = spectrum(cycle_graph(4))
@@ -134,22 +157,22 @@ class TestGraphSpectra:
 
     def test_petersen(self):
         s = spectrum(petersen_graph())
-        assert multiplicity(s, 3.0) == 1
-        assert multiplicity(s, 1.0) == 5
-        assert multiplicity(s, -2.0) == 4
+        assert s.multiplicity(3.0) == 1
+        assert s.multiplicity(1.0) == 5
+        assert s.multiplicity(-2.0) == 4
 
     def test_paley9(self):
         s = spectrum(paley9_graph())
-        assert multiplicity(s, 4.0) == 1
-        assert multiplicity(s, 1.0) == 4
-        assert multiplicity(s, -2.0) == 4
+        assert s.multiplicity(4.0) == 1
+        assert s.multiplicity(1.0) == 4
+        assert s.multiplicity(-2.0) == 4
 
     def test_line_graph_of_paley9(self):
         s = spectrum(line_graph(paley9_graph()))
-        assert multiplicity(s, 6.0) == 1
-        assert multiplicity(s, 3.0) == 4
-        assert multiplicity(s, 0.0) == 4
-        assert multiplicity(s, -2.0) == 9
+        assert s.multiplicity(6.0) == 1
+        assert s.multiplicity(3.0) == 4
+        assert s.multiplicity(0.0) == 4
+        assert s.multiplicity(-2.0) == 9
 
     def test_bowtie_pinned(self):
         s = spectrum(bowtie_graph())
@@ -224,12 +247,32 @@ class TestPerronVector:
             return eigensolve(m)
 
         monkeypatch.setattr(spectra, "eigensolve", counting)
-        spectra._perron_cached.cache_clear()
+        spectra._spectrum_cached.cache_clear()
         for t in range(1, 5):
             prod = strong_product(g, complete_graph(t))
             v = perron_vector(prod)
             direct = eigensolve(graph_matrix(prod))[1][:, 0]
             assert np.allclose(v, np.abs(direct), rtol=0, atol=1e-12)
+        assert shapes == [g.n]
+
+    @pytest.mark.parametrize("g", [paley9_graph(), petersen_graph()], ids=["paley9", "petersen"])
+    def test_spectrum_and_vector_share_one_eigensolve(self, g, monkeypatch):
+        shapes = []
+
+        def counting(m):
+            shapes.append(m.shape[0])
+            return eigensolve(m)
+
+        monkeypatch.setattr(spectra, "eigensolve", counting)
+        for cached in vars(spectra).values():  # every memo of the module, however many
+            getattr(cached, "cache_clear", lambda: None)()
+        s = spectrum(g)
+        v = perron_vector(g)
+        assert shapes == [g.n]
+        assert np.allclose(graph_matrix(g) @ v, s.largest * v, rtol=0, atol=1e-9)
+        # each call hands out a new array
+        v[0] = -1.0
+        assert perron_vector(g)[0] > 0
         assert shapes == [g.n]
 
 

@@ -287,6 +287,16 @@ class TestFindSmallComponent:
         assert len(comp.cover) <= 2
 
 
+def _splitter(mask_of):
+    """``graphs._components`` with ``mask_of`` in place of ``component_mask``."""
+    def split(adj, within):
+        while within:
+            comp = mask_of(adj, (within & -within).bit_length() - 1, within)
+            within &= ~comp
+            yield comp
+    return split
+
+
 class TestDescend:
     def test_cyclic_instance_descends_to_proper(self):
         g = cycle_graph(4)
@@ -380,7 +390,7 @@ class TestDescend:
         # vertices 4 and 5, one fibre; reported as two pieces they double-cover it
         g, c = path_graph(3), Colouring((1, 1, 1, 2, 2, 2))
         assert len(descend(g, c, 2, 2).trace.rounds) == 2
-        monkeypatch.setattr(transfer, "component_mask", lambda adj, seed, within: 1 << seed)
+        monkeypatch.setattr(transfer, "_components", _splitter(lambda adj, seed, within: 1 << seed))
         with pytest.raises(TransferInvariantError, match="covered by two components of colour 2"):
             descend(g, c, 2, 2)
 
@@ -391,8 +401,8 @@ class TestDescend:
         # as colour 3 does, and the two close a 4-cycle
         g, c = path_graph(4), Colouring((1, 1, 1, 2, 2, 3, 3, 3))
         assert len(descend(g, c, 2, 2).trace.rounds) == 3
-        monkeypatch.setattr(transfer, "component_mask",
-                            lambda adj, seed, within: component_mask(adj, seed, within) | 0b11 << 6)
+        grown = _splitter(lambda adj, seed, within: component_mask(adj, seed, within) | 0b11 << 6)
+        monkeypatch.setattr(transfer, "_components", grown)
         with pytest.raises(TransferInvariantError, match="still has a cycle"):
             descend(g, c, 2, 2)
 
