@@ -8,7 +8,8 @@ publishable event; the expected count is zero.  An instance that raises is
 recorded with status "error" and the sweep goes on.  Exits 1 on a
 counterexample, otherwise 3 if any instance raised, otherwise 2 if any
 instance timed out, otherwise 0.  Bad flags print an ``error:`` line and
-exit 1, as the ``boxchrom`` CLI does.
+exit 1, as the ``boxchrom`` CLI does.  The report also gives the corpus
+generation seconds and connected graph count per n, under ``generation``.
 
 Usage:
     python scripts/conjecture_sweep.py --max-n 5 -d 1,2 --jobs 4 --out sweep.json
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from collections import Counter
 
 from boxchrom.cli import SweepSpec, _check_out, _parse_int_list, run_sweep, sweep_exit
@@ -40,11 +42,16 @@ def main() -> int:
             raise ValueError(f"--max-n supports 1..{GENERATION_CAP}")
         _check_out(args.out)
         ds = _parse_int_list(args.d)
+        graphs, generation = [], []
+        for n in range(1, args.max_n + 1):
+            start = time.perf_counter()
+            level = connected_graphs(n)
+            generation.append({"n": n, "graphs": len(level),
+                               "seconds": round(time.perf_counter() - start, 6)})
+            graphs.extend(level)
         spec = SweepSpec(
             family=f"all-connected<={args.max_n}",
-            graphs=tuple(
-                g for n in range(1, args.max_n + 1) for g in connected_graphs(n)
-            ),
+            graphs=tuple(graphs),
             ds=ds,
             timeout=args.timeout,
             jobs=args.jobs,
@@ -53,12 +60,16 @@ def main() -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     report = run_sweep(spec)
+    report["generation"] = generation
 
     by_status = Counter(r["status"] for r in report["records"])
     annotation_counts = Counter(
         a for r in report["records"] for a in r["annotations"]
     )
     print(f"family: {report['family']}   d: {report['d_values']}")
+    print("corpus generation:")
+    for level in generation:
+        print(f"  n={level['n']}  {level['graphs']:7d} connected graphs  {level['seconds']:.3f} s")
     print(f"instances: {report['instances']}")
     for status in ("verified", "counterexample", "timeout", "error"):
         print(f"  {status:15s} {by_status.get(status, 0)}")

@@ -109,7 +109,11 @@ def is_equitable(g: Graph, partition: Partition) -> bool:
 
 def weighted_class_degrees(g: Graph, partition: Partition) -> np.ndarray:
     """Perron-weighted class degrees W[v][j] = sum(w_u : u ~ v, u in part j) / w_v."""
-    w = perron_vector(g)
+    return _weighted(g, partition, perron_vector(g))
+
+
+def _weighted(g: Graph, partition: Partition, w: np.ndarray) -> np.ndarray:
+    """``weighted_class_degrees`` for the Perron vector w its caller already read."""
     return _class_sums(g, partition, w) / w[:, None]
 
 
@@ -118,13 +122,14 @@ def is_weight_regular(g: Graph, partition: Partition) -> bool:
     return _constant_on_parts(weighted_class_degrees(g, partition), partition, SNAP_TOL)
 
 
-def _quotient(g: Graph, partition: Partition, weighted: np.ndarray) -> np.ndarray:
-    """The quotient of ``quotient_matrix`` from the table of ``weighted_class_degrees``.
+def _quotient(g: Graph, partition: Partition, weighted: np.ndarray,
+              w: np.ndarray) -> np.ndarray:
+    """The quotient of ``quotient_matrix`` from the Perron vector w and its table W.
 
     x_i^T A x_j = sum(w_v^2 W[v][j] : v in part i), so row i is the
     w^2-weighted mean of the rows W[v] over the part.
     """
-    w2 = perron_vector(g) ** 2
+    w2 = w ** 2
     fold = np.eye(partition.num_parts)[partition.part_of()].T
     c = fold @ (w2[:, None] * weighted) / (fold @ w2)[:, None]
     lam1 = spectrum(g).largest
@@ -143,7 +148,8 @@ def quotient_matrix(g: Graph, partition: Partition) -> np.ndarray:
     """
     if not g.is_connected():
         raise ValueError("quotient matrix needs a connected graph")
-    return _quotient(g, partition, weighted_class_degrees(g, partition))
+    w = perron_vector(g)
+    return _quotient(g, partition, _weighted(g, partition, w), w)
 
 
 @dataclass(frozen=True)
@@ -224,11 +230,16 @@ def diagnose_hoffman(
     and is capped at 12 vertices; when it confirms a unique colouring, the
     smallest eigenvalue's multiplicity must equal the class count minus one,
     and that sharper statement is checked too.
+
+    The Perron vector is read once, and its connectivity test is the only
+    one: on two or more vertices, connected means at least one edge.
     """
-    if not g.is_connected():
-        raise ValueError("Hoffman diagnostics need a connected graph")
-    if g.edge_count == 0:
+    if g.n < 2:
         raise ValueError("Hoffman diagnostics need at least one edge")
+    try:
+        w = perron_vector(g)
+    except ValueError:  # perron_vector refuses only empty and disconnected graphs
+        raise ValueError("Hoffman diagnostics need a connected graph") from None
     if colouring.n != g.n:
         raise ValueError("colouring size does not match graph")
     bad = check_improper(g, colouring, d)
@@ -259,8 +270,8 @@ def diagnose_hoffman(
         if unique:
             mult_exact = mult == m - 1
 
-    weighted = weighted_class_degrees(g, partition)
-    quotient = _quotient(g, partition, weighted)
+    weighted = _weighted(g, partition, w)
+    quotient = _quotient(g, partition, weighted, w)
     return HoffmanDiagnosis(
         d=d,
         num_classes=m,

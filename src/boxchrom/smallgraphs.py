@@ -1,26 +1,55 @@
 """Isomorph-free generation of small graphs, canonical forms, random graphs.
 
-Canonical labelling uses colour refinement to split vertices into invariant
-classes, then finds the class-respecting labelling whose upper-triangle
+Colour refinement splits the vertices into isomorphism-invariant classes.
+Round 1 ranks vertices by degree, ascending.  Each later round ranks them by
+(colour, the tuple of -|N(v) & class c| over the classes c in order) and stops
+once the class count holds or every class is one vertex.  That is the
+partition and class order of the classic signature refinement, which ranks
+(colour, sorted tuple of neighbour colours) from one class: its round 1 ranks
+by degree too, and after it vertices of one colour have one degree, since
+later rounds only split colours.  Two vertices of one colour with a_c and b_c
+neighbours in class c then have sorted tuples 0^a_0 1^a_1 ... and
+0^b_0 1^b_1 ... of one length; at the first c with a_c != b_c, the one with
+more c's holds c where the other holds a larger colour, so it sorts first,
+exactly as (-a_0, -a_1, ...) does.  Colour leads both keys and ranks keep
+class order, so the class count holds exactly when the colouring does.
+
+Canonical labelling finds the class-respecting labelling whose upper-triangle
 bitstring is smallest by a level-by-level search: it keeps every prefix whose
 columns so far are least and tries one vertex per twin class at each step.
-That is enough to dedupe exhaustive augmentation up to the supported cap of 8
-vertices; it is not a general isomorphism engine.
+That is enough up to the supported cap of 8 vertices; it is not a general
+isomorphism engine.
 
-Generation adds one vertex to every graph on n-1 vertices in every way, but
-canonicalises only the augmentations whose new vertex has maximum degree.
-Every graph has a maximum-degree vertex, and deleting it leaves a graph on
-n-1 vertices, so no graph is missed.  Of those, it canonicalises one attach
-mask per orbit of the parent's automorphism group (the orbit step of McKay's
-canonical augmentation, J. Algorithms 26, 1998).  The generators come from
-the search that canonicalised the parent as a child one level down: any two
-least orders π_0, π_i give the automorphism π_0[k] -> π_i[k], and every twin
-pair gives a transposition, so no graph is searched twice.  An automorphism
-of the parent maps one attach mask onto another and extends to an isomorphism
-of the two children, so pruning drops only isomorphic duplicates; a smaller
-generated group would cost speed, never a graph.  Automorphisms preserve
-degrees, so a whole orbit passes or fails the maximum-degree filter together.
-The output is sorted by graph6 string.
+Generation is McKay's canonical augmentation (J. Algorithms 26, 1998).  Each
+graph P on n-1 vertices, in canonical form, gains a vertex x attached to a
+mask A, in three filters, cheapest first:
+
+- orbit step: one mask per orbit of Aut(P), whose generators come from the
+  search that canonicalised P as a child one level down (any two least orders
+  π_0, π_i give the automorphism π_0[k] -> π_i[k], and every twin pair gives a
+  transposition, so no graph is searched twice);
+- refinement filter: x must lie in the child's last refinement class.  Class
+  order starts from degree, so that class holds only maximum-degree vertices,
+  and masks with fewer bits than P's maximum degree, or as many bits and a
+  top-degree vertex in A, are dropped before the child is built;
+- canonical-parent test: the child is labelled, and accepted only when x lies
+  in the Aut(child)-orbit of its canonical vertex, the first vertex of the
+  last class in canonical order.  The orbit is read from the generators the
+  labelling returns, on x's canonical label.
+
+Each graph G on n vertices is accepted exactly once.  Its last class and its
+canonical vertex's orbit are isomorphism-invariant.  At least once: G - v, for
+v the canonical vertex, is isomorphic to one parent P; the orbit step tries
+one mask of the orbit of N(v)'s image, and its child is isomorphic to G by a
+map sending x to v, so it passes both later tests.  At most once: if accepted
+children P + x (mask A) and P' + x (mask A') are isomorphic by σ, both x lie
+in the canonical orbit, so an automorphism τ of P' + x takes σ(x) back to x.
+Then τσ restricts to an isomorphism P -> P', so P = P', since each parent is
+one canonical copy, and to an automorphism of P taking A onto A', so A and A'
+share an orbit and are one mask.  So no dedupe is needed.  Both halves need
+the generators to generate all of Aut: a smaller group would repeat graphs at
+the orbit step and drop them at the canonical-parent test.  The output is
+sorted by graph6 string.
 """
 
 from __future__ import annotations
@@ -48,41 +77,39 @@ class CanonicalFormError(RuntimeError):
 
 
 def _refinement_classes(g: Graph) -> list[list[int]]:
-    """Stable colour-refinement partition, classes in canonical signature order.
+    """Stable colour-refinement partition, classes in canonical order.
 
-    A vertex's signature is its colour and the sorted tuple of its neighbours'
-    colours, built from popcounts of its row against each colour's mask.
+    Round 1 ranks degrees; later rounds rank (colour, -popcount of the row
+    against each class mask), as the module docstring derives, written as one
+    int whose base-(n+1) digits are the colour, then n minus each popcount, so
+    ints compare as the tuples would.  Each class lists its vertices in
+    increasing order.
     """
-    n = g.n
-    adj = g.adj
-    colour = [0] * n
-    masks = [(1 << n) - 1]
-
-    def neighbour_colours(row: int) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for c, mask in enumerate(masks):
-            k = (row & mask).bit_count()
-            if k:
-                out += (c,) * k
-        return out
-
-    for _ in range(max(n, 1)):
-        sig = [(colour[v], neighbour_colours(adj[v])) for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[sig[v]] for v in range(n)]
-        if new == colour:
+    n, adj = g.n, g.adj
+    keys = [row.bit_count() for row in adj]
+    count = 1
+    while True:
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colour = [rank[key] for key in keys]
+        if len(rank) == count or len(rank) == n:
             break
-        colour = new
-        masks = [0] * len(rank)
-        for v in range(n):
-            masks[colour[v]] |= 1 << v
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colour[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
+        count = len(rank)
+        masks = [0] * count
+        for v, c in enumerate(colour):
+            masks[c] |= 1 << v
+        keys = []
+        for c, row in zip(colour, adj):
+            for mask in masks:
+                c = c * (n + 1) + n - (row & mask).bit_count()
+            keys.append(c)
+    classes: list[list[int]] = [[] for _ in rank]
+    for v, c in enumerate(colour):
+        classes[c].append(v)
+    return classes
 
 
-def _least_orders(g: Graph) -> tuple[list[tuple[int, ...]], list[int]]:
+def _least_orders(g: Graph, classes: list[list[int]]
+                  ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Every class-respecting least order up to twin swaps, and the twin classes.
 
     An order is least when the column-major triangle bits of g relabelled by
@@ -97,7 +124,7 @@ def _least_orders(g: Graph) -> tuple[list[tuple[int, ...]], list[int]]:
     adj = g.adj
     twin = _twin_classes(g)
     frontier: list[tuple[int, ...]] = [()]
-    for block in _refinement_classes(g):
+    for block in classes:
         for _ in block:
             least = -1
             extended: list[tuple[int, ...]] = []
@@ -129,7 +156,12 @@ def canonical_form(g: Graph) -> Graph:
     swapping twins position by position turns that order into a frontier
     order.
     """
-    orders, twin = _least_orders(g)
+    return _labelling(g, _refinement_classes(g))[0]
+
+
+def _labelling(g: Graph, classes: list[list[int]]) -> tuple[Graph, list[int]]:
+    """``canonical_form(g)`` from g's refinement classes, and each vertex's new label."""
+    orders, twin = _least_orders(g, classes)
     first = orders[0]
     position = [0] * g.n
     for i, v in enumerate(first):
@@ -140,8 +172,29 @@ def canonical_form(g: Graph) -> Graph:
             image = list(range(g.n))
             image[position[v]], image[position[cls]] = position[cls], position[v]
             gens.append(tuple(image))
-    adj = tuple(sum(1 << position[u] for u in iter_bits(g.adj[v])) for v in first)
-    return _trusted(adj, name=g.name, automorphisms=tuple(gens))
+    adj = []
+    for v in first:
+        row, new = g.adj[v], 0
+        while row:  # iter_bits inlined: this loop runs once per generated child
+            low = row & -row
+            new |= 1 << position[low.bit_length() - 1]
+            row ^= low
+        adj.append(new)
+    return _trusted(adj, name=g.name, automorphisms=tuple(gens)), position
+
+
+def _in_orbit(a: int, b: int, gens: tuple[tuple[int, ...], ...]) -> bool:
+    """True when some product of the generators maps b to a."""
+    orbit, stack = {b}, [b]
+    while stack:
+        v = stack.pop()
+        if v == a:
+            return True
+        for image in gens:
+            if image[v] not in orbit:
+                orbit.add(image[v])
+                stack.append(image[v])
+    return False
 
 
 def canonical_certificate(g: Graph) -> str:
@@ -160,14 +213,15 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     if n == 1:
         result: tuple[Graph, ...] = (_trusted((0,), automorphisms=()),)
     else:
-        out: dict[tuple[int, ...], Graph] = {}
+        out: list[Graph] = []
+        x = n - 1
         for g in all_graphs(n - 1):
             gens = g._automorphisms
             degrees = [row.bit_count() for row in g.adj]
             top = max(degrees)
             top_mask = sum(1 << v for v, deg in enumerate(degrees) if deg == top)
             seen: set[int] = set()
-            for attach in range(1 << (n - 1)):
+            for attach in range(1 << x):
                 # keep only augmentations whose new vertex has maximum degree,
                 # and of those one per orbit of Aut(g)
                 k = attach.bit_count()
@@ -186,10 +240,17 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                             stack.append(moved)
                 adj = list(g.adj) + [attach]
                 for v in iter_bits(attach):
-                    adj[v] |= 1 << (n - 1)
-                candidate = canonical_form(_trusted(adj))
-                out.setdefault(candidate.adj, candidate)
-        result = tuple(sorted(out.values(), key=emit_graph6))
+                    adj[v] |= 1 << x
+                child = _trusted(adj)
+                classes = _refinement_classes(child)
+                last = classes[-1]
+                if last[-1] != x:
+                    continue  # x, the largest vertex, is not in the last class
+                form, position = _labelling(child, classes)
+                # canonical-parent test: the canonical vertex has label n - |last|
+                if _in_orbit(position[x], n - len(last), form._automorphisms):
+                    out.append(form)
+        result = tuple(sorted(out, key=emit_graph6))
     _ALL_CACHE[n] = result
     return result
 

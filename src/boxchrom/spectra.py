@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, iter_bits, strong_product, named_graph
+from .graphs import Graph, iter_bits
 
 __all__ = [
     "MatrixKind",
@@ -23,7 +23,6 @@ __all__ = [
     "eigensolve",
     "graph_matrix",
     "perron_vector",
-    "product_spectrum_identity_check",
     "spectrum",
 ]
 
@@ -195,21 +194,3 @@ def perron_vector(g: Graph) -> np.ndarray:
     if not np.min(vec) > 0:
         raise ArithmeticError("leading eigenvector is not strictly positive")
     return vec.copy()
-
-
-def product_spectrum_identity_check(g: Graph, n: int,
-                                    kind: MatrixKind = MatrixKind.ADJACENCY) -> bool:
-    """Check the closed-form spectrum of g * K_n against a direct diagonalisation.
-
-    ``spectrum`` of the product takes the closed form of ``_product_spectrum``;
-    the check compares it, value by value, with ``eigensolve`` of the
-    product's matrix, within ``MULT_TOL``.
-    """
-    if n < 1:
-        raise ValueError("factor size must be at least 1")
-    product = strong_product(g, named_graph("complete", [n]))
-    pred = spectrum(product, kind).values
-    actual = eigensolve(graph_matrix(product, kind))[0].values
-    if len(pred) != len(actual):
-        return False
-    return all(abs(a - b) <= MULT_TOL for a, b in zip(pred, actual))

@@ -24,6 +24,7 @@ from boxchrom.graphs import (
 )
 from boxchrom.smallgraphs import canonical_certificate, random_connected_graph, random_graph
 from boxchrom.solvers import Timeout, _Clock, _admission
+from boxchrom.spectra import MULT_TOL, MatrixKind, eigensolve, graph_matrix, spectrum
 from boxchrom.transfer import (
     ComponentPick,
     TransferTrace,
@@ -140,6 +141,24 @@ def brute_clique(g: Graph) -> int:
     return 1 if g.n else 0
 
 
+def product_spectrum_identity_check(g: Graph, n: int,
+                                    kind: MatrixKind = MatrixKind.ADJACENCY) -> bool:
+    """Check the closed-form spectrum of g * K_n against a direct diagonalisation.
+
+    ``spectrum`` of the product takes the closed form of ``_product_spectrum``;
+    the check compares it, value by value, with ``eigensolve`` of the
+    product's matrix, within ``MULT_TOL``.
+    """
+    if n < 1:
+        raise ValueError("factor size must be at least 1")
+    product = strong_product(g, complete_graph(n))
+    pred = spectrum(product, kind).values
+    actual = eigensolve(graph_matrix(product, kind))[0].values
+    if len(pred) != len(actual):
+        return False
+    return all(abs(a - b) <= MULT_TOL for a, b in zip(pred, actual))
+
+
 def columns(g: Graph, order) -> tuple[tuple[int, ...], ...]:
     """Per position, the adjacency bits of that vertex to every earlier one."""
     return tuple(tuple(g.adj[v] >> u & 1 for u in order[:p]) for p, v in enumerate(order))
@@ -175,6 +194,38 @@ def every_augmentation_graph6(n: int) -> tuple[str, ...]:
                 adj[v] |= 1 << (n - 1)
             out.add(canonical_certificate(Graph(n, tuple(adj))))
     return tuple(sorted(out))
+
+
+def signature_refinement_classes(g: Graph) -> list[list[int]]:
+    """Colour refinement by signatures, the reference for ``_refinement_classes``.
+
+    From one class, each round ranks every vertex by its colour and the
+    sorted tuple of its neighbours' colours, until the colouring holds.
+    """
+    n = g.n
+    colour = [0] * n
+    masks = [(1 << n) - 1]
+
+    def neighbour_colours(row: int) -> tuple[int, ...]:
+        out: tuple[int, ...] = ()
+        for c, mask in enumerate(masks):
+            out += (c,) * (row & mask).bit_count()
+        return out
+
+    for _ in range(max(n, 1)):
+        sig = [(colour[v], neighbour_colours(g.adj[v])) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [rank[sig[v]] for v in range(n)]
+        if new == colour:
+            break
+        colour = new
+        masks = [0] * len(rank)
+        for v in range(n):
+            masks[colour[v]] |= 1 << v
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(colour[v], []).append(v)
+    return [classes[c] for c in sorted(classes)]
 
 
 def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:

@@ -527,3 +527,15 @@ class TestSweepScript:
         monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--max-n", "3", "-d", "1"])
         assert self.script.main() == 0
         assert "instances: 4" in capsys.readouterr().out  # 1 + 1 + 2 connected graphs
+
+    def test_reports_generation_per_n(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "sweep.json"
+        monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--max-n", "4", "-d", "1",
+                                          "--out", str(target)])
+        assert self.script.main() == 0
+        out = capsys.readouterr().out
+        generation = json.loads(target.read_text())["generation"]
+        assert [(row["n"], row["graphs"]) for row in generation] == [(1, 1), (2, 1), (3, 2), (4, 6)]
+        assert all(row["seconds"] >= 0 for row in generation)
+        for row in generation:
+            assert f"n={row['n']}  {row['graphs']:7d} connected graphs  {row['seconds']:.3f} s" in out

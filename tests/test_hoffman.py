@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxchrom import spectra
+from boxchrom import hoffman, spectra
 from boxchrom.colouring import Colouring
 from boxchrom.graphs import (
+    Graph,
     bowtie_graph,
     complete_bipartite,
     complete_graph,
@@ -247,6 +248,21 @@ class TestDiagnoseHoffman:
         for g in (paley9_graph(), petersen_graph()):
             diagnose_hoffman(g, 0, chromatic_improper(g, 0).witness)
         assert shapes == [9, 10]
+
+    def test_one_perron_vector_and_one_connectivity_test(self, monkeypatch):
+        # the quotient reuses the vector of the weighted class degrees, and the
+        # vector's own connectivity test is the diagnosis's
+        g = petersen_graph()
+        colouring = chromatic_improper(g, 0).witness
+        before = diagnose_hoffman(g, 0, colouring)
+        vectors, tests = [], []
+        real_vector, real_test = hoffman.perron_vector, Graph.is_connected
+        monkeypatch.setattr(hoffman, "perron_vector",
+                            lambda h: vectors.append(h) or real_vector(h))
+        monkeypatch.setattr(Graph, "is_connected", lambda h: tests.append(h) or real_test(h))
+        for rounds in (1, 2):
+            assert diagnose_hoffman(g, 0, colouring) == before
+            assert len(vectors) == len(tests) == rounds
 
     def test_uniqueness_cap(self):
         g = strong_product(cycle_graph(4), complete_bipartite(2, 2))

@@ -43,6 +43,7 @@ from oracles import (
     columns,
     every_augmentation_graph6,
     graphs,
+    signature_refinement_classes,
     twin_graphs,
 )
 
@@ -102,6 +103,18 @@ class TestCanonicalForm:
         cf = canonical_form(g)
         assert columns(cf, range(g.n)) == brute_canonical_columns(g, _refinement_classes(g))
 
+    @given(st.one_of(graphs(max_n=10), twin_graphs()))
+    @settings(max_examples=80, deadline=None)
+    def test_refinement_matches_signature_refinement(self, g):
+        # same classes in the same order: the canonical forms depend on both
+        assert _refinement_classes(g) == signature_refinement_classes(g)
+
+    def test_refinement_matches_on_named_and_all_7_vertex_graphs(self):
+        named = [Graph(0, ()), petersen_graph(), complement(petersen_graph()),
+                 strong_product(cycle_graph(5), complete_graph(2))]
+        for g in (*named, *all_graphs(7)):
+            assert _refinement_classes(g) == signature_refinement_classes(g)
+
     def test_self_complementary_five_cycle(self):
         c5 = cycle_graph(5)
         assert canonical_certificate(complement(c5)) == canonical_certificate(c5)
@@ -140,28 +153,40 @@ class TestGeneration:
     def test_orbit_pruning_matches_every_augmentation(self, n):
         assert tuple(emit_graph6(g) for g in all_graphs(n)) == every_augmentation_graph6(n)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_graph_is_accepted_exactly_once(self, n):
+        # the canonical-parent test replaces a dedupe dict: every accepted
+        # child is kept, so a second copy of a graph would show up here
+        gs = all_graphs(n)
+        assert len({g.adj for g in gs}) == len(gs) == ALL_COUNTS[n - 1]
+
     def test_one_canonical_form_per_orbit(self, monkeypatch):
-        # 3,131 calls canonicalise every max-degree augmentation for n <= 7
+        # 3,131 labellings canonicalise every max-degree augmentation for n <= 7;
+        # one per Aut-orbit of attach masks took 1,639; the refinement filter
+        # leaves 1,253 for 1,251 graphs on 2..7 vertices
         calls = []
-        canonical = smallgraphs.canonical_form
+        labelling = smallgraphs._labelling
         monkeypatch.setattr(smallgraphs, "_ALL_CACHE", {})
-        monkeypatch.setattr(smallgraphs, "canonical_form", lambda g: calls.append(g) or canonical(g))
+        monkeypatch.setattr(smallgraphs, "_labelling",
+                            lambda g, classes: calls.append(g) or labelling(g, classes))
         all_graphs(7)
-        assert len(calls) == 1639
+        assert len(calls) == 1253
 
     def test_one_canonical_search_per_canonical_form(self, monkeypatch):
         # a parent's generators come from the search that canonicalised it as a
-        # child, so no graph is searched again when it becomes a parent
+        # child, so no graph is searched again when it becomes a parent; for
+        # n <= 6 every labelled child is accepted
         searches, forms = [], []
-        least_orders, canonical = smallgraphs._least_orders, smallgraphs.canonical_form
+        least_orders, labelling = smallgraphs._least_orders, smallgraphs._labelling
         monkeypatch.setattr(smallgraphs, "_ALL_CACHE", {})
         monkeypatch.setattr(smallgraphs, "_least_orders",
-                            lambda g: searches.append(g) or least_orders(g))
-        monkeypatch.setattr(smallgraphs, "canonical_form", lambda g: forms.append(g) or canonical(g))
+                            lambda g, classes: searches.append(g) or least_orders(g, classes))
+        monkeypatch.setattr(smallgraphs, "_labelling",
+                            lambda g, classes: forms.append(g) or labelling(g, classes))
         for n in range(1, 7):
             all_graphs(n)
             assert len(searches) == len(forms)
-        assert len(forms) == 238
+        assert len(forms) == 207 == sum(ALL_COUNTS[1:6])
 
     @given(st.one_of(graphs(min_n=1, max_n=8), twin_graphs()))
     @settings(max_examples=60, deadline=None)

@@ -35,10 +35,9 @@ from boxchrom.spectra import (
     eigensolve,
     graph_matrix,
     perron_vector,
-    product_spectrum_identity_check,
     spectrum,
 )
-from oracles import graphs, jacobi_eigh
+from oracles import graphs, jacobi_eigh, product_spectrum_identity_check
 
 
 @st.composite
