@@ -3,7 +3,8 @@
 
 For each input graph and improperness value, prints the spectral bounds, the
 inertia bound, the clique bound, and the exact solver value, so the gaps are
-visible at a glance.  Defaults to a small tour of named graphs.
+visible at a glance.  Defaults to a small tour of named graphs.  Bad flags
+print an ``error:`` line and exit 1 before the table starts.
 
 Usage:
     python scripts/bounds_table.py --named petersen --named c5 -d 0,1,2
@@ -15,9 +16,9 @@ import argparse
 import sys
 
 from boxchrom.bounds import bound_report
-from boxchrom.cli import resolve_named
+from boxchrom.cli import _parse_int_list, resolve_named
 from boxchrom.graphs import Graph
-from boxchrom.solvers import chromatic_improper
+from boxchrom.solvers import DEFAULT_CAP, chromatic_improper
 
 DEFAULT_TOUR = ["petersen", "paley9", "bowtie", "c5", "c7", "k3,3", "k6"]
 
@@ -53,14 +54,22 @@ def main() -> int:
     ap.add_argument("-d", default="0,1,2", help="comma-separated improperness values")
     args = ap.parse_args()
 
-    names = args.named or DEFAULT_TOUR
-    ds = [int(x) for x in args.d.split(",")]
+    try:  # every flag is checked before the table starts
+        ds = _parse_int_list(args.d)
+        if any(d < 0 for d in ds):
+            raise ValueError(f"d values must be non-negative, got {args.d}")
+        graphs = [(name, resolve_named(name)) for name in args.named or DEFAULT_TOUR]
+        for name, g in graphs:
+            if g.n > DEFAULT_CAP:
+                raise ValueError(f"{name} has {g.n} vertices, solver cap is {DEFAULT_CAP}")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     header = ["graph       ", "d", "hoffman ", "wocjan  ", "inertia ",
               "clique  ", "best", "exact", ""]
     print("  ".join(header))
     print("-" * 78)
-    for name in names:
-        g = resolve_named(name)
+    for name, g in graphs:
         for d in ds:
             print(row(g, name, d))
     return 0

@@ -4,7 +4,9 @@ Subcommands: spectrum, bounds, exact, diagnose, transfer, conjecture.  Every
 command prints one UTF-8 JSON document tagged with a schema version.  Exit
 codes: 0 success, 1 input error, 2 timeout; a conjecture sweep exits 1 when it
 finds a counterexample, otherwise 3 when any instance raised (its record has
-status "error"), otherwise 2 when any instance timed out.
+status "error"), otherwise 2 when any instance timed out.  A sweep's task is
+one graph: chi(G) and the annotations read off G are found once for every d,
+and at d = 1 the clustered value and witness are the improper ones, re-checked.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .bounds import WeightedCompatibleMatrix, bound_report, hoffman_bilu
-from .colouring import Colouring, Mode, check_improper, lift_colouring
+from .colouring import Colouring, Mode, check_clustered, check_improper, lift_colouring
 from .graphs import (
     Graph,
     complete_graph,
@@ -296,11 +299,6 @@ class SweepSpec:
             raise ValueError(f"a product G * K_(d+1) has {largest} vertices, "
                              f"solver cap is {DEFAULT_CAP}")
 
-    @property
-    def ts(self) -> tuple[int, ...]:
-        """Clustering parameters paired with each d: always d+1."""
-        return tuple(d + 1 for d in self.ds)
-
 
 @dataclass(frozen=True)
 class ConjectureRecord:
@@ -321,123 +319,123 @@ class ConjectureRecord:
     error: dict | None = None  # type, message and traceback of the exception, status "error"
 
     def to_json(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "d": self.d,
-            "chi": self.chi,
-            "chi_improper_product": self.chi_improper_product,
-            "chi_clustered_product": self.chi_clustered_product,
-            "best_lower": self.best_lower,
-            "best_lower_name": self.best_lower_name,
-            "status": self.status,
-            "annotations": list(self.annotations),
-            "witness": self.witness,
-            "millis": round(self.millis, 3),
-            "error": self.error,
-        }
+        # __init__ sets the fields in order, so vars() has the field order
+        return {**vars(self), "annotations": list(self.annotations),
+                "millis": round(self.millis, 3)}
 
 
-def _sweep_instance(task: tuple[Graph, int, float]) -> ConjectureRecord:
-    g, d, timeout = task
+def _sweep_graph(g: Graph, ds: tuple[int, ...], timeout: float) -> list[ConjectureRecord]:
+    """The records of one graph in ``ds`` order; an exception becomes an "error" record.
+
+    An exception in the part shared by every d errors every d, one in a d's
+    own part that d only.  The base solve's time counts in each d's budget.
+    """
+    graph6 = emit_graph6(g)
+
+    def error(d: int, since: float, e: Exception) -> ConjectureRecord:
+        return ConjectureRecord(
+            graph6, g.n, d, None, None, None, None, None, "error", (), None,
+            (time.monotonic() - since) * 1e3,
+            {"type": type(e).__name__, "message": str(e), "traceback": traceback.format_exc()},
+        )
+
+    start = time.monotonic()
+    try:
+        base = chromatic_improper(g, 0, timeout=timeout)
+        base_s = time.monotonic() - start
+        proven = []  # the annotations read off G alone
+        if base.status == "optimal":
+            if base.value <= 4:
+                proven.append("proven:chi<=4")
+            if clique_number(g).value == base.value:
+                proven.append("proven:perfect-case")
+            if g.edge_count and abs(hoffman_bilu(g, 0) - base.value) <= SNAP_TOL:
+                proven.append("proven:hoffman-tight")
+    except Exception as e:
+        return [error(d, start, e) for d in ds]
+    records = []
+    for d in ds:
+        since = time.monotonic() - base_s
+        try:
+            records.append(_sweep_record(g, graph6, d, base, proven, since + timeout))
+        except Exception as e:
+            records.append(error(d, since, e))
+    return records
+
+
+def _sweep_record(g: Graph, graph6: str, d: int, base: SolveResult, proven: list[str],
+                  deadline: float) -> ConjectureRecord:
+    """The record of G at d, given G's base solve and the annotations read off G."""
     product = strong_product(g, complete_graph(d + 1))
-    # one deadline per instance: each later solve gets what the earlier ones left
-    deadline = time.monotonic() + timeout
-    base = chromatic_improper(g, 0, timeout=timeout)
     # an optimal colouring of G, copied onto each fibre, colours the product
     lifted = lift_colouring(base.witness, d + 1) if base.status == "optimal" else None
     improper = chromatic_improper(product, d, timeout=max(0.0, deadline - time.monotonic()),
                                   upper_witness=lifted)
-    clustered = chromatic_clustered(product, d + 1, upper_witness=lifted,
-                                    timeout=max(0.0, deadline - time.monotonic()))
-    report = bound_report(product, d)
-    millis = base.millis + improper.millis + clustered.millis
-
-    if "timeout" in (base.status, improper.status, clustered.status):
-        return ConjectureRecord(
-            emit_graph6(g), g.n, d, base.value, improper.value, clustered.value,
-            report.best_lower, report.best_lower_name, "timeout", (), None, millis,
-        )
-
-    # the clustered equality is a proven theorem: a mismatch is a solver bug
-    if clustered.value != base.value:
-        raise SweepInvariantError(
-            f"{emit_graph6(g)} d={d}: clustered {clustered.value} != chi {base.value}")
-    if improper.value > base.value:
-        raise SweepInvariantError(
-            f"{emit_graph6(g)} d={d}: improper {improper.value} > chi {base.value}")
-
-    annotations = []
-    # a colour class has maximum degree <= 1 iff its components have at most 2
-    # vertices (``solvers._rule_mode``), so at d = 1 the improper value is the
-    # clustered one, which equals chi as checked above
-    if d <= 1:
-        annotations.append("proven:d=1")
-    if base.value <= 4:
-        annotations.append("proven:chi<=4")
-    omega = clique_number(g).value
-    if omega == base.value:
-        annotations.append("proven:perfect-case")
-    if g.edge_count:
-        if abs(hoffman_bilu(g, 0) - base.value) <= SNAP_TOL:
-            annotations.append("proven:hoffman-tight")
-
-    witness = None
-    if improper.value < base.value:
-        status = "counterexample"
-        bad = check_improper(product, improper.witness, d)
+    solves = [base, improper]
+    if d == 1:
+        # a class has maximum degree <= 1 iff its components have at most 2
+        # vertices (``solvers._rule_mode``): the 2-clustered search is this one
+        clustered = improper
+        bad = improper.witness is not None and check_clustered(product, improper.witness, 2)
         if bad:
-            raise SweepInvariantError(
-                f"{emit_graph6(g)} d={d}: counterexample witness is not {d}-improper: {bad}")
-        witness = improper.witness.to_json()
+            raise SweepInvariantError(f"{graph6} d=1: improper witness is not 2-clustered: {bad}")
     else:
+        clustered = chromatic_clustered(product, d + 1, upper_witness=lifted,
+                                        timeout=max(0.0, deadline - time.monotonic()))
+        solves.append(clustered)
+    report = bound_report(product, d)
+
+    status, annotations, witness = "timeout", (), None
+    if all(s.status != "timeout" for s in solves):
+        # the clustered equality is a proven theorem: a mismatch is a solver bug
+        if clustered.value != base.value:
+            raise SweepInvariantError(
+                f"{graph6} d={d}: clustered {clustered.value} != chi {base.value}")
+        if improper.value > base.value:
+            raise SweepInvariantError(
+                f"{graph6} d={d}: improper {improper.value} > chi {base.value}")
+        # at d = 1 the improper value is the clustered one, which equals chi as checked above
+        annotations = (("proven:d=1",) if d == 1 else ()) + tuple(proven)
         status = "verified"
+        if improper.value < base.value:
+            status = "counterexample"
+            bad = check_improper(product, improper.witness, d)
+            if bad:
+                raise SweepInvariantError(
+                    f"{graph6} d={d}: counterexample witness is not {d}-improper: {bad}")
+            witness = improper.witness.to_json()
     return ConjectureRecord(
-        emit_graph6(g), g.n, d, base.value, improper.value, clustered.value,
-        report.best_lower, report.best_lower_name, status, tuple(annotations),
-        witness, millis,
+        graph6, g.n, d, base.value, improper.value, clustered.value, report.best_lower,
+        report.best_lower_name, status, annotations, witness, sum(s.millis for s in solves),
     )
 
 
-def _sweep_task(task: tuple[Graph, int, float]) -> ConjectureRecord:
-    """``_sweep_instance``, with an exception kept as an "error" record so the sweep goes on."""
-    start = time.monotonic()
-    try:
-        return _sweep_instance(task)
-    except Exception as e:
-        g, d, _ = task
-        return ConjectureRecord(
-            emit_graph6(g), g.n, d, None, None, None, None, None, "error", (), None,
-            (time.monotonic() - start) * 1e3,
-            {"type": type(e).__name__, "message": str(e), "traceback": traceback.format_exc()},
-        )
-
-
-# Tasks per pool round trip, at most: at n <= 8, d = 1,2 on 2 workers, one
-# task per trip took 24.8 s and 64 per trip 13.8 s for the same records.
+# Graphs per pool round trip, at most: at n <= 8, d = 1,2 on 2 workers, one
+# (graph, d) task per trip took 24.8 s and 64 per trip 13.8 s, same records.
 _MAX_CHUNK = 64
 
 
 def run_sweep(spec: SweepSpec) -> dict:
-    """Execute a sweep; records keep input order regardless of worker timing.
+    """Execute a sweep, one task per graph; records keep input order regardless of worker timing.
 
-    A pool sends tasks in chunks of up to ``_MAX_CHUNK``, and in at least four
-    chunks per worker, so one slow chunk at the end leaves the others little
-    idle time.
+    A pool sends graphs in chunks of up to ``_MAX_CHUNK``, and in at least
+    four chunks per worker, so one slow chunk at the end leaves the others
+    little idle time.
     """
-    tasks = [(g, d, spec.timeout) for g in spec.graphs for d in spec.ds]
+    sweep = partial(_sweep_graph, ds=spec.ds, timeout=spec.timeout)
     if spec.jobs == 1:
-        records = [_sweep_task(t) for t in tasks]
+        per_graph = list(map(sweep, spec.graphs))
     else:
-        chunk = max(1, min(_MAX_CHUNK, len(tasks) // (4 * spec.jobs)))
+        chunk = max(1, min(_MAX_CHUNK, len(spec.graphs) // (4 * spec.jobs)))
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            records = list(pool.map(_sweep_task, tasks, chunksize=chunk))
+            per_graph = list(pool.map(sweep, spec.graphs, chunksize=chunk))
+    records = [r for rs in per_graph for r in rs]
     return {
         "schema": SCHEMA,
         "command": "conjecture",
         "family": spec.family,
         "d_values": list(spec.ds),
-        "t_values": list(spec.ts),
+        "t_values": [d + 1 for d in spec.ds],
         "timeout": spec.timeout,
         "instances": len(records),
         "counterexamples": sum(r.status == "counterexample" for r in records),

@@ -146,9 +146,10 @@ def quotient_matrix(g: Graph, partition: Partition) -> np.ndarray:
     the largest adjacency eigenvalue; that identity is verified before
     returning, as a guard against a bad Perron vector or partition.
     """
-    if not g.is_connected():
-        raise ValueError("quotient matrix needs a connected graph")
-    w = perron_vector(g)
+    try:
+        w = perron_vector(g)
+    except ValueError:  # perron_vector refuses only empty and disconnected graphs
+        raise ValueError("quotient matrix needs a connected graph") from None
     return _quotient(g, partition, _weighted(g, partition, w), w)
 
 

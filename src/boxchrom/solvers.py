@@ -10,7 +10,8 @@ question of it, the admission rule of the mode: may vertex v join this class?
 ``_admission`` answers it from the class mask alone, with no state kept
 between questions.  A graph has maximum degree at most 1 iff every component
 has at most 2 vertices, so 2-clustered colouring is decided by the 1-improper
-rule, and proper and 1-clustered colouring by the 0-improper one.  The
+rule, and proper and 1-clustered colouring by the 0-improper one (so the
+conjecture sweep reads its d = 1 clustered value off the improper solve).  The
 minimum-colour solves, the fold solves and the uniqueness count in ``hoffman``
 run the kernel ``_search``.  ``alpha_d``, ``clique_number`` (omega(G) is
 alpha_0 of the complement) and the maximal admissible sets of the fractional

@@ -11,10 +11,13 @@ from itertools import combinations, permutations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from boxchrom.colouring import Colouring, Mode
+from boxchrom.bounds import bound_report, hoffman_bilu
+from boxchrom.cli import ConjectureRecord, SweepInvariantError
+from boxchrom.colouring import Colouring, Mode, check_improper, lift_colouring
 from boxchrom.graphs import (
     Graph,
     complete_graph,
+    emit_graph6,
     empty_graph,
     induced_subgraph,
     iter_bits,
@@ -23,8 +26,15 @@ from boxchrom.graphs import (
     strong_product,
 )
 from boxchrom.smallgraphs import canonical_certificate, random_connected_graph, random_graph
-from boxchrom.solvers import Timeout, _Clock, _admission
-from boxchrom.spectra import MULT_TOL, MatrixKind, eigensolve, graph_matrix, spectrum
+from boxchrom.solvers import (
+    Timeout,
+    _Clock,
+    _admission,
+    chromatic_clustered,
+    chromatic_improper,
+    clique_number,
+)
+from boxchrom.spectra import MULT_TOL, SNAP_TOL, MatrixKind, eigensolve, graph_matrix, spectrum
 from boxchrom.transfer import (
     ComponentPick,
     TransferTrace,
@@ -623,3 +633,66 @@ def jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
     raise ArithmeticError("Jacobi iteration failed to converge")
+
+
+def sweep_instance(g: Graph, d: int, timeout: float = 60.0) -> ConjectureRecord:
+    """One (graph, d) conjecture record with every solve run afresh.
+
+    The reference for ``cli.run_sweep``, which solves chi(G) and the
+    annotations read off G once per graph and reads the 2-clustered value at
+    d = 1 off the 1-improper solve.
+    """
+    product = strong_product(g, complete_graph(d + 1))
+    # one deadline per instance: each later solve gets what the earlier ones left
+    deadline = time.monotonic() + timeout
+    base = chromatic_improper(g, 0, timeout=timeout)
+    # an optimal colouring of G, copied onto each fibre, colours the product
+    lifted = lift_colouring(base.witness, d + 1) if base.status == "optimal" else None
+    improper = chromatic_improper(product, d, timeout=max(0.0, deadline - time.monotonic()),
+                                  upper_witness=lifted)
+    clustered = chromatic_clustered(product, d + 1, upper_witness=lifted,
+                                    timeout=max(0.0, deadline - time.monotonic()))
+    report = bound_report(product, d)
+    millis = base.millis + improper.millis + clustered.millis
+
+    if "timeout" in (base.status, improper.status, clustered.status):
+        return ConjectureRecord(
+            emit_graph6(g), g.n, d, base.value, improper.value, clustered.value,
+            report.best_lower, report.best_lower_name, "timeout", (), None, millis,
+        )
+
+    # the clustered equality is a proven theorem: a mismatch is a solver bug
+    if clustered.value != base.value:
+        raise SweepInvariantError(
+            f"{emit_graph6(g)} d={d}: clustered {clustered.value} != chi {base.value}")
+    if improper.value > base.value:
+        raise SweepInvariantError(
+            f"{emit_graph6(g)} d={d}: improper {improper.value} > chi {base.value}")
+
+    annotations = []
+    if d <= 1:
+        annotations.append("proven:d=1")
+    if base.value <= 4:
+        annotations.append("proven:chi<=4")
+    omega = clique_number(g).value
+    if omega == base.value:
+        annotations.append("proven:perfect-case")
+    if g.edge_count:
+        if abs(hoffman_bilu(g, 0) - base.value) <= SNAP_TOL:
+            annotations.append("proven:hoffman-tight")
+
+    witness = None
+    if improper.value < base.value:
+        status = "counterexample"
+        bad = check_improper(product, improper.witness, d)
+        if bad:
+            raise SweepInvariantError(
+                f"{emit_graph6(g)} d={d}: counterexample witness is not {d}-improper: {bad}")
+        witness = improper.witness.to_json()
+    else:
+        status = "verified"
+    return ConjectureRecord(
+        emit_graph6(g), g.n, d, base.value, improper.value, clustered.value,
+        report.best_lower, report.best_lower_name, status, tuple(annotations),
+        witness, millis,
+    )

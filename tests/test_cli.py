@@ -3,13 +3,15 @@
 Each command runs through main() with capsys, asserting on the JSON payload
 and the exit code.  Graph resolution shorthands and the failure paths (bad
 input 1, timeout 2, sweep counterexample 1, sweep error 3) are covered too,
-and the bad-flag exits of ``scripts/conjecture_sweep.py``.
+and the bad-flag exits of ``scripts/conjecture_sweep.py`` and
+``scripts/bounds_table.py``.
 """
 
 import importlib.util
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,16 @@ import pytest
 from boxchrom import cli
 from boxchrom.cli import CliInputError, SweepInvariantError, main, resolve_named
 from boxchrom.colouring import Colouring, check_improper, lift_colouring
-from boxchrom.graphs import complete_graph, cycle_graph, emit_graph6, strong_product
+from boxchrom.graphs import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    emit_graph6,
+    empty_graph,
+    strong_product,
+)
+from boxchrom.solvers import chromatic_improper
+from oracles import sweep_instance
 
 K3 = emit_graph6(complete_graph(3))
 
@@ -315,6 +326,9 @@ class TestConjecture:
         assert rec["chi_clustered_product"] == 3
         assert rec["status"] == "verified"
         assert rec["annotations"]
+        assert list(rec) == ["graph6", "n", "d", "chi", "chi_improper_product",
+                             "chi_clustered_product", "best_lower", "best_lower_name", "status",
+                             "annotations", "witness", "millis", "error"]
 
     def test_exhaustive_with_jobs(self, capsys):
         code, payload = run_cli(
@@ -376,16 +390,16 @@ class TestConjecture:
             res.value, res.witness, res.status = None, None, "timeout"
             return res
         monkeypatch.setattr(cli, "chromatic_clustered", timed_out)
-        code, payload = run_cli(capsys, "conjecture", "--named", "c5", "-d", "1")
+        # d = 2: at d = 1 the clustered value is read off the improper solve
+        code, payload = run_cli(capsys, "conjecture", "--named", "c5", "-d", "2")
         assert code == 2
         assert payload["timeouts"] == 1 and payload["counterexamples"] == 0
 
     def test_exit_code_on_counterexample(self, capsys, monkeypatch):
-        def refuted(task):
-            g, d, _ = task
+        def refuted(g, graph6, d, *_):
             return cli.ConjectureRecord(
-                emit_graph6(g), g.n, d, 3, 2, 3, None, None, "counterexample", (), None, 0.0)
-        monkeypatch.setattr(cli, "_sweep_instance", refuted)
+                graph6, g.n, d, 3, 2, 3, None, None, "counterexample", (), None, 0.0)
+        monkeypatch.setattr(cli, "_sweep_record", refuted)
         code, payload = run_cli(capsys, "conjecture", "--named", "c5", "--named", "k3", "-d", "1")
         assert code == 1
         assert payload["counterexamples"] == 2
@@ -420,7 +434,7 @@ class TestConjecture:
         flags = ["conjecture", "--all-connected", "5", "-d", "1,2"]
         _, serial = run_cli(capsys, *flags, "--jobs", "1")
         _, pooled = run_cli(capsys, *flags, "--jobs", "2")
-        assert chunks == [7]  # 31 graphs at two d: 62 // (4 chunks * 2 workers)
+        assert chunks == [3]  # one task per graph: 31 // (4 chunks * 2 workers)
         assert _without_millis(pooled) == _without_millis(serial)
 
     def test_error_exit_sits_between_counterexample_and_timeout(self):
@@ -442,8 +456,10 @@ class TestConjecture:
             res.value += 1
             return res
         monkeypatch.setattr(cli, "chromatic_clustered", off_by_one)
+        g = cycle_graph(5)  # d = 2: no clustered solve runs at d = 1
         with pytest.raises(SweepInvariantError, match="clustered"):
-            cli._sweep_instance((cycle_graph(5), 1, 60.0))
+            cli._sweep_record(g, emit_graph6(g), 2, chromatic_improper(g, 0), [],
+                              time.monotonic() + 60.0)
 
     def test_product_solves_start_from_the_lifted_base_colouring(self, monkeypatch):
         # an optimal colouring of G copied onto each fibre bounds both product solves
@@ -458,43 +474,133 @@ class TestConjecture:
             return solve
         monkeypatch.setattr(cli, "chromatic_improper", recording(real_improper))
         monkeypatch.setattr(cli, "chromatic_clustered", recording(real_clustered))
-        record = cli._sweep_instance((cycle_graph(5), 2, 60.0))
+        [record] = cli._sweep_graph(cycle_graph(5), (2,), 60.0)
         assert record.status == "verified"
         (none, base), (improper, _), (clustered, _) = given
         assert none is None
         assert improper == clustered == lift_colouring(base.witness, 3)
 
     def test_timeout_is_per_instance(self, monkeypatch):
-        # a slow first solve leaves the later two solves only the rest of the budget
+        # the slow base solve is charged to every d, the slow d = 1 solve to d = 1 only
         budgets = []
         real_improper, real_clustered = cli.chromatic_improper, cli.chromatic_clustered
 
-        def slow_first(real):
+        def slowed(real):
             def solve(*args, timeout, **kwargs):
                 budgets.append(timeout)
-                if len(budgets) == 1:
-                    time.sleep(0.05)
+                time.sleep({1: 0.05, 2: 0.1}.get(len(budgets), 0.0))
                 return real(*args, timeout=timeout, **kwargs)
             return solve
-        monkeypatch.setattr(cli, "chromatic_improper", slow_first(real_improper))
-        monkeypatch.setattr(cli, "chromatic_clustered", slow_first(real_clustered))
-        record = cli._sweep_instance((cycle_graph(5), 1, 60.0))
-        assert record.status == "verified"
-        assert budgets[0] == 60.0 and len(budgets) == 3
+        monkeypatch.setattr(cli, "chromatic_improper", slowed(real_improper))
+        monkeypatch.setattr(cli, "chromatic_clustered", slowed(real_clustered))
+        records = cli._sweep_graph(cycle_graph(5), (1, 2), 60.0)
+        assert [r.status for r in records] == ["verified", "verified"]
+        # base, improper at d = 1, improper and clustered at d = 2
+        assert budgets[0] == 60.0 and len(budgets) == 4
         assert all(b <= 60.0 - 0.05 for b in budgets[1:])
-        assert budgets[2] <= budgets[1]
+        assert budgets[2] > 60.0 - 0.05 - 0.1
+        assert budgets[3] <= budgets[2]
+
+    def test_base_solve_and_annotations_run_once_per_graph(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                calls.append((name, args[-1] if len(args) > 1 else None))  # d, t or none
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, call)
+        for name in ("chromatic_improper", "chromatic_clustered", "check_clustered",
+                     "clique_number", "hoffman_bilu"):
+            counting(name)
+        code, payload = run_cli(capsys, "conjecture", "--all-connected", "5", "-d", "1,2")
+        assert code == 0 and payload["instances"] == 62
+        count = Counter(calls)
+        assert count[("chromatic_improper", 0)] == 31  # 31 connected graphs on <= 5 vertices
+        assert count[("chromatic_improper", 1)] == count[("chromatic_improper", 2)] == 31
+        assert count[("chromatic_clustered", 3)] == 31 and count[("chromatic_clustered", 2)] == 0
+        # every d = 1 clustered witness is the improper one, re-checked
+        assert count[("check_clustered", 2)] == 31
+        assert count[("clique_number", None)] == 31
+        assert count[("hoffman_bilu", 0)] == 30  # K1 has no edges
+
+    def test_a_d1_witness_that_is_not_2_clustered_raises(self, monkeypatch):
+        real = cli.chromatic_improper
+
+        def one_class(g, d, **kwargs):
+            res = real(g, d, **kwargs)
+            if d == 1:
+                res.witness = Colouring.from_list([1] * g.n)
+            return res
+        monkeypatch.setattr(cli, "chromatic_improper", one_class)
+        g = cycle_graph(5)
+        with pytest.raises(SweepInvariantError, match="not 2-clustered"):
+            cli._sweep_record(g, emit_graph6(g), 1, real(g, 0), [], time.monotonic() + 60.0)
+        [record] = cli._sweep_graph(g, (1,), 60.0)
+        assert record.status == "error" and record.error["type"] == "SweepInvariantError"
+
+    def test_a_failure_at_one_d_errors_that_d_only(self, capsys, monkeypatch):
+        flags = ["conjecture", "--all-connected", "4", "-d", "1,2,3"]
+        _, clean = run_cli(capsys, *flags)
+        real_report, real_improper = cli.bound_report, cli.chromatic_improper
+        base_solves = []
+
+        def failing(product, d, *args, **kwargs):
+            if d == 2:
+                raise RuntimeError("injected failure")
+            return real_report(product, d, *args, **kwargs)
+
+        def counting(g, d, **kwargs):
+            if d == 0:
+                base_solves.append(g)
+            return real_improper(g, d, **kwargs)
+        monkeypatch.setattr(cli, "bound_report", failing)
+        monkeypatch.setattr(cli, "chromatic_improper", counting)
+        code, payload = run_cli(capsys, *flags)
+        assert code == 3 and payload["errors"] == 10 and clean["errors"] == 0
+        assert len(base_solves) == 10  # the failure at d = 2 leaves G's one base solve
+        for rec, ref in zip(_without_millis(payload)["records"], _without_millis(clean)["records"]):
+            if rec["d"] != 2:
+                assert rec == ref
+                continue
+            assert rec["status"] == "error" and rec["graph6"] == ref["graph6"]
+            assert rec["error"]["message"] == "injected failure"
 
 
-def _load_sweep_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "conjecture_sweep.py"
-    spec = importlib.util.spec_from_file_location("conjecture_sweep", path)
+class TestSweepReference:
+    """``run_sweep`` gives the records of the per-(graph, d) reference, ``millis`` aside."""
+
+    def test_every_connected_graph_up_to_6(self, connected_catalogue):
+        graphs = tuple(g for n in sorted(connected_catalogue) for g in connected_catalogue[n])
+        ds = (1, 2, 3)
+        payload = cli.run_sweep(cli.SweepSpec("reference", graphs, ds, 60.0, 1))
+        reference = [sweep_instance(g, d).to_json() for g in graphs for d in ds]
+        assert payload["instances"] == len(reference) == 143 * 3
+        assert _without_millis(payload) == _without_millis({**payload, "records": reference})
+
+    def test_disconnected_and_edgeless_graphs(self, capsys, tmp_path):
+        graphs = [disjoint_union(cycle_graph(5), complete_graph(3)), empty_graph(4),
+                  empty_graph(1), empty_graph(0), disjoint_union(complete_graph(2), empty_graph(2))]
+        path = tmp_path / "corpus.g6"
+        path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+        code, payload = run_cli(capsys, "conjecture", "--graph6-file", str(path), "-d", "1,2")
+        assert code == 0 and payload["instances"] == 10
+        reference = [sweep_instance(g, d).to_json() for g in graphs for d in (1, 2)]
+        assert _without_millis(payload) == _without_millis({**payload, "records": reference})
+
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 class TestSweepScript:
-    script = _load_sweep_script()
+    script = _load_script("conjecture_sweep")
 
     @pytest.mark.parametrize("flags", [
         ["--max-n", "9"], ["--max-n", "0"], ["-d", "0"], ["-d", "x"],
@@ -539,3 +645,24 @@ class TestSweepScript:
         assert all(row["seconds"] >= 0 for row in generation)
         for row in generation:
             assert f"n={row['n']}  {row['graphs']:7d} connected graphs  {row['seconds']:.3f} s" in out
+
+
+class TestBoundsTableScript:
+    script = _load_script("bounds_table")
+
+    @pytest.mark.parametrize("flags", [
+        ["-d", "x"], ["-d", "-1"], ["-d", "0,,1"], ["--named", "nonsense"], ["--named", "c2"],
+        ["--named", "k41"], ["--named", "c5", "--named", "nonsense"],
+    ])
+    def test_bad_flag_is_an_input_error(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(sys, "argv", ["bounds_table.py", *flags])
+        assert self.script.main() == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_table_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["bounds_table.py", "--named", "c5", "-d", "0,1"])
+        assert self.script.main() == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[:2] + row.split()[-3:] for row in rows] == [
+            ["c5", "0", "3", "3", "tight"], ["c5", "1", "2", "2", "tight"]]

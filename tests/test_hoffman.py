@@ -183,8 +183,18 @@ class TestQuotientMatrix:
 
     def test_disconnected_rejected(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="quotient matrix needs a connected graph"):
             quotient_matrix(g, Partition(4, ((0, 1), (2, 3))))
+
+    def test_one_connectivity_test(self, monkeypatch):
+        # the Perron vector's own connectivity test is the quotient's
+        g = petersen_graph()
+        p = Partition.from_colouring(chromatic_improper(g, 0).witness)
+        before = quotient_matrix(g, p)
+        tests, real_test = [], Graph.is_connected
+        monkeypatch.setattr(Graph, "is_connected", lambda h: tests.append(h) or real_test(h))
+        assert np.array_equal(quotient_matrix(g, p), before)
+        assert tests == [g]
 
 
 class TestDiagnoseHoffman:
