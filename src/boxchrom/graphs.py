@@ -28,7 +28,6 @@ __all__ = [
     "disjoint_union",
     "emit_edgelist",
     "emit_graph6",
-    "induced_subgraph",
     "iter_bits",
     "join",
     "lexicographic_product",
@@ -90,6 +89,22 @@ def _twin_classes(g: Graph) -> list[int]:
             first[row] = cls
         classes.append(cls)
     return classes
+
+
+def _relabel(adj: Sequence[int], order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The rows with vertex ``order[i]`` renamed i, and each vertex's new label."""
+    position = [0] * len(order)
+    for i, v in enumerate(order):
+        position[v] = i
+    rows = []
+    for v in order:
+        row, new = adj[v], 0
+        while row:  # iter_bits inlined: this runs per generated child and per kernel call
+            low = row & -row
+            new |= 1 << position[low.bit_length() - 1]
+            row ^= low
+        rows.append(new)
+    return rows, position
 
 
 @dataclass(frozen=True)
@@ -196,22 +211,6 @@ def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     adj = tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj))
     return Graph(g.n, adj)
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on ``vertices``, relabelled 0..k-1 in the given order."""
-    vs = list(vertices)
-    if len(set(vs)) != len(vs):
-        raise ValueError("duplicate vertices")
-    if not all(0 <= v < g.n for v in vs):
-        raise ValueError(f"vertices must lie in 0..{g.n - 1}")
-    pos = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
-    for i, v in enumerate(vs):
-        for u in iter_bits(g.adj[v]):
-            if u in pos:
-                adj[i] |= 1 << pos[u]
-    return _trusted(adj)
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, _trusted, _twin_classes, emit_graph6, iter_bits
+from .graphs import Graph, _relabel, _trusted, _twin_classes, emit_graph6, iter_bits
 
 __all__ = [
     "CanonicalFormError",
@@ -162,24 +162,13 @@ def canonical_form(g: Graph) -> Graph:
 def _labelling(g: Graph, classes: list[list[int]]) -> tuple[Graph, list[int]]:
     """``canonical_form(g)`` from g's refinement classes, and each vertex's new label."""
     orders, twin = _least_orders(g, classes)
-    first = orders[0]
-    position = [0] * g.n
-    for i, v in enumerate(first):
-        position[v] = i
+    adj, position = _relabel(g.adj, orders[0])
     gens = [tuple(position[v] for v in order) for order in orders[1:]]
     for v, cls in enumerate(twin):
         if cls != v:
             image = list(range(g.n))
             image[position[v]], image[position[cls]] = position[cls], position[v]
             gens.append(tuple(image))
-    adj = []
-    for v in first:
-        row, new = g.adj[v], 0
-        while row:  # iter_bits inlined: this loop runs once per generated child
-            low = row & -row
-            new |= 1 << position[low.bit_length() - 1]
-            row ^= low
-        adj.append(new)
     return _trusted(adj, name=g.name, automorphisms=tuple(gens)), position
 
 

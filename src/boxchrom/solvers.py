@@ -38,17 +38,19 @@ other vertex; every fibre {v} x K_{d+1} of G x K_{d+1} is such a class.  The
 next block is the one whose head sees the most distinct colours on its
 coloured neighbours (Brelaz's DSATUR order), ties to the rank from
 ``_branch_order``, so the choice depends only on the partial colouring up to
-renaming colours.  Inside a block no member takes a colour below the
-previous member's (the twin floor).  Together with first-appearance colour
-order this loses no colouring up to symmetry.  Take any colouring and follow
-the search's own path.  At each block it reaches, sort the colours inside
-the block; that permutes twins only, so the blocks already coloured keep
-their colours.  Then rename colours by first appearance.  The colours new to
-the block are consecutive and above the old ones, so the block stays
-sorted.  The colouring now agrees with the search on every block so far, so
-the search picks the same next block, and the argument repeats.  Without
-the floor (singleton blocks, as the uniqueness count uses) the same walk
-reaches each colouring up to renaming exactly once.
+renaming colours.  In rank order each block is a run of positions, and one
+bitmask per saturation level holds the heads not yet begun, so the kernel
+finds that block in O(k) without a scan of the heads.  Inside a block no
+member takes a colour below the previous member's (the twin floor).  Together
+with first-appearance colour order this loses no colouring up to symmetry.
+Take any colouring and follow the search's own path.  At each block it
+reaches, sort the colours inside the block; that permutes twins only, so the
+blocks already coloured keep their colours.  Then rename colours by first
+appearance.  The colours new to the block are consecutive and above the old
+ones, so the block stays sorted.  The colouring now agrees with the search on
+every block so far, so the search picks the same next block, and the argument
+repeats.  Without the floor (singleton blocks, as the uniqueness count uses)
+the same walk reaches each colouring up to renaming exactly once.
 
 A b-fold colouring of G is a colouring of G x K_b that gives each fibre
 {v} x K_b distinct colours (Stahl, JCTB 20, 1976).  Such a colour class holds
@@ -74,7 +76,7 @@ from functools import lru_cache
 
 from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
-from .graphs import Graph, _twin_classes, complete_graph, iter_bits, strong_product
+from .graphs import Graph, _relabel, _twin_classes, complete_graph, iter_bits, strong_product
 from .spectra import SNAP_TOL, STRICT_MARGIN
 
 __all__ = [
@@ -261,40 +263,37 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
     number of colours, and the search stops once ``leaf`` returns True.
 
     One loop walks the tree over an explicit stack, one slot per coloured
-    vertex, so its speed does not depend on the caller's stack depth.  A node
-    is one colour tried for one vertex.  The count is kept locally, written
-    back to ``clock.nodes`` on every exit, and the deadline is polled every
-    ``_Clock.POLL`` nodes.
+    vertex, so its speed does not depend on the caller's stack depth.  It runs
+    on positions, i standing for ``order[i]``, and maps the colours back.
+    ``level[j]`` holds the unbegun heads that see j distinct colours, so the
+    next block is the lowest bit of the highest non-empty level; a placement
+    lifts its fresh heads one level, top level first, and backtracking lowers
+    them, bottom level first.  A node is one colour tried for one vertex.  The
+    count is kept locally, written back to ``clock.nodes`` on every exit, and
+    the deadline is polled every ``_Clock.POLL`` nodes.
     """
     n = g.n
-    adj = g.adj
+    adj, pos = _relabel(g.adj, order)  # adj[i]: the positions next to position i
     admits = _admission(adj, mode)
     masks = [0] * (k + 1)  # masks[c]: the members of class c
     colour = [0] * n
-    seen = [0] * (k + 1)  # seen[c]: the vertices next to class c
-    # key[v] = (distinct colours next to v) * n + n - 1 - rank: max picks the block
-    key = [0] * n
-    after = [-1] * n  # after[v]: the next member of v's block, -1 at its end
-    heads = set()
-    for i, v in enumerate(order):
-        key[v] = n - 1 - i
-        if prev[i] < 0:
-            heads.add(v)
-        else:
-            after[order[prev[i]]] = v
-    # slot s holds the s-th coloured vertex, the colours used before it,
-    # seen[c] before it joined class c, and the heads that saw c for the first
-    # time through it
+    seen = [0] * (k + 1)  # seen[c]: the positions next to class c
+    starts = sum(1 << i for i, p in enumerate(prev) if p < 0) | 1 << n  # block starts, and n
+    level = [0] * (k + 1)
+    level[0] = free = starts ^ 1 << n  # the heads of the blocks not yet begun
+    # slot s holds the s-th coloured position, the colours used before it,
+    # seen[c] before it joined class c, the heads that saw c for the first time
+    # through it, and the level its block's head was picked from
     vertex = [0] * n
     used = [0] * n
     near = [0] * n
     fresh = [0] * n
+    picked = [0] * n
     nodes = clock.nodes
     deadline = clock.deadline
     period = _Clock.POLL
     poll = -1 if deadline is None else nodes - nodes % period + period
     monotonic = time.monotonic
-    free = starts = sum(1 << h for h in heads)  # the heads of the blocks not yet begun
     max_used = 0
     s = 0
     v = -1
@@ -304,18 +303,23 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
             if descend:
                 if s == n:  # complete: the leaf decides, or backtrack from the last slot
                     if leaf is None or leaf(max_used):
-                        return colour
+                        return [colour[i] for i in pos]
                     descend = False
                     continue
-                w = after[v] if s else -1
-                if w < 0:
-                    w = max(heads, key=key.__getitem__)
-                    heads.remove(w)
-                    free ^= 1 << w
+                if starts >> v + 1 & 1:  # v ends its block: begin the next
+                    j = max_used
+                    while not level[j]:
+                        j -= 1
+                    heads = level[j]
+                    low = heads & -heads
+                    level[j] = heads ^ low
+                    free ^= low
+                    picked[s] = j
+                    v = low.bit_length() - 1
                     c = 1
                 else:
                     c = colour[v] + step
-                v = w
+                    v += 1
                 vertex[s] = v
                 used[s] = max_used
             else:
@@ -327,10 +331,14 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
                 masks[c] ^= 1 << v
                 seen[c] = near[s]
                 rest = fresh[s]
+                j = 1
                 while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    key[low.bit_length() - 1] -= n
+                    moved = level[j] & rest
+                    if moved:
+                        level[j] ^= moved
+                        level[j - 1] |= moved
+                        rest ^= moved
+                    j += 1
                 max_used = used[s]
                 c += 1
             for c in range(c, (max_used + 1 if max_used < k else k) + 1):
@@ -344,20 +352,23 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
                     break
             else:  # every colour tried: leave the slot, and reopen the block it began
                 if starts >> v & 1:
-                    heads.add(v)
+                    level[picked[s]] |= 1 << v
                     free |= 1 << v
                 descend = False
                 continue
             masks[c] = mask | 1 << v
             colour[v] = c
             row = adj[v]
-            was = seen[c]
-            near[s] = was
+            near[s] = was = seen[c]
             fresh[s] = rest = row & free & ~was  # heads that see colour c for the first time
+            j = max_used
             while rest:
-                low = rest & -rest
-                rest ^= low
-                key[low.bit_length() - 1] += n
+                moved = level[j] & rest
+                if moved:
+                    level[j] ^= moved
+                    level[j + 1] |= moved
+                    rest ^= moved
+                j -= 1
             seen[c] = was | row
             if c > max_used:
                 max_used = c

@@ -19,7 +19,6 @@ from boxchrom.graphs import (
     complete_graph,
     emit_graph6,
     empty_graph,
-    induced_subgraph,
     iter_bits,
     lexicographic_product,
     parse_graph6,
@@ -331,6 +330,13 @@ def smallest_cycle(adj) -> tuple[int, ...] | None:
                     rotated = cycle[start:] + cycle[:start]
                     best = tuple(min(rotated, [rotated[0]] + rotated[1:][::-1]))
     return best
+
+
+def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
+    """Subgraph induced on ``vertices``, relabelled 0..k-1 in the given order."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    return Graph.from_edges(len(vertices), [(pos[u], pos[v]) for u, v in g.edges()
+                                            if u in pos and v in pos])
 
 
 def descend_by_induced_subgraph(g: Graph, c: Colouring, t: int,

@@ -23,7 +23,6 @@ from boxchrom.graphs import (
     emit_edgelist,
     emit_graph6,
     empty_graph,
-    induced_subgraph,
     iter_bits,
     join,
     lexicographic_product,
@@ -38,7 +37,7 @@ from boxchrom.graphs import (
     strong_product,
 )
 from boxchrom.smallgraphs import canonical_form
-from oracles import component_set, graphs, twin_graphs
+from oracles import component_set, graphs, induced_subgraph, twin_graphs
 
 
 class TestGraphModel:
@@ -165,30 +164,18 @@ class TestProducts:
         with pytest.raises(ValueError):
             line_graph(empty_graph(3))
 
-    def test_induced_subgraph_relabels(self):
-        g = cycle_graph(5)
-        h = induced_subgraph(g, [1, 2, 3])
-        assert h.adj == path_graph(3).adj
-
-    def test_induced_subgraph_rejects_outside_vertices(self):
-        with pytest.raises(ValueError):
-            induced_subgraph(cycle_graph(5), [0, -1])
-        with pytest.raises(ValueError):
-            induced_subgraph(cycle_graph(5), [5])
-
     @given(graphs(max_n=5), graphs(max_n=4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_unchecked_outputs_pass_the_checks(self, g, h, data):
-        # strong_product, induced_subgraph and canonical_form skip Graph's validation
+        # strong_product and canonical_form skip Graph's validation
         prod = strong_product(g, h)
         vs = data.draw(st.permutations(range(prod.n)))[:data.draw(st.integers(0, prod.n))]
         sub = induced_subgraph(prod, vs)
-        outs = (prod, sub, induced_subgraph(g, [v for v in vs if v < g.n]),
-                canonical_form(Graph(g.n, g.adj, "g")), canonical_form(sub))
+        outs = (prod, canonical_form(Graph(g.n, g.adj, "g")), canonical_form(sub))
         for out in outs:
             copy = Graph(out.n, out.adj)
             assert copy == out and hash(copy) == hash(out)
-        assert outs[3].name == "g"
+        assert outs[1].name == "g"
 
     @given(graphs(max_n=5), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
@@ -202,7 +189,6 @@ class TestProducts:
     def test_other_products_keep_no_base(self):
         assert strong_product(cycle_graph(4), path_graph(3))._base is None
         assert strong_product(cycle_graph(4), empty_graph(2))._base is None
-        assert induced_subgraph(strong_product(cycle_graph(4), complete_graph(2)), range(6))._base is None
 
 
 class TestNamedFamilies:

@@ -284,9 +284,12 @@ def kernel_layouts(draw):
 
     Twin blocks from ``_branch_order`` (the minimum-colour solves), singleton
     blocks in index order (the uniqueness count in ``hoffman``), and the fibres
-    of G x K_b under a strict floor (``chromatic_bfold``).
+    of G x K_b under a strict floor (``chromatic_bfold``).  The shuffled
+    layout, a random order cut into random runs under either floor, is none of
+    these: the kernel relabels into its own rank order and maps colours back,
+    and a fault there shows only when that order is not the identity.
     """
-    layout = draw(st.sampled_from(["twin", "singleton", "fibre"]))
+    layout = draw(st.sampled_from(["twin", "singleton", "fibre", "shuffled"]))
     if layout == "fibre":
         base, b = draw(graphs(max_n=4)), draw(st.integers(1, 3))
         order = [v * b + i for v in _branch_order(base)[0] for i in range(b)]
@@ -295,6 +298,10 @@ def kernel_layouts(draw):
     g = draw(SEARCH_INPUTS)
     if layout == "singleton":
         return g, list(range(g.n)), [-1] * g.n, 0
+    if layout == "shuffled":
+        order = draw(st.permutations(range(g.n)))
+        prev = [i - 1 if i and draw(st.booleans()) else -1 for i in range(g.n)]
+        return g, order, prev, draw(st.integers(0, 1))
     return g, *_branch_order(g), 0
 
 

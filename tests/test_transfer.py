@@ -20,7 +20,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from boxchrom import graphs, transfer
+from boxchrom import transfer
 from boxchrom.colouring import (
     Colouring,
     _component_masks,
@@ -416,9 +416,6 @@ class TestDescend:
             return wrapper
 
         monkeypatch.setattr(transfer, "strong_product", counting("product", strong_product))
-        for module in (graphs, transfer):
-            monkeypatch.setattr(module, "induced_subgraph",
-                                counting("induced", graphs.induced_subgraph), raising=False)
         for g, t, ell, stride in [(petersen_graph(), 3, 2, 7), (cycle_graph(7), 3, 1, 5)]:
             c = _first_fit_clustered(_product(g, t), ell * t, stride)
             calls.clear()
