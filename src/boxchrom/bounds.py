@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _fields_json
 from .spectra import (ROUNDOFF, SNAP_TOL, STRICT_MARGIN, MatrixKind, Spectrum, eigensolve,
                       graph_matrix, spectrum)
 
@@ -201,24 +201,18 @@ class BoundEntry:
     ceiling: int | None
     kind: str = "lower"  # "lower" or "upper"
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "params": self.params, "value": self.value,
-                "ceiling": self.ceiling, "kind": self.kind}
+    to_json = _fields_json
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    graph_n: int
+    n: int
     d: int
     entries: tuple[BoundEntry, ...]
     best_lower: int
     best_lower_name: str
 
-    def to_json(self) -> dict:
-        return {"n": self.graph_n, "d": self.d,
-                "entries": [e.to_json() for e in self.entries],
-                "best_lower": self.best_lower,
-                "best_lower_name": self.best_lower_name}
+    to_json = _fields_json
 
 
 def bound_report(g: Graph, d: int, m_max: int = 3,

@@ -76,16 +76,14 @@ _BIPARTITE = re.compile(r"^k(\d+),(\d+)$", re.IGNORECASE)
 def resolve_named(text: str) -> Graph:
     """Family names with parameters, plus c<N>/k<N>/p<N>/k<A>,<B> shorthands."""
     token = text.strip()
-    m = _BIPARTITE.match(token)
-    if m:
-        return named_graph("complete_bipartite", (int(m.group(1)), int(m.group(2))))
-    m = _SHORTHAND.match(token)
-    if m:
-        family = {"c": "cycle", "k": "complete", "p": "path"}[m.group(1).lower()]
-        return named_graph(family, (int(m.group(2)),))
-    parts = token.split(",")
-    try:
-        return named_graph(parts[0], tuple(int(x) for x in parts[1:]))
+    if m := _BIPARTITE.match(token):
+        family, params = "complete_bipartite", m.groups()
+    elif m := _SHORTHAND.match(token):
+        family, params = {"c": "cycle", "k": "complete", "p": "path"}[m[1].lower()], (m[2],)
+    else:
+        family, *params = token.split(",")
+    try:  # the builder refuses a shorthand as it does a family name
+        return named_graph(family, tuple(int(x) for x in params))
     except ValueError as e:
         raise CliInputError(str(e)) from e
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _components, iter_bits
+from .graphs import Graph, _components, _fields_json, iter_bits
 
 __all__ = [
     "BFoldColouring",
@@ -40,7 +40,7 @@ class Colouring:
 
     def __post_init__(self) -> None:
         for v, c in enumerate(self.colours):
-            if not isinstance(c, int) or c < 1:
+            if type(c) is not int or c < 1:  # refuses bool, an int subclass, too
                 raise ValueError(f"vertex {v} has invalid colour {c!r}")
 
     @classmethod
@@ -89,8 +89,8 @@ class BFoldColouring:
         for v, s in enumerate(self.sets):
             if len(set(s)) != len(s):
                 raise ValueError(f"vertex {v} repeats a colour")
-            if any(c < 1 for c in s):
-                raise ValueError(f"vertex {v} has a non-positive colour")
+            if any(type(c) is not int or c < 1 for c in s):
+                raise ValueError(f"vertex {v} has a colour that is not a positive int: {s!r}")
             if tuple(sorted(s)) != s:
                 raise ValueError(f"vertex {v} colour set is not sorted")
 
@@ -131,9 +131,7 @@ class Violation:
     colour: int | None
     limit: int | None
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "vertices": list(self.vertices),
-                "colour": self.colour, "limit": self.limit}
+    to_json = _fields_json
 
 
 def _require_total(g: Graph, c: Colouring) -> None:

@@ -3,11 +3,16 @@
 Vertices are always 0..n-1.  Each adjacency row is an int used as a bitmask,
 which keeps subgraph and neighbourhood tests cheap at desk scale and makes
 graphs hashable (so spectra can be memoised).
+
+Every result of the package serialises by one rule, ``_to_json``: a value
+with ``to_json`` uses it, a dataclass or named tuple becomes its fields in
+declaration order, a tuple or list becomes a list, and anything else is
+returned unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -70,6 +75,23 @@ def _components(adj: Sequence[int], within: int) -> Iterator[int]:
         yield comp
 
 
+def _fields_json(value) -> dict:
+    """A dataclass or named tuple as its fields in declaration order, each by ``_to_json``."""
+    names = value._fields if isinstance(value, tuple) else [f.name for f in fields(value)]
+    return {name: _to_json(getattr(value, name)) for name in names}
+
+
+def _to_json(value):
+    """The JSON form of a result value, by the rule in the module docstring."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if is_dataclass(value) or isinstance(value, tuple) and hasattr(value, "_fields"):
+        return _fields_json(value)
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def _twin_classes(g: Graph) -> list[int]:
     """Per vertex, the least vertex of its twin class.
 
@@ -116,10 +138,6 @@ class Graph:
     name: str | None = field(default=None, compare=False)
     # (base, t) when this graph is strong_product(base, K_t); not part of equality
     _base: tuple[Graph, int] | None = field(default=None, init=False, compare=False, repr=False)
-    # generators of Aut(g) as vertex images, when smallgraphs.canonical_form built
-    # this graph and read them off its labelling search; not part of equality
-    _automorphisms: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -195,15 +213,13 @@ class Graph:
 
 
 def _trusted(adj: Sequence[int], base: tuple[Graph, int] | None = None,
-             name: str | None = None,
-             automorphisms: tuple[tuple[int, ...], ...] | None = None) -> Graph:
+             name: str | None = None) -> Graph:
     """A Graph on rows a construction built symmetric and loop-free, unchecked."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", len(adj))
     object.__setattr__(g, "adj", tuple(adj))
     object.__setattr__(g, "name", name)
     object.__setattr__(g, "_base", base)
-    object.__setattr__(g, "_automorphisms", automorphisms)
     return g
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import hoffman_bilu
 from .colouring import Colouring, Mode, check_improper, lift_colouring
-from .graphs import Graph, complete_graph, strong_product
+from .graphs import Graph, _fields_json, complete_graph, strong_product
 from .solvers import _Clock, _search
 from .spectra import QUOTIENT_TOL, SNAP_TOL, graph_matrix, perron_vector, spectrum
 
@@ -179,23 +179,7 @@ class HoffmanDiagnosis:
             out = out and self.equitable and bool(self.cross_degrees_match)
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "num_classes": self.num_classes,
-            "bound": self.bound,
-            "is_tight": self.is_tight,
-            "smallest_eigenvalue": self.smallest_eigenvalue,
-            "smallest_multiplicity": self.smallest_multiplicity,
-            "multiplicity_sufficient": self.multiplicity_sufficient,
-            "classes_d_regular": self.classes_d_regular,
-            "weight_regular": self.weight_regular,
-            "equitable": self.equitable,
-            "cross_degrees_match": self.cross_degrees_match,
-            "unique_colouring": self.unique_colouring,
-            "multiplicity_exact": self.multiplicity_exact,
-            "quotient": [list(row) for row in self.quotient],
-        }
+    to_json = _fields_json
 
 
 def _count_colourings_up_to_symmetry(g: Graph, d: int, m: int, stop_at: int = 2) -> int:
@@ -302,15 +286,7 @@ class LiftDiagnosis:
     lifted: Colouring
     product_diagnosis: HoffmanDiagnosis
 
-    def to_json(self) -> dict:
-        return {
-            "base_classes": self.base_classes,
-            "base_bound": self.base_bound,
-            "d": self.d,
-            "product_bound": self.product_bound,
-            "lifted": self.lifted.to_json(),
-            "product_diagnosis": self.product_diagnosis.to_json(),
-        }
+    to_json = _fields_json
 
 
 def lift_tight_colouring(g: Graph, proper: Colouring, d: int) -> LiftDiagnosis:

@@ -25,9 +25,10 @@ graph P on n-1 vertices, in canonical form, gains a vertex x attached to a
 mask A, in three filters, cheapest first:
 
 - orbit step: one mask per orbit of Aut(P), whose generators come from the
-  search that canonicalised P as a child one level down (any two least orders
-  π_0, π_i give the automorphism π_0[k] -> π_i[k], and every twin pair gives a
-  transposition, so no graph is searched twice);
+  search that canonicalised P as a child one level down and are kept beside P
+  in ``_ALL_CACHE`` (any two least orders π_0, π_i give the automorphism
+  π_0[k] -> π_i[k], and every twin pair gives a transposition, so no graph is
+  searched twice);
 - refinement filter: x must lie in the child's last refinement class.  Class
   order starts from degree, so that class holds only maximum-degree vertices,
   and masks with fewer bits than P's maximum degree, or as many bits and a
@@ -70,6 +71,8 @@ __all__ = [
 ]
 
 GENERATION_CAP = 8
+
+_Generators = tuple[tuple[int, ...], ...]  # automorphisms, each as its vertex images
 
 
 class CanonicalFormError(RuntimeError):
@@ -146,21 +149,20 @@ def _least_orders(g: Graph, classes: list[list[int]]
 
 
 def canonical_form(g: Graph) -> Graph:
-    """Isomorphism-invariant relabelling: equal adj tuples iff isomorphic.
-
-    The result carries generators of its automorphism group, read off the
-    same search.  Two least orders π_0, π_j relabel g to the same graph, so
-    π_0[i] -> π_j[i] is an automorphism of g, which is i -> pos[π_j[i]] in the
-    new labels (pos inverts π_0); so is the transposition of two twins.  They
-    generate the whole group: an automorphism maps π_0 to a least order, and
-    swapping twins position by position turns that order into a frontier
-    order.
-    """
+    """Isomorphism-invariant relabelling: equal adj tuples iff isomorphic."""
     return _labelling(g, _refinement_classes(g))[0]
 
 
-def _labelling(g: Graph, classes: list[list[int]]) -> tuple[Graph, list[int]]:
-    """``canonical_form(g)`` from g's refinement classes, and each vertex's new label."""
+def _labelling(g: Graph, classes: list[list[int]]) -> tuple[Graph, list[int], _Generators]:
+    """``canonical_form(g)`` from g's refinement classes, each vertex's new label,
+    and generators of the form's automorphism group, read off the same search.
+
+    Two least orders π_0, π_j relabel g to the same graph, so π_0[i] -> π_j[i]
+    is an automorphism of g, which is i -> pos[π_j[i]] in the new labels (pos
+    inverts π_0); so is the transposition of two twins.  They generate the
+    whole group: an automorphism maps π_0 to a least order, and swapping twins
+    position by position turns that order into a frontier order.
+    """
     orders, twin = _least_orders(g, classes)
     adj, position = _relabel(g.adj, orders[0])
     gens = [tuple(position[v] for v in order) for order in orders[1:]]
@@ -169,10 +171,10 @@ def _labelling(g: Graph, classes: list[list[int]]) -> tuple[Graph, list[int]]:
             image = list(range(g.n))
             image[position[v]], image[position[cls]] = position[cls], position[v]
             gens.append(tuple(image))
-    return _trusted(adj, name=g.name, automorphisms=tuple(gens)), position
+    return _trusted(adj, name=g.name), position, tuple(gens)
 
 
-def _in_orbit(a: int, b: int, gens: tuple[tuple[int, ...], ...]) -> bool:
+def _in_orbit(a: int, b: int, gens: _Generators) -> bool:
     """True when some product of the generators maps b to a."""
     orbit, stack = {b}, [b]
     while stack:
@@ -190,7 +192,8 @@ def canonical_certificate(g: Graph) -> str:
     return emit_graph6(canonical_form(g))
 
 
-_ALL_CACHE: dict[int, tuple[Graph, ...]] = {}
+# per n: the graphs, and beside each the generators its labelling read off
+_ALL_CACHE: dict[int, tuple[tuple[Graph, ...], tuple[_Generators, ...]]] = {}
 
 
 def all_graphs(n: int) -> tuple[Graph, ...]:
@@ -198,14 +201,14 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     if not 1 <= n <= GENERATION_CAP:
         raise ValueError(f"exhaustive generation supports 1..{GENERATION_CAP} vertices")
     if n in _ALL_CACHE:
-        return _ALL_CACHE[n]
+        return _ALL_CACHE[n][0]
     if n == 1:
-        result: tuple[Graph, ...] = (_trusted((0,), automorphisms=()),)
+        out: list[tuple[Graph, _Generators]] = [(_trusted((0,)), ())]
     else:
-        out: list[Graph] = []
+        out = []
         x = n - 1
-        for g in all_graphs(n - 1):
-            gens = g._automorphisms
+        # all_graphs(x) fills _ALL_CACHE[x] before its generators are read
+        for g, gens in zip(all_graphs(x), _ALL_CACHE[x][1]):
             degrees = [row.bit_count() for row in g.adj]
             top = max(degrees)
             top_mask = sum(1 << v for v, deg in enumerate(degrees) if deg == top)
@@ -235,13 +238,14 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
                 last = classes[-1]
                 if last[-1] != x:
                     continue  # x, the largest vertex, is not in the last class
-                form, position = _labelling(child, classes)
+                form, position, form_gens = _labelling(child, classes)
                 # canonical-parent test: the canonical vertex has label n - |last|
-                if _in_orbit(position[x], n - len(last), form._automorphisms):
-                    out.append(form)
-        result = tuple(sorted(out, key=emit_graph6))
-    _ALL_CACHE[n] = result
-    return result
+                if _in_orbit(position[x], n - len(last), form_gens):
+                    out.append((form, form_gens))
+        out.sort(key=lambda pair: emit_graph6(pair[0]))
+    graphs, generators = zip(*out)
+    _ALL_CACHE[n] = graphs, generators
+    return graphs
 
 
 def connected_graphs(n: int) -> tuple[Graph, ...]:

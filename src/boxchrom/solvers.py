@@ -73,10 +73,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
-from .graphs import Graph, _relabel, _twin_classes, complete_graph, iter_bits, strong_product
+from .graphs import (Graph, _relabel, _to_json, _twin_classes, complete_graph, iter_bits,
+                     strong_product)
 from .spectra import SNAP_TOL, STRICT_MARGIN
 
 __all__ = [
@@ -84,6 +86,7 @@ __all__ = [
     "SolveResult",
     "SolverCapError",
     "Timeout",
+    "WeightedSet",
     "WitnessError",
     "alpha_d",
     "chromatic_bfold",
@@ -113,6 +116,13 @@ class SearchInvariantError(RuntimeError):
     """A search exhausted a colour count that is always feasible: a solver bug."""
 
 
+class WeightedSet(NamedTuple):
+    """One admissible set of a fractional cover and its weight."""
+
+    set: tuple[int, ...]
+    weight: float
+
+
 @dataclass
 class SolveResult:
     """Outcome of an exact solve.
@@ -122,6 +132,8 @@ class SolveResult:
     is.  A timeout carries the best bounds known instead of a value, and the
     best witness found so far: the incumbent colouring of a minimum-colour
     solve, or the re-checked largest set of ``alpha_d`` or ``clique_number``.
+    The witness is a ``Colouring`` or ``BFoldColouring``, a vertex tuple, or
+    for the fractional LP a tuple of ``WeightedSet``.
     """
 
     value: int | float | Fraction | None
@@ -138,15 +150,7 @@ class SolveResult:
             val, exact = float(self.value), str(self.value)
         else:
             val, exact = self.value, None
-        wit = self.witness
-        if isinstance(wit, (Colouring, BFoldColouring)):
-            wit = wit.to_json()
-        elif isinstance(wit, tuple) and wit and isinstance(wit[0], tuple) and len(wit[0]) == 2 \
-                and isinstance(wit[0][1], float):
-            wit = [{"set": list(s), "weight": w} for s, w in wit]
-        elif isinstance(wit, tuple):
-            wit = list(wit)
-        return {"value": val, "value_exact": exact, "witness": wit,
+        return {"value": val, "value_exact": exact, "witness": _to_json(self.witness),
                 "nodes": self.nodes, "millis": round(self.millis, 3),
                 "status": self.status, "lower_bound": self.lower_bound,
                 "lower_bound_source": self.lower_bound_source,
@@ -714,7 +718,8 @@ def fractional_chromatic(g: Graph, mode: Mode = Mode.proper()) -> SolveResult:
     t0 = time.monotonic()
     sets = _maximal_admissible_sets(g, mode)
     value, duals, pivots = _simplex_packing(sets, g.n)
-    witness = tuple((tuple(iter_bits(s)), w) for s, w in zip(sets, duals) if w > STRICT_MARGIN)
+    witness = tuple(WeightedSet(tuple(iter_bits(s)), w) for s, w in zip(sets, duals)
+                    if w > STRICT_MARGIN)
     # certify the dual cover before reporting it
     for v in range(g.n):
         total = sum(w for s, w in zip(sets, duals) if s >> v & 1)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .colouring import Colouring, _class_masks, _component_masks, check_clustered, colour_multiset
-from .graphs import Graph, _components, complete_graph, iter_bits, strong_product
+from .graphs import Graph, _components, _fields_json, complete_graph, iter_bits, strong_product
 
 __all__ = [
     "ComponentPick",
@@ -436,29 +436,10 @@ class TransferTrace:
     rounds: tuple[tuple[tuple[EliminationStep, ...], ComponentPick], ...]
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "ell": self.ell,
-            "rounds": [
-                {
-                    "eliminations": [
-                        {
-                            "base_vertices": list(st.base_vertices),
-                            "colours": list(st.colours),
-                            "transfer_count": st.transfer_count,
-                            "pivot": st.pivot,
-                            "ops": [
-                                {"product_vertex": o.product_vertex, "old": o.old, "new": o.new}
-                                for o in st.ops
-                            ],
-                        }
-                        for st in elims
-                    ],
-                    "pick": {"colour": pick.colour, "base_vertices": list(pick.base_vertices)},
-                }
-                for elims, pick in self.rounds
-            ],
-        }
+        out = _fields_json(self)
+        # a round is a plain pair, which the rule makes a list: name its two parts
+        out["rounds"] = [{"eliminations": elims, "pick": pick} for elims, pick in out["rounds"]]
+        return out
 
 
 @dataclass(frozen=True)

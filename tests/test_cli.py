@@ -1,12 +1,14 @@
 """Command-line interface tests.
 
 Each command runs through main() with capsys, asserting on the JSON payload
-and the exit code.  Graph resolution shorthands and the failure paths (bad
+and the exit code; a table of commands pins each payload, ``millis`` aside,
+by its sha256.  Graph resolution shorthands and the failure paths (bad
 input 1, timeout 2, sweep counterexample 1, sweep error 3) are covered too,
 and the bad-flag exits of ``scripts/conjecture_sweep.py`` and
 ``scripts/bounds_table.py``.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -70,6 +72,11 @@ class TestResolveNamed:
     def test_unknown_rejected(self):
         with pytest.raises(CliInputError):
             resolve_named("dodecahedron")
+
+    @pytest.mark.parametrize("token", ["c2", "p0", "cycle,2"])
+    def test_a_shorthand_the_builder_refuses_is_an_input_error(self, token):
+        with pytest.raises(CliInputError):
+            resolve_named(token)
 
 
 class TestSpectrum:
@@ -215,6 +222,16 @@ class TestExact:
         )
         assert code == 2
         assert payload["status"] == "timeout" and payload["value"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--named", "c2"], ["spectrum", "--named", "p0"],
+    ["conjecture", "--named", "c2"], ["conjecture", "--named", "p0"],
+])
+def test_a_refused_shorthand_is_an_input_error(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["bounds", "diagnose"])
@@ -566,6 +583,79 @@ class TestConjecture:
                 continue
             assert rec["status"] == "error" and rec["graph6"] == ref["graph6"]
             assert rec["error"]["message"] == "injected failure"
+
+
+def _drop_millis(value):
+    """The JSON value with every "millis" key removed, at any depth."""
+    if isinstance(value, dict):
+        return {k: _drop_millis(v) for k, v in value.items() if k != "millis"}
+    if isinstance(value, list):
+        return [_drop_millis(v) for v in value]
+    return value
+
+
+# argv and the sha256 of its payload, re-dumped with indent 2 and "millis" dropped
+GOLDEN = {
+    "bounds-petersen-d0": (["bounds", "--named", "petersen", "-d", "0"],
+                           "265e074c7fc750a6b04a883ce5e992fb76b1281ce6dcf27504a3de6da0ea810e"),
+    "bounds-petersen-d1": (["bounds", "--named", "petersen", "-d", "1"],
+                           "c693e1fb1b12a51f1129ec8dc5b92cf9a8ab123ae8ba13d10f5d75e7decc6771"),
+    "bounds-petersen-d2": (["bounds", "--named", "petersen", "-d", "2"],
+                           "c5067b282a1ff744ccd74e4d3d8b1d2b9771dd2c5eda02fe492f574ff371b3db"),
+    "bounds-paley9-d0": (["bounds", "--named", "paley9", "-d", "0"],
+                         "b25682e4acab0a99dffd47fb075913e74a1653f6b1df9aa0c78414789d70ad4d"),
+    "bounds-paley9-d1": (["bounds", "--named", "paley9", "-d", "1"],
+                         "32aea2ee3820c2651559900a03c0f6e178d42839a706e9d24606a483fd173bec"),
+    "bounds-paley9-d2": (["bounds", "--named", "paley9", "-d", "2"],
+                         "7c911fd005a3b3d393447c799889ebb9824d10dd5aae61d52bbed464e4311cce"),
+    "bounds-bowtie-d0": (["bounds", "--named", "bowtie", "-d", "0"],
+                         "265e1e1b8ae2bf245a60bec461a08c7c6908f87493e9a1ce9ba811757a06a275"),
+    "bounds-bowtie-d1": (["bounds", "--named", "bowtie", "-d", "1"],
+                         "eaf2207db9398f6eecadad4a269e3987f43dd0c1fb2479d9d7c0589c266b54bf"),
+    "bounds-bowtie-d2": (["bounds", "--named", "bowtie", "-d", "2"],
+                         "75a2ea0071fcca3a9cc8cf7ca6cafec8d970d86299bba9fb7b4562ad056658aa"),
+    "exact-improper": (["exact", "--named", "petersen", "--mode", "improper", "-d", "1"],
+                       "8b7877faf25ef01ddb5f2a62a5901e0c580d31216ae4d3a43fb940001c0ef6d9"),
+    "exact-fractional": (["exact", "--named", "c5", "--mode", "fractional"],
+                         "4a382aafa495d0a0ceca71c8d770b13ca2febf4849d7aeace7c7d837a280b3c6"),
+    "exact-fractional-t2": (["exact", "--named", "c5", "--mode", "fractional", "-t", "2"],
+                            "165d49dda4a8f82f7960a503db5304c2ab828c7eba14299d099e17aaa2b407c1"),
+    "exact-alpha": (["exact", "--named", "petersen", "--mode", "alpha", "-d", "1"],
+                    "4d5d32476d3c5ced5a669c33e429ee1d6ebffabb755f40c804649456d73993e7"),
+    "exact-clique": (["exact", "--named", "paley9", "--mode", "clique"],
+                     "cf339150d2134f2472df18883c2b2d2cf19c7b88858b53936560eb4849f4d06b"),
+    "exact-bfold": (["exact", "--named", "c5", "--mode", "proper", "-b", "2"],
+                    "ac3273fd58648ff6d70e3dad43e11e4e4c3ebe8820719cac6fb487beaee0ba15"),
+    "exact-clustered": (["exact", "--named", "petersen", "--mode", "clustered", "-t", "2"],
+                        "7fbbaffcccdd42af982944546a499902c1005a36c4cb3d314695ebcd8b9596f4"),
+    "diagnose": (["diagnose", "--named", "paley9"],
+                 "01c5852eca1a3afc140f907e72450e9eb0f6e5d7cbb54df6329fe6a9cbdd2d4b"),
+    "diagnose-uniqueness": (["diagnose", "--named", "paley9", "--uniqueness"],
+                            "ecb4e472b2644e96aff403e0d82608778552efb551177c9f9a659b55caaca688"),
+    "transfer-c5": (["transfer", "--named", "c5", "-t", "2"],
+                    "eb30c2aa9debf0e7b3e5fe1bb0fa947c5a1ebd854b963cc5008b97ecab3bc62a"),
+    "transfer-petersen": (["transfer", "--named", "petersen", "-t", "3"],
+                          "fdbe0091936eacb89575b2e342c1945bf152178159b1f594eea69c79e48c756d"),
+    "transfer-bowtie": (["transfer", "--named", "bowtie", "-t", "2", "-l", "2"],
+                        "00b820824421833c54813e180546091eb48b1320faa3d34af23c437258217736"),
+    # the solved transfers eliminate no cycle; this colouring of C4 x K2 has one
+    "transfer-c4-colours": (["transfer", "--named", "c4", "-t", "2", "--colours", "1,2,1,2,3,3,4,4"],
+                            "c1aab46c8289f0c5bd8d29fff411428d0a3b96db12bc82772ed2250c300beee8"),
+    "conjecture": (["conjecture", "--all-connected", "5", "-d", "1,2"],
+                   "8578be0bdab5fac7c7412893226738ffe25d98999470c9df639d26e5b8a3c770"),
+    "spectrum": (["spectrum", "--named", "petersen", "--kind", "laplacian"],
+                 "cd31d7a9ffa4dc7d40dd60d43e826271ab2dd5b166ea89308be36b6a2c38b8e8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_payload_is_pinned(capsys, name):
+    """Every command's JSON, ``millis`` aside, is the one these digests were taken from."""
+    argv, digest = GOLDEN[name]
+    code, payload = run_cli(capsys, *argv)
+    assert code == 0
+    text = json.dumps(_drop_millis(payload), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSweepReference:

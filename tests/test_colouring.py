@@ -53,6 +53,14 @@ class TestColouring:
         with pytest.raises(ValueError):
             Colouring((1, 0, 2))
 
+    @pytest.mark.parametrize("colour", [True, 1.0, 1.5, "1"])
+    def test_rejects_a_colour_that_is_not_an_int(self, colour):
+        with pytest.raises(ValueError):
+            Colouring((colour, 2))
+
+    def test_from_list_converts_to_int(self):
+        assert Colouring.from_list([True, 2.0]).to_json() == [1, 2]
+
     def test_palette_sorted_unique(self):
         c = Colouring((3, 1, 3, 7))
         assert c.palette() == (1, 3, 7)
@@ -201,6 +209,16 @@ class TestBFold:
             BFoldColouring.from_sets([(0,)])
         with pytest.raises(ValueError):
             BFoldColouring.from_sets([(1, 1)])
+
+    @pytest.mark.parametrize("colour", [True, 1.0, 1.5])
+    def test_rejects_a_colour_that_is_not_an_int(self, colour):
+        with pytest.raises(ValueError):
+            BFoldColouring(((colour,), (2,)))
+        with pytest.raises(ValueError):
+            BFoldColouring(((colour, 3), (2, 3)))
+
+    def test_from_sets_converts_to_int(self):
+        assert BFoldColouring.from_sets([(2.0, True), (3,)]).to_json() == [[1, 2], [3]]
 
 
 class TestLift:

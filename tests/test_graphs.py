@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from boxchrom.graphs import (
     Graph,
     Graph6Error,
+    _to_json,
     _trusted,
     _twin_classes,
     bowtie_graph,
@@ -289,3 +292,32 @@ class TestEdgeList:
     def test_rejects_vertex_out_of_range(self):
         with pytest.raises(ValueError):
             parse_edgelist("2 1\n0 5\n")
+
+
+class _Pair(NamedTuple):
+    second: int
+    first: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Record:
+    z: str
+    pairs: tuple[_Pair, ...]
+    extra: dict
+    missing: None = None
+
+
+class _Custom:
+    def to_json(self):
+        return "custom"
+
+
+class TestJsonRule:
+    def test_fields_in_declaration_order(self):
+        out = _to_json(_Record("a", (_Pair(2, (1, 0)),), {"k": (1,)}))
+        assert list(out) == ["z", "pairs", "extra", "missing"]
+        assert out == {"z": "a", "pairs": [{"second": 2, "first": [1, 0]}],
+                       "extra": {"k": (1,)}, "missing": None}
+
+    def test_to_json_wins_and_sequences_become_lists(self):
+        assert _to_json((_Custom(), [(1, 2)], 3.5, None)) == ["custom", [[1, 2]], 3.5, None]

@@ -37,6 +37,7 @@ from boxchrom.smallgraphs import random_connected_graph, random_graph
 from boxchrom.solvers import (
     SolverCapError,
     Timeout,
+    WeightedSet,
     _admission,
     _branch_order,
     _Clock,
@@ -663,6 +664,7 @@ class TestFractional:
         res = fractional_chromatic(cycle_graph(7))
         cover = {v: 0.0 for v in range(7)}
         total = 0.0
+        assert all(isinstance(ws, WeightedSet) for ws in res.witness)
         for vertices, weight in res.witness:
             assert weight > 0
             total += weight
