@@ -19,7 +19,6 @@ import re
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -424,6 +423,8 @@ def run_sweep(spec: SweepSpec) -> dict:
     if spec.jobs == 1:
         per_graph = list(map(sweep, spec.graphs))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
+
         chunk = max(1, min(_MAX_CHUNK, len(spec.graphs) // (4 * spec.jobs)))
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             per_graph = list(pool.map(sweep, spec.graphs, chunksize=chunk))

@@ -15,10 +15,13 @@ conjecture sweep reads its d = 1 clustered value off the improper solve).  The
 minimum-colour solves, the fold solves and the uniqueness count in ``hoffman``
 run the kernel ``_search``.  ``alpha_d``, ``clique_number`` (omega(G) is
 alpha_0 of the complement) and the maximal admissible sets of the fractional
-LP run ``_admissible_walk``, which grows one class by the same rule.  Both
-are one loop over an explicit stack, so neither recurses and their speed does
-not depend on the caller's stack depth.  Every timed search polls its
-deadline every ``_Clock.POLL`` nodes.
+LP run ``_admissible_walk``, which grows one class by the same rule in its
+mask-level form, ``_narrowing``: when a vertex joins, one call removes every
+vertex the grown class refuses.  Both searches are one loop over an explicit
+stack, so neither recurses and their speed does not depend on the caller's
+stack depth.  Every timed search polls its deadline every ``_Clock.POLL``
+nodes.  The LP is a dense tableau simplex under Bland's rule that scans the
+objective row and the ratio column as arrays.
 
 The minimum-colour solves run one colour ladder on G with twin blocks, the
 fold solves on G x K_b with fibre blocks.  It first runs the kernel with n
@@ -250,6 +253,77 @@ def _admission(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int], bool]:
                 front = (front | adj[low.bit_length() - 1] & mask) & ~comp
             return True
     return admits
+
+
+def _narrowing(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int, int], int]:
+    """``narrow(mask, u, live)``: the vertices of ``live`` that the class ``mask`` admits.
+
+    The mask-level form of ``_admission``, for a class that u has just
+    joined: ``mask`` holds u, and ``mask - u`` admits every vertex of
+    ``live``.  One call decides all of them by the rule of ``_rule_mode(mode)``:
+
+    - d-improper: each member that u fills up (u itself, and each neighbour
+      of u in the class that now has d neighbours there) refuses its live
+      neighbours; then a live neighbour of u is refused when it has more than
+      d neighbours in the class.  At d = 0 this is ``live & ~adj[u]``;
+    - t-clustered, t >= 3: only live vertices next to comp, u's component in
+      the class, can change.  If comp has t vertices they are all refused;
+      otherwise the component each one would join grows from comp one vertex
+      at a time, and it is refused once that holds t others.
+    """
+    mode = _rule_mode(mode)
+    d = t = mode.param
+    if mode.kind == "improper":
+
+        def narrow(mask: int, u: int, live: int) -> int:
+            row = adj[u]
+            hit = row & mask
+            if hit.bit_count() == d:
+                live &= ~row
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                near = adj[low.bit_length() - 1]
+                if (near & mask).bit_count() == d:
+                    live &= ~near
+            ask = live & row
+            while ask:
+                low = ask & -ask
+                ask ^= low
+                if (adj[low.bit_length() - 1] & mask).bit_count() > d:
+                    live ^= low
+            return live
+    else:
+
+        def narrow(mask: int, u: int, live: int) -> int:
+            comp = 1 << u
+            near = adj[u]  # grows to the vertices next to comp
+            front = near & mask
+            while front:
+                low = front & -front
+                comp |= low
+                near |= adj[low.bit_length() - 1]
+                front = near & mask & ~comp
+            size = comp.bit_count()
+            if size == t:
+                return live & ~near
+            ask = live & near
+            while ask:
+                low = ask & -ask
+                ask ^= low
+                seen = comp
+                grown = size
+                front = adj[low.bit_length() - 1] & mask & ~comp
+                while front:
+                    bit = front & -front
+                    seen |= bit
+                    grown += 1
+                    if grown >= t:
+                        live ^= low
+                        break
+                    front = (front | adj[bit.bit_length() - 1] & mask) & ~seen
+            return live
+    return narrow
 
 
 def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clock: _Clock,
@@ -512,29 +586,29 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *,
 
 
 def _admissible_walk(adj: tuple[int, ...], mode: Mode, clock: _Clock,
-                     leaf: Callable[[int, int], int]) -> None:
+                     leaf: Callable[[int, int, int], int]) -> None:
     """Branch and bound over the admissible classes of one colour, as bitmasks.
 
-    A node is (chosen, count, live): the class, its size, and the undecided
-    vertices that ``_admission(adj, mode)`` still admits to it.  It takes the
-    lowest live vertex u and pushes the branch that skips u.  Admission is
-    hereditary, so ``live`` only shrinks; after u joins, only live vertices
-    next to comp, u's component in the class, are asked again, as the rule
-    reads the class only through v's neighbours there and theirs (improper)
-    or the component v would join (clustered).  A node is pruned when
-    ``count + popcount(live) <= floor``; the floor starts at -1, and a leaf
-    (``live == 0``) sets it to ``leaf(chosen, count)``.  Nodes (vertices
-    taken) are counted locally, written back to ``clock.nodes`` on every
-    exit, and the deadline is polled every ``_Clock.POLL`` nodes.
+    A node is (chosen, count, live, skipped): the class, its size, the
+    undecided vertices that the class still admits, and the vertices the walk
+    skipped that it still admits.  It takes the lowest live vertex u and
+    pushes the branch that skips u.  When u joins, one call of
+    ``_narrowing(adj, mode)`` removes every vertex of ``live | skipped`` that
+    the grown class refuses; admission is hereditary, so a refused vertex is
+    never asked again.  A node is pruned when ``count + popcount(live) <=
+    floor``; the floor starts at -1, and a leaf (``live == 0``) sets it to
+    ``leaf(chosen, count, skipped)``.  Nodes (vertices taken) are counted
+    locally, written back to ``clock.nodes`` on every exit, and the deadline
+    is polled every ``_Clock.POLL`` nodes.
     """
-    admits = _admission(adj, mode)
+    narrow = _narrowing(adj, mode)
     floor = -1
-    stack = [(0, 0, (1 << len(adj)) - 1)]
+    stack = [(0, 0, (1 << len(adj)) - 1, 0)]
     nodes = clock.nodes
     poll = -1 if clock.deadline is None else nodes - nodes % _Clock.POLL + _Clock.POLL
     try:
         while stack:
-            chosen, count, live = stack.pop()
+            chosen, count, live, skipped = stack.pop()
             while live and count + live.bit_count() > floor:
                 nodes += 1
                 if nodes == poll:
@@ -543,25 +617,14 @@ def _admissible_walk(adj: tuple[int, ...], mode: Mode, clock: _Clock,
                         raise Timeout
                 low = live & -live
                 live ^= low
-                stack.append((chosen, count, live))
+                stack.append((chosen, count, live, skipped | low))
                 chosen |= low
                 count += 1
-                near = adj[low.bit_length() - 1]  # grows to the vertices next to comp
-                comp = low
-                front = near & chosen
-                while front:
-                    bit = front & -front
-                    comp |= bit
-                    near |= adj[bit.bit_length() - 1]
-                    front = near & chosen & ~comp
-                ask = live & near
-                while ask:
-                    bit = ask & -ask
-                    ask ^= bit
-                    if not admits(bit.bit_length() - 1, chosen):
-                        live ^= bit
+                kept = narrow(chosen, low.bit_length() - 1, live | skipped)
+                live &= kept
+                skipped &= kept
             if not live and count > floor:
-                floor = leaf(chosen, count)
+                floor = leaf(chosen, count, skipped)
     finally:
         clock.nodes = nodes
 
@@ -575,7 +638,7 @@ def _largest(adj: tuple[int, ...], d: int, timeout: float | None) -> SolveResult
     clock = _Clock(timeout)
     best = [0, 0]  # size, mask
 
-    def leaf(chosen: int, count: int) -> int:
+    def leaf(chosen: int, count: int, skipped: int) -> int:
         best[0], best[1] = count, chosen
         return count
 
@@ -640,14 +703,15 @@ def _maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
 
     The admissible-set walk with the floor held at -1, so nothing is pruned.
     A maximal set is reached by taking its vertices and skipping the rest, and
-    there it is a leaf, since a vertex it admitted would still be live.  A
-    leaf is kept when the class refuses every vertex outside it.
+    there it is a leaf, since a vertex it admitted would still be live.  Every
+    vertex outside a leaf was skipped or refused, and a refused vertex stays
+    refused by heredity; so the leaf is maximal iff the walk's narrowing has
+    removed every skipped vertex too.
     """
-    admits = _admission(g.adj, mode)
     out = []
 
-    def leaf(chosen: int, count: int) -> int:
-        if not any(admits(u, chosen) for u in range(g.n) if not chosen >> u & 1):
+    def leaf(chosen: int, count: int, skipped: int) -> int:
+        if not skipped:
             out.append(chosen)
         return -1
 
@@ -659,7 +723,12 @@ def _simplex_packing(incidence: list[int], n: int) -> tuple[float, list[float], 
     """Maximise sum(x) subject to sum_{v in S} x_v <= 1 per set S, x >= 0.
 
     Dense tableau simplex with Bland's rule; returns (optimum, dual weights
-    per set, pivot count).  The duals are the optimal fractional cover.
+    per set, pivot count).  The duals are the optimal fractional cover.  The
+    entering column is the first of the objective row below -eps.  The ratio
+    test divides only the rows whose entry there is above eps and reads the
+    ratios as Python floats, in row order: the least ratio, ties within eps to
+    the lower basic variable.  A pivot updates only the columns where the
+    pivot row is non-zero; the others would subtract zero.
     """
     import numpy as np
 
@@ -675,27 +744,23 @@ def _simplex_packing(incidence: list[int], n: int) -> tuple[float, list[float], 
     eps = STRICT_MARGIN
     pivots = 0
     while True:
-        enter = -1
-        for j in range(n + m):
-            if tab[m, j] < -eps:
-                enter = j
-                break
-        if enter < 0:
+        below = np.flatnonzero(tab[m, :n + m] < -eps)
+        if not below.size:
             break
+        enter = int(below[0])
+        rows = np.flatnonzero(tab[:m, enter] > eps)
         leave, best_ratio, best_var = -1, None, None
-        for i in range(m):
-            a = tab[i, enter]
-            if a > eps:
-                ratio = tab[i, -1] / a
-                if best_ratio is None or ratio < best_ratio - eps or \
-                        (abs(ratio - best_ratio) <= eps and basis[i] < best_var):
-                    leave, best_ratio, best_var = i, ratio, basis[i]
+        for i, ratio in zip(rows.tolist(), (tab[rows, -1] / tab[rows, enter]).tolist()):
+            if best_ratio is None or ratio < best_ratio - eps or \
+                    (abs(ratio - best_ratio) <= eps and basis[i] < best_var):
+                leave, best_ratio, best_var = i, ratio, basis[i]
         if leave < 0:
             raise ArithmeticError("packing LP unbounded; every vertex must lie in a set")
         tab[leave] /= tab[leave, enter]
+        cols = np.flatnonzero(tab[leave])
         col = tab[:, enter].copy()
         col[leave] = 0.0
-        tab -= np.outer(col, tab[leave])
+        tab[:, cols] -= np.outer(col, tab[leave, cols])
         basis[leave] = enter
         pivots += 1
         if pivots > 50000:

@@ -2,6 +2,10 @@
 
 import pytest
 
+# Test modules import numpy before boxchrom; importing boxchrom first sets
+# numpy's BLAS to one thread before numpy loads (see boxchrom/__init__.py).
+import boxchrom  # noqa: F401
+
 
 @pytest.fixture(scope="session")
 def connected_catalogue():

@@ -33,7 +33,8 @@ from boxchrom.solvers import (
     chromatic_improper,
     clique_number,
 )
-from boxchrom.spectra import MULT_TOL, SNAP_TOL, MatrixKind, eigensolve, graph_matrix, spectrum
+from boxchrom.spectra import (MULT_TOL, SNAP_TOL, STRICT_MARGIN, MatrixKind, eigensolve, graph_matrix,
+                              spectrum)
 from boxchrom.transfer import (
     ComponentPick,
     TransferTrace,
@@ -565,6 +566,57 @@ def maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
             continue
         out.append(members)
     return out
+
+
+def loop_simplex_packing(incidence: list[int], n: int) -> tuple[float, list[float], int]:
+    """``solvers._simplex_packing`` with one scalar read per tableau entry.
+
+    The same tableau, Bland's rule and pivots, scanning the objective row
+    and the ratio column one entry at a time and updating every column;
+    ``_simplex_packing``, which scans them as arrays and updates only the
+    columns where the pivot row is non-zero, must return the same optimum,
+    duals and pivot count (a zero may differ in sign only, and -0.0 == 0.0).
+    """
+    m = len(incidence)
+    tab = np.zeros((m + 1, n + m + 1))
+    for i, members in enumerate(incidence):
+        for v in iter_bits(members):
+            tab[i, v] = 1.0
+        tab[i, n + i] = 1.0
+        tab[i, -1] = 1.0
+    tab[m, :n] = -1.0
+    basis = [n + i for i in range(m)]
+    eps = STRICT_MARGIN
+    pivots = 0
+    while True:
+        enter = -1
+        for j in range(n + m):
+            if tab[m, j] < -eps:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave, best_ratio, best_var = -1, None, None
+        for i in range(m):
+            a = tab[i, enter]
+            if a > eps:
+                ratio = tab[i, -1] / a
+                if best_ratio is None or ratio < best_ratio - eps or \
+                        (abs(ratio - best_ratio) <= eps and basis[i] < best_var):
+                    leave, best_ratio, best_var = i, ratio, basis[i]
+        if leave < 0:
+            raise ArithmeticError("packing LP unbounded; every vertex must lie in a set")
+        tab[leave] /= tab[leave, enter]
+        col = tab[:, enter].copy()
+        col[leave] = 0.0
+        tab -= np.outer(col, tab[leave])
+        basis[leave] = enter
+        pivots += 1
+        if pivots > 50000:
+            raise ArithmeticError("simplex pivot limit exceeded")
+    value = float(tab[m, -1])
+    duals = [float(tab[m, n + i]) for i in range(m)]
+    return value, duals, pivots
 
 
 def loop_class_degrees(g: Graph, parts) -> np.ndarray:

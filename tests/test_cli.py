@@ -8,6 +8,7 @@ and the bad-flag exits of ``scripts/conjecture_sweep.py`` and
 ``scripts/bounds_table.py``.
 """
 
+import concurrent.futures
 import hashlib
 import importlib.util
 import json
@@ -443,11 +444,12 @@ class TestConjecture:
     def test_pooled_records_equal_the_serial_ones(self, capsys, monkeypatch):
         chunks = []
 
-        class Recording(cli.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, *iterables, chunksize=1, **kwargs):
                 chunks.append(chunksize)
                 return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        # run_sweep imports the pool class when it needs one, from its module
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         flags = ["conjecture", "--all-connected", "5", "-d", "1,2"]
         _, serial = run_cli(capsys, *flags, "--jobs", "1")
         _, pooled = run_cli(capsys, *flags, "--jobs", "2")

@@ -44,7 +44,9 @@ from boxchrom.solvers import (
     _finished_clique,
     _lower_bound,
     _maximal_admissible_sets,
+    _narrowing,
     _search,
+    _simplex_packing,
     alpha_d,
     chromatic_bfold,
     chromatic_clustered,
@@ -60,6 +62,7 @@ from oracles import (
     brute_chromatic_improper,
     brute_clique,
     graphs,
+    loop_simplex_packing,
     maximal_admissible_sets,
     recursive_alpha,
     recursive_clique,
@@ -215,6 +218,26 @@ class TestAdmission:
                 mask |= 1 << v
                 joined.append(v)
         assert admissible(g, mask, mode)
+
+    @given(st.one_of(graphs(max_n=7), twin_graphs()))
+    @settings(max_examples=60, deadline=None)
+    def test_narrowing_decides_as_admission_vertex_by_vertex(self, g):
+        # every class of every mode, and every vertex u it admits: one narrowing
+        # of the other vertices it admits keeps exactly those that the class with
+        # u admits, asked one at a time.  Each vertex is decided on its own, so
+        # the whole admitted set stands for every subset of it.
+        for mode in ALL_MODES:
+            admits = _admission(g.adj, mode)
+            narrow = _narrowing(g.adj, mode)
+            for mask in range(1 << g.n):
+                if not admissible(g, mask, mode):
+                    continue
+                admitted = sum(1 << v for v in range(g.n) if not mask >> v & 1 and admits(v, mask))
+                for u in iter_bits(admitted):
+                    live = admitted ^ 1 << u
+                    grown = mask | 1 << u
+                    assert narrow(grown, u, live) == sum(1 << v for v in iter_bits(live)
+                                                         if admits(v, grown))
 
 
 class TestTwinPruning:
@@ -636,6 +659,37 @@ def lp_cover_value(g, sets):
     res = linprog(np.ones(cols), A_ub=-a, b_ub=-np.ones(g.n), method="highs")
     assert res.success
     return res.fun
+
+
+@st.composite
+def incidence_systems(draw):
+    """0/1 set systems over n vertices as bitmasks, repeated and empty sets included."""
+    n = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=14)), n
+
+
+class TestSimplexPacking:
+    """The array scans must pivot exactly as the scalar loop does."""
+
+    @given(incidence_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_follows_the_scalar_loop(self, system):
+        incidence, n = system
+        try:
+            expected = loop_simplex_packing(incidence, n)
+        except ArithmeticError as e:  # a vertex in no set leaves the LP unbounded
+            with pytest.raises(ArithmeticError, match=str(e)):
+                _simplex_packing(incidence, n)
+            return
+        assert _simplex_packing(incidence, n) == expected
+
+    def test_maximal_sets_of_random_graphs_follow_the_scalar_loop(self):
+        for seed in range(6):
+            g = random_graph(12, 0.5, seed)
+            for mode in (Mode.proper(), Mode.improper(1), Mode.clustered(3)):
+                sets = _maximal_admissible_sets(g, mode)
+                assert _simplex_packing(sets, g.n) == loop_simplex_packing(sets, g.n)
 
 
 class TestFractional:
