@@ -1,14 +1,3 @@
 """Improper and clustered colouring of strong products, with spectral certificates."""
 
-import os
-
-# Every matrix here is at most 81 x 81.  At that size a threaded BLAS gains
-# nothing, and while other processes keep the cores busy its threads make a
-# small eigensolve up to a hundred times slower.  The pool size is read once,
-# when numpy first loads, so it is set before any submodule imports numpy; a
-# value the caller set is kept.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-del _name
-
 __version__ = "0.1.0"

@@ -22,6 +22,18 @@ import traceback
 from dataclasses import dataclass
 from functools import partial
 
+# One BLAS thread for the command-line process, unless the caller set the
+# variables.  numpy reads them once, when it first loads, so this precedes the
+# package imports (boxchrom/__init__ loads no numpy).  A sweep product and an
+# exact solve have at most DEFAULT_CAP = 40 vertices; at that size, on a 2-core
+# host with the other core busy, a threaded 36 x 36 eigh took 16 ms against
+# 0.2 ms on one thread.  spectrum, bounds and diagnose take a graph of any
+# size, and at n = 1000 threaded eigh was faster (132 against 196 ms, idle
+# host): set OPENBLAS_NUM_THREADS for such a graph.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .bounds import WeightedCompatibleMatrix, bound_report, hoffman_bilu
 from .colouring import Colouring, Mode, check_clustered, check_improper, lift_colouring
 from .graphs import (

@@ -1,10 +1,16 @@
 """Shared fixtures."""
 
-import pytest
+import os
 
-# Test modules import numpy before boxchrom; importing boxchrom first sets
-# numpy's BLAS to one thread before numpy loads (see boxchrom/__init__.py).
-import boxchrom  # noqa: F401
+# One BLAS thread for the test process, set before any test module loads
+# numpy: every matrix the tests build is small, and there a threaded BLAS
+# gains nothing and, with the cores busy, makes an eigensolve many times
+# slower.  A value set in the environment is kept.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture(scope="session")
