@@ -28,7 +28,6 @@ __all__ = [
     "check_improper",
     "colour_multiset",
     "lift_colouring",
-    "mono_components",
 ]
 
 
@@ -160,12 +159,6 @@ def check_improper(g: Graph, c: Colouring, d: int) -> Violation | None:
         raise ValueError("d must be non-negative")
     _require_total(g, c)
     return _first_violation(g, c, Mode.improper(d))
-
-
-def mono_components(g: Graph, c: Colouring) -> list[tuple[int, tuple[int, ...]]]:
-    """Monochromatic components as (colour, vertices), ordered by smallest vertex."""
-    _require_total(g, c)
-    return [(colour, tuple(iter_bits(comp))) for colour, comp in _component_masks(g, c)]
 
 
 def _component_masks(g: Graph, c: Colouring) -> Iterator[tuple[int, int]]:

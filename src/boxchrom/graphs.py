@@ -31,11 +31,9 @@ __all__ = [
     "path_graph",
     "petersen_graph",
     "disjoint_union",
-    "emit_edgelist",
     "emit_graph6",
     "iter_bits",
     "join",
-    "lexicographic_product",
     "line_graph",
     "named_graph",
     "parse_edgelist",
@@ -249,20 +247,6 @@ def strong_product(g: Graph, h: Graph) -> Graph:
             adj[u * h.n + i] = mask
     complete = h.n and all(row | 1 << i == (1 << h.n) - 1 for i, row in enumerate(h.adj))
     return _trusted(adj, (g, h.n) if complete else None)
-
-
-def lexicographic_product(g: Graph, h: Graph) -> Graph:
-    """Lexicographic product g[h]; (u, i) ~ (v, j) iff u ~ v, or u = v and i ~ j."""
-    n = g.n * h.n
-    full_h = (1 << h.n) - 1
-    adj = [0] * n
-    for u in range(g.n):
-        for i in range(h.n):
-            mask = h.adj[i] << (u * h.n)
-            for v in iter_bits(g.adj[u]):
-                mask |= full_h << (v * h.n)
-            adj[u * h.n + i] = mask
-    return Graph(n, tuple(adj))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -488,13 +472,6 @@ def parse_graph6(text: str) -> Graph:
 
 
 # -- edge-list text format ------------------------------------------------
-
-
-def emit_edgelist(g: Graph) -> str:
-    """Plain text: a "n m" header line then one "u v" line per edge."""
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -31,7 +31,6 @@ __all__ = [
     "Partition",
     "diagnose_hoffman",
     "is_equitable",
-    "is_weight_regular",
     "lift_tight_colouring",
     "quotient_matrix",
     "weighted_class_degrees",
@@ -117,11 +116,6 @@ def _weighted(g: Graph, partition: Partition, w: np.ndarray) -> np.ndarray:
     return _class_sums(g, partition, w) / w[:, None]
 
 
-def is_weight_regular(g: Graph, partition: Partition) -> bool:
-    """True when Perron-weighted class degrees are constant on each part."""
-    return _constant_on_parts(weighted_class_degrees(g, partition), partition, SNAP_TOL)
-
-
 def _quotient(g: Graph, partition: Partition, weighted: np.ndarray,
               w: np.ndarray) -> np.ndarray:
     """The quotient of ``quotient_matrix`` from the Perron vector w and its table W.
@@ -198,7 +192,7 @@ def _count_colourings_up_to_symmetry(g: Graph, d: int, m: int, stop_at: int = 2)
         found += used == m
         return found >= stop_at
 
-    _search(g, m, Mode.improper(d), list(range(g.n)), [-1] * g.n, _Clock(None), leaf)
+    _search(g.adj, m, Mode.improper(d), list(range(g.n)), [-1] * g.n, _Clock(None), leaf)
     return found
 
 

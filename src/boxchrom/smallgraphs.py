@@ -63,7 +63,6 @@ __all__ = [
     "CanonicalFormError",
     "GENERATION_CAP",
     "all_graphs",
-    "canonical_certificate",
     "canonical_form",
     "connected_graphs",
     "random_connected_graph",
@@ -186,10 +185,6 @@ def _in_orbit(a: int, b: int, gens: _Generators) -> bool:
                 orbit.add(image[v])
                 stack.append(image[v])
     return False
-
-
-def canonical_certificate(g: Graph) -> str:
-    return emit_graph6(canonical_form(g))
 
 
 # per n: the graphs, and beside each the generators its labelling read off

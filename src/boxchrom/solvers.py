@@ -7,21 +7,20 @@ lower bound used to seed the search.
 
 Every colouring search keeps one bitmask per colour class and asks one
 question of it, the admission rule of the mode: may vertex v join this class?
-``_admission`` answers it from the class mask alone, with no state kept
-between questions.  A graph has maximum degree at most 1 iff every component
-has at most 2 vertices, so 2-clustered colouring is decided by the 1-improper
-rule, and proper and 1-clustered colouring by the 0-improper one (so the
-conjecture sweep reads its d = 1 clustered value off the improper solve).  The
-minimum-colour solves, the fold solves and the uniqueness count in ``hoffman``
-run the kernel ``_search``.  ``alpha_d``, ``clique_number`` (omega(G) is
-alpha_0 of the complement) and the maximal admissible sets of the fractional
-LP run ``_admissible_walk``, which grows one class by the same rule in its
-mask-level form, ``_narrowing``: when a vertex joins, one call removes every
-vertex the grown class refuses.  Both searches are one loop over an explicit
-stack, so neither recurses and their speed does not depend on the caller's
-stack depth.  Every timed search polls its deadline every ``_Clock.POLL``
-nodes.  The LP is a dense tableau simplex under Bland's rule that scans the
-objective row and the ratio column as arrays.
+``_narrowing`` states each rule once: when u joins a class, one call cuts the
+set the class admitted down to the set the grown class admits.  A graph has
+maximum degree at most 1 iff every component has at most 2 vertices, so
+2-clustered colouring is decided by the 1-improper rule, and proper and
+1-clustered colouring by the 0-improper one (so the conjecture sweep reads its
+d = 1 clustered value off the improper solve).  The minimum-colour solves, the
+fold solves and the uniqueness count in ``hoffman`` run the kernel
+``_search``; ``alpha_d``, ``clique_number`` (omega(G) is alpha_0 of the
+complement) and the maximal admissible sets of the fractional LP run
+``_admissible_walk``.  Both keep the admitted sets and narrow them, and both
+are one loop over an explicit stack, so neither recurses and their speed does
+not depend on the caller's stack depth.  Every timed search polls its deadline
+every ``_Clock.POLL`` nodes.  The LP is a dense tableau simplex under Bland's
+rule that scans the objective row and the ratio column as arrays.
 
 The minimum-colour solves run one colour ladder on G with twin blocks, the
 fold solves on G x K_b with fibre blocks.  It first runs the kernel with n
@@ -72,7 +71,7 @@ one colour tried for one fibre member.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -210,57 +209,12 @@ def _rule_mode(mode: Mode) -> Mode:
     return mode
 
 
-def _admission(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int], bool]:
-    """``admits(v, mask)``: may v join the admissible class ``mask`` (v not in it)?
-
-    Read off the mask alone, by the rule of ``_rule_mode(mode)``:
-
-    - d-improper: ``hit = adj[v] & mask`` has at most d vertices, and no x in
-      ``hit`` already has d neighbours in the mask;
-    - t-clustered, t >= 3: v is refused at once when it has t neighbours in
-      the mask.  Otherwise v's component inside the mask grows one vertex at a
-      time, and v is refused once it holds t others.  Every component of the
-      class has at most t vertices, so fewer than t * t rows are read.
-    """
-    mode = _rule_mode(mode)
-    d = t = mode.param
-    if mode.kind == "improper":
-
-        def admits(v: int, mask: int) -> bool:
-            hit = adj[v] & mask
-            if hit.bit_count() > d:
-                return False
-            while hit:
-                low = hit & -hit
-                hit ^= low
-                if (adj[low.bit_length() - 1] & mask).bit_count() == d:
-                    return False
-            return True
-    else:
-
-        def admits(v: int, mask: int) -> bool:
-            front = adj[v] & mask
-            if front.bit_count() >= t:
-                return False
-            comp = 0
-            size = 0
-            while front:
-                low = front & -front
-                comp |= low
-                size += 1
-                if size >= t:
-                    return False
-                front = (front | adj[low.bit_length() - 1] & mask) & ~comp
-            return True
-    return admits
-
-
 def _narrowing(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int, int], int]:
     """``narrow(mask, u, live)``: the vertices of ``live`` that the class ``mask`` admits.
 
-    The mask-level form of ``_admission``, for a class that u has just
-    joined: ``mask`` holds u, and ``mask - u`` admits every vertex of
-    ``live``.  One call decides all of them by the rule of ``_rule_mode(mode)``:
+    The admission rule of the mode, for a class that u has just joined:
+    ``mask`` holds u, and ``mask - u`` admits every vertex of ``live``.  One
+    call decides all of them by the rule of ``_rule_mode(mode)``:
 
     - d-improper: each member that u fills up (u itself, and each neighbour
       of u in the class that now has d neighbours there) refuses its live
@@ -326,45 +280,52 @@ def _narrowing(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int, int], in
     return narrow
 
 
-def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clock: _Clock,
-            leaf: Callable[[int], bool] | None = None, step: int = 0) -> list[int] | None:
+def _search(adj: Sequence[int], k: int, mode: Mode, pos: list[int], prev: list[int],
+            clock: _Clock, leaf: Callable[[int], bool] | None = None,
+            step: int = 0) -> list[int] | None:
     """Backtracking over colours 1..k in first-appearance order; the colours, or None.
 
-    ``order`` ranks the vertices, and ``prev[i]`` is ``i - 1`` when
-    ``order[i]`` continues the twin block of ``order[i - 1]`` and -1 when it
-    starts a block.  The search colours one block at a time, its members in
-    rank order, each with no colour below the previous member's plus ``step``
-    (the twin floor; 1 makes every block rainbow).  The next block is the one
-    whose head sees the most distinct colours on its coloured neighbours, ties
-    to the lower rank.  Without ``leaf`` the search stops at the first complete
-    colouring; with it, each complete colouring is passed to ``leaf`` with its
-    number of colours, and the search stops once ``leaf`` returns True.
+    It runs on positions, built by ``graphs._relabel`` from a branch order:
+    ``adj[i]`` holds the positions next to position i, ``pos[v]`` is vertex
+    v's, and ``prev[i]`` is ``i - 1`` when position i continues the twin block
+    of i - 1 and -1 when it starts a block.  The search colours one block at a
+    time, its members in rank order, each with no colour below the previous
+    member's plus ``step`` (the twin floor; 1 makes every block rainbow).  The
+    next block is the one whose head sees the most distinct colours on its
+    coloured neighbours, ties to the lower rank.  Without ``leaf`` the search
+    stops at the first complete colouring; with it, each complete colouring is
+    passed to ``leaf`` with its number of colours, and the search stops once
+    ``leaf`` returns True.
 
     One loop walks the tree over an explicit stack, one slot per coloured
-    vertex, so its speed does not depend on the caller's stack depth.  It runs
-    on positions, i standing for ``order[i]``, and maps the colours back.
-    ``level[j]`` holds the unbegun heads that see j distinct colours, so the
-    next block is the lowest bit of the highest non-empty level; a placement
-    lifts its fresh heads one level, top level first, and backtracking lowers
-    them, bottom level first.  A node is one colour tried for one vertex.  The
-    count is kept locally, written back to ``clock.nodes`` on every exit, and
-    the deadline is polled every ``_Clock.POLL`` nodes.
+    vertex, so its speed does not depend on the caller's stack depth; the
+    colours are read back through ``pos``.  Admission is the bit test of
+    ``ok[c]``, which a placement narrows and backtracking restores from the
+    slot.  ``level[j]`` holds the unbegun heads that see j distinct colours,
+    so the next block is the lowest bit of the highest non-empty level; a
+    placement lifts its fresh heads one level, top level first, and
+    backtracking lowers them, bottom level first.  A node is one colour tried
+    for one vertex.  The count is kept locally, written back to
+    ``clock.nodes`` on every exit, and the deadline is polled every
+    ``_Clock.POLL`` nodes.
     """
-    n = g.n
-    adj, pos = _relabel(g.adj, order)  # adj[i]: the positions next to position i
-    admits = _admission(adj, mode)
+    n = len(adj)
+    narrow = _narrowing(adj, mode)
     masks = [0] * (k + 1)  # masks[c]: the members of class c
+    left = (1 << n) - 1  # the uncoloured positions
+    ok = [left] * (k + 1)  # ok[c]: the uncoloured positions class c admits
     colour = [0] * n
     seen = [0] * (k + 1)  # seen[c]: the positions next to class c
     starts = sum(1 << i for i, p in enumerate(prev) if p < 0) | 1 << n  # block starts, and n
     level = [0] * (k + 1)
     level[0] = free = starts ^ 1 << n  # the heads of the blocks not yet begun
     # slot s holds the s-th coloured position, the colours used before it,
-    # seen[c] before it joined class c, the heads that saw c for the first time
-    # through it, and the level its block's head was picked from
+    # seen[c] and ok[c] before it joined class c, the heads that saw c for the
+    # first time through it, and the level its block's head was picked from
     vertex = [0] * n
     used = [0] * n
     near = [0] * n
+    held = [0] * n
     fresh = [0] * n
     picked = [0] * n
     nodes = clock.nodes
@@ -407,7 +368,9 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
                 v = vertex[s]
                 c = colour[v]
                 masks[c] ^= 1 << v
+                left |= 1 << v
                 seen[c] = near[s]
+                ok[c] = held[s]
                 rest = fresh[s]
                 j = 1
                 while rest:
@@ -425,8 +388,7 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
                     poll += period
                     if monotonic() > deadline:
                         raise Timeout
-                mask = masks[c]
-                if admits(v, mask):
+                if ok[c] >> v & 1:
                     break
             else:  # every colour tried: leave the slot, and reopen the block it began
                 if starts >> v & 1:
@@ -434,7 +396,10 @@ def _search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int], clo
                     free |= 1 << v
                 descend = False
                 continue
-            masks[c] = mask | 1 << v
+            masks[c] |= 1 << v
+            left ^= 1 << v
+            held[s] = admitted = ok[c]
+            ok[c] = narrow(masks[c], v, admitted & left)
             colour[v] = c
             row = adj[v]
             near[s] = was = seen[c]
@@ -479,13 +444,15 @@ def _ladder(g: Graph, mode: Mode, order: list[int], prev: list[int], step: int, 
             best: Colouring | None = None) -> SolveResult:
     """The colour ladder: the least k >= lb at which the kernel colours g.
 
-    The first fit with n colours never backtracks, so it runs without the
-    deadline.  Its colouring, built and checked by ``read``, is the incumbent
-    unless ``best`` (already checked) uses no more colours.  A timeout returns
-    the incumbent and the open range [lb, ub].
+    g is relabelled into ``order`` once, for every kernel call.  The first fit
+    with n colours never backtracks, so it runs without the deadline.  Its
+    colouring, built and checked by ``read``, is the incumbent unless ``best``
+    (already checked) uses no more colours.  A timeout returns the incumbent
+    and the open range [lb, ub].
     """
+    adj, pos = _relabel(g.adj, order)
     first = _Clock(None)
-    raw = _search(g, g.n, mode, order, prev, first, step=step)
+    raw = _search(adj, g.n, mode, pos, prev, first, step=step)
     if raw is None:
         raise SearchInvariantError("n colours must always be feasible")
     clock.nodes = first.nodes
@@ -496,7 +463,7 @@ def _ladder(g: Graph, mode: Mode, order: list[int], prev: list[int], step: int, 
         best = read(raw)
     try:
         for k in range(lb, ub):
-            raw = _search(g, k, mode, order, prev, clock, step=step)
+            raw = _search(adj, k, mode, pos, prev, clock, step=step)
             if raw is not None:
                 return SolveResult(k, read(raw), clock.nodes, clock.millis(), "optimal", lb, src, k)
             lb, src = k + 1, "search"

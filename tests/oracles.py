@@ -20,15 +20,15 @@ from boxchrom.graphs import (
     emit_graph6,
     empty_graph,
     iter_bits,
-    lexicographic_product,
     parse_graph6,
     strong_product,
 )
-from boxchrom.smallgraphs import canonical_certificate, random_connected_graph, random_graph
+from boxchrom.hoffman import Partition, weighted_class_degrees
+from boxchrom.smallgraphs import canonical_form, random_connected_graph, random_graph
 from boxchrom.solvers import (
     Timeout,
     _Clock,
-    _admission,
+    _rule_mode,
     chromatic_clustered,
     chromatic_improper,
     clique_number,
@@ -42,6 +42,27 @@ from boxchrom.transfer import (
     eliminate_cycles,
     find_small_component,
 )
+
+
+def lexicographic_product(g: Graph, h: Graph) -> Graph:
+    """Lexicographic product g[h]; (u, i) ~ (v, j) iff u ~ v, or u = v and i ~ j."""
+    n = g.n * h.n
+    full_h = (1 << h.n) - 1
+    adj = [0] * n
+    for u in range(g.n):
+        for i in range(h.n):
+            mask = h.adj[i] << (u * h.n)
+            for v in iter_bits(g.adj[u]):
+                mask |= full_h << (v * h.n)
+            adj[u * h.n + i] = mask
+    return Graph(n, tuple(adj))
+
+
+def emit_edgelist(g: Graph) -> str:
+    """Plain text: a "n m" header line then one "u v" line per edge."""
+    lines = [f"{g.n} {g.edge_count}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -178,6 +199,11 @@ def brute_canonical_columns(g: Graph, classes) -> tuple[tuple[int, ...], ...]:
     """Least column sequence over every order that lists ``classes`` in turn."""
     return min(columns(g, [v for part in parts for v in part])
                for parts in product(*(permutations(c) for c in classes)))
+
+
+def canonical_certificate(g: Graph) -> str:
+    """The graph6 string of g's canonical form: equal iff the graphs are isomorphic."""
+    return emit_graph6(canonical_form(g))
 
 
 @lru_cache(maxsize=None)
@@ -462,29 +488,75 @@ def recursive_clique(g: Graph, clock: _Clock, best: list[int]) -> None:
     expand((1 << g.n) - 1 if g.n else 0, 0, 0)
 
 
-def recursive_search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[int],
+def _admission(adj: tuple[int, ...], mode: Mode) -> Callable[[int, int], bool]:
+    """``admits(v, mask)``: may v join the admissible class ``mask`` (v not in it)?
+
+    One vertex at a time, the reference for ``solvers._narrowing``.  Read off
+    the mask alone, by the rule of ``solvers._rule_mode(mode)``:
+
+    - d-improper: ``hit = adj[v] & mask`` has at most d vertices, and no x in
+      ``hit`` already has d neighbours in the mask;
+    - t-clustered, t >= 3: v is refused at once when it has t neighbours in
+      the mask.  Otherwise v's component inside the mask grows one vertex at a
+      time, and v is refused once it holds t others.  Every component of the
+      class has at most t vertices, so fewer than t * t rows are read.
+    """
+    mode = _rule_mode(mode)
+    d = t = mode.param
+    if mode.kind == "improper":
+
+        def admits(v: int, mask: int) -> bool:
+            hit = adj[v] & mask
+            if hit.bit_count() > d:
+                return False
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                if (adj[low.bit_length() - 1] & mask).bit_count() == d:
+                    return False
+            return True
+    else:
+
+        def admits(v: int, mask: int) -> bool:
+            front = adj[v] & mask
+            if front.bit_count() >= t:
+                return False
+            comp = 0
+            size = 0
+            while front:
+                low = front & -front
+                comp |= low
+                size += 1
+                if size >= t:
+                    return False
+                front = (front | adj[low.bit_length() - 1] & mask) & ~comp
+            return True
+    return admits
+
+
+def recursive_search(adj: list[int], k: int, mode: Mode, pos: list[int], prev: list[int],
                      clock: _Clock, leaf: Callable[[int], bool] | None = None,
                      step: int = 0) -> list[int] | None:
     """The colouring kernel in recursive form, one frame per coloured vertex.
 
     Arguments and result are those of ``solvers._search``, which must walk the
-    same tree: the same colours, node count and leaf calls.
+    same tree: the same colours, node count and leaf calls.  It asks
+    ``_admission`` one vertex at a time where the kernel keeps each class's
+    admitted set.
     """
-    n = g.n
-    adj = g.adj
+    n = len(adj)
     admits = _admission(adj, mode)
     masks = [0] * (k + 1)  # masks[c]: the members of class c
     colour = [0] * n
-    seen = [0] * (k + 1)  # seen[c]: the vertices next to class c
+    seen = [0] * (k + 1)  # seen[c]: the positions next to class c
     blocks: dict[int, list[int]] = {}
-    # key[v] = (distinct colours next to v) * n + n - 1 - rank: max picks the block
-    key = [0] * n
-    for i, v in enumerate(order):
-        key[v] = n - 1 - i
+    # key[i] = (distinct colours next to i) * n + n - 1 - i: max picks the block
+    key = [n - 1 - i for i in range(n)]
+    for i in range(n):
         if prev[i] < 0:
-            head = v
-            blocks[v] = []
-        blocks[head].append(v)
+            head = i
+            blocks[i] = []
+        blocks[head].append(i)
     heads = set(blocks)
     tick = partial(node_tick, clock)
 
@@ -524,7 +596,8 @@ def recursive_search(g: Graph, k: int, mode: Mode, order: list[int], prev: list[
         return False
 
     # the empty block is complete at once, so the first call picks the first block
-    return colour if place([], 0, 0, 0, sum(1 << h for h in heads)) else None
+    found = place([], 0, 0, 0, sum(1 << h for h in heads))
+    return [colour[i] for i in pos] if found else None
 
 
 def brute_bfold(g: Graph, b: int, mode: Mode) -> int:
@@ -638,6 +711,13 @@ def loop_weighted_class_degrees(g: Graph, parts, w: np.ndarray) -> np.ndarray:
             table[u][part_of[v]] += w[v]
         table[u] /= w[u]
     return table
+
+
+def is_weight_regular(g: Graph, partition: Partition) -> bool:
+    """True when Perron-weighted class degrees are constant, to ``SNAP_TOL``, on each part."""
+    table = weighted_class_degrees(g, partition)
+    return all(float(np.abs(table[v] - table[part[0]]).max(initial=0.0)) <= SNAP_TOL
+               for part in partition.parts for v in part)
 
 
 def dense_quotient(g: Graph, parts, w: np.ndarray) -> np.ndarray:

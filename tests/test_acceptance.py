@@ -34,7 +34,6 @@ from boxchrom.graphs import (
     cycle_graph,
     empty_graph,
     join,
-    lexicographic_product,
     line_graph,
     matching_graph,
     paley9_graph,
@@ -49,6 +48,7 @@ from boxchrom.solvers import (
 )
 from boxchrom.spectra import MatrixKind, spectrum
 from boxchrom.transfer import descend
+from oracles import lexicographic_product
 
 JOIN_WEIGHTS_TEXT = """8
 0 1 0 0 1 1 -0.99 1

@@ -23,12 +23,10 @@ from boxchrom.graphs import (
     component_mask,
     cycle_graph,
     disjoint_union,
-    emit_edgelist,
     emit_graph6,
     empty_graph,
     iter_bits,
     join,
-    lexicographic_product,
     line_graph,
     matching_graph,
     named_graph,
@@ -40,7 +38,14 @@ from boxchrom.graphs import (
     strong_product,
 )
 from boxchrom.smallgraphs import canonical_form
-from oracles import component_set, graphs, induced_subgraph, twin_graphs
+from oracles import (
+    component_set,
+    emit_edgelist,
+    graphs,
+    induced_subgraph,
+    lexicographic_product,
+    twin_graphs,
+)
 
 
 class TestGraphModel:

@@ -24,7 +24,6 @@ from boxchrom.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    lexicographic_product,
     line_graph,
     paley9_graph,
     path_graph,
@@ -37,7 +36,6 @@ from boxchrom.hoffman import (
     class_degree_table,
     diagnose_hoffman,
     is_equitable,
-    is_weight_regular,
     lift_tight_colouring,
     quotient_matrix,
     weighted_class_degrees,
@@ -48,6 +46,8 @@ from oracles import (
     brute_count_colourings,
     dense_quotient,
     graphs,
+    is_weight_regular,
+    lexicographic_product,
     loop_class_degrees,
     loop_weighted_class_degrees,
 )

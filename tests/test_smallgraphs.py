@@ -31,7 +31,6 @@ from boxchrom.graphs import (
 from boxchrom.smallgraphs import (
     _refinement_classes,
     all_graphs,
-    canonical_certificate,
     canonical_form,
     connected_graphs,
     random_connected_graph,
@@ -40,6 +39,7 @@ from boxchrom.smallgraphs import (
 from oracles import (
     brute_automorphisms,
     brute_canonical_columns,
+    canonical_certificate,
     columns,
     every_augmentation_graph6,
     graphs,

@@ -20,6 +20,7 @@ from scipy.optimize import linprog
 from boxchrom.colouring import Colouring, Mode, check_bfold, check_clustered, check_improper
 from boxchrom.graphs import (
     Graph,
+    _relabel,
     bowtie_graph,
     complement,
     parse_graph6,
@@ -27,7 +28,6 @@ from boxchrom.graphs import (
     cycle_graph,
     empty_graph,
     iter_bits,
-    lexicographic_product,
     matching_graph,
     path_graph,
     petersen_graph,
@@ -38,7 +38,6 @@ from boxchrom.solvers import (
     SolverCapError,
     Timeout,
     WeightedSet,
-    _admission,
     _branch_order,
     _Clock,
     _finished_clique,
@@ -55,6 +54,7 @@ from boxchrom.solvers import (
     fractional_chromatic,
 )
 from oracles import (
+    _admission,
     admissible,
     brute_alpha_d,
     brute_bfold,
@@ -62,6 +62,7 @@ from oracles import (
     brute_chromatic_improper,
     brute_clique,
     graphs,
+    lexicographic_product,
     loop_simplex_packing,
     maximal_admissible_sets,
     recursive_alpha,
@@ -193,7 +194,7 @@ ALL_MODES = [Mode.proper(), Mode.improper(0), Mode.improper(1), Mode.improper(2)
 
 
 class TestAdmission:
-    """The kernel's admission test must decide exactly as the mode's definition does."""
+    """The one-vertex admission oracle decides as the mode's definition, and ``_narrowing`` as it."""
 
     @given(SEARCH_INPUTS, st.sampled_from(ALL_MODES), st.data())
     @settings(max_examples=80, deadline=None)
@@ -247,9 +248,10 @@ class TestTwinPruning:
     @settings(max_examples=40, deadline=None)
     def test_improper_search_decides_every_k(self, g, d):
         order, prev = _branch_order(g)
+        adj, pos = _relabel(g.adj, order)
         value = brute_chromatic_improper(g, d)
         for k in range(1, value + 1):
-            raw = _search(g, k, Mode.improper(d), order, prev, _Clock(None))
+            raw = _search(adj, k, Mode.improper(d), pos, prev, _Clock(None))
             assert (raw is None) == (k < value)
             if raw is not None:
                 assert check_improper(g, Colouring(tuple(raw)), d) is None
@@ -258,9 +260,10 @@ class TestTwinPruning:
     @settings(max_examples=40, deadline=None)
     def test_clustered_search_decides_every_k(self, g, t):
         order, prev = _branch_order(g)
+        adj, pos = _relabel(g.adj, order)
         value = brute_chromatic_clustered(g, t)
         for k in range(1, value + 1):
-            raw = _search(g, k, Mode.clustered(t), order, prev, _Clock(None))
+            raw = _search(adj, k, Mode.clustered(t), pos, prev, _Clock(None))
             assert (raw is None) == (k < value)
             if raw is not None:
                 assert check_clustered(g, Colouring(tuple(raw)), t) is None
@@ -310,8 +313,9 @@ def kernel_layouts(draw):
     blocks in index order (the uniqueness count in ``hoffman``), and the fibres
     of G x K_b under a strict floor (``chromatic_bfold``).  The shuffled
     layout, a random order cut into random runs under either floor, is none of
-    these: the kernel relabels into its own rank order and maps colours back,
-    and a fault there shows only when that order is not the identity.
+    these: the kernel runs on the graph relabelled into that order and maps
+    colours back, and a fault there shows only when the order is not the
+    identity.
     """
     layout = draw(st.sampled_from(["twin", "singleton", "fibre", "shuffled"]))
     if layout == "fibre":
@@ -336,6 +340,7 @@ class TestExplicitStackKernel:
     @settings(max_examples=80, deadline=None)
     def test_follows_the_recursive_reference(self, layout, mode, stop):
         g, order, prev, step = layout
+        adj, pos = _relabel(g.adj, order)
         for k in range(1, g.n + 1):
             runs = []
             for search in (_search, recursive_search):
@@ -346,7 +351,7 @@ class TestExplicitStackKernel:
                     return len(calls) == stop
 
                 clock = _Clock(None)
-                raw = search(g, k, mode, order, prev, clock, None if stop is None else leaf, step)
+                raw = search(adj, k, mode, pos, prev, clock, None if stop is None else leaf, step)
                 runs.append((None if raw is None else list(raw), clock.nodes, calls))
             assert runs[0] == runs[1]
 
@@ -356,18 +361,20 @@ class TestExplicitStackKernel:
         g = random_graph(30, 0.5, 0)
         mode = Mode.clustered(3)
         order, prev = _branch_order(g)
+        adj, pos = _relabel(g.adj, order)
         for search in (_search, recursive_search):
             clock = _Clock(0.0)
             with pytest.raises(Timeout):
-                search(g, 4, mode, order, prev, clock)
+                search(adj, 4, mode, pos, prev, clock)
             assert clock.nodes == _Clock.POLL == 2048
 
     def test_ladder_timeout_keeps_the_first_fit(self):
         g = random_graph(30, 0.5, 0)
         mode = Mode.clustered(3)
         order, prev = _branch_order(g)
+        adj, pos = _relabel(g.adj, order)
         first = _Clock(None)
-        raw = _search(g, g.n, mode, order, prev, first)
+        raw = _search(adj, g.n, mode, pos, prev, first)
         res = chromatic_clustered(g, 3, timeout=0.0)
         assert res.status == "timeout" and res.value is None
         assert res.witness == Colouring(tuple(raw))
@@ -410,6 +417,19 @@ class TestPinnedNodeCounts:
     def test_alpha_1_of_sparse_random_graph(self):
         res = alpha_d(random_graph(40, 0.25, 1), 1)
         assert (res.value, res.nodes) == (16, 37_777)
+
+    def test_3_clustered_random_graph(self):
+        # the benchmark's clustered solve: the one large t >= 3 search order
+        res = chromatic_clustered(random_graph(30, 0.5, 0), 3)
+        assert (res.value, res.nodes, res.lower_bound_source) == (5, 240_629, "search")
+        assert res.witness.colours == (2, 4, 3, 5, 5, 3, 4, 1, 5, 4, 5, 4, 1, 1, 2, 2, 5, 3, 4, 3,
+                                       4, 5, 2, 5, 3, 3, 3, 2, 3, 4)
+
+    def test_1_improper_random_graph(self):
+        res = chromatic_improper(random_graph(34, 0.5, 2), 1)
+        assert (res.value, res.nodes, res.lower_bound_source) == (6, 27_454, "search")
+        assert res.witness.colours == (3, 1, 5, 1, 3, 1, 6, 3, 2, 6, 4, 6, 4, 1, 4, 5, 4, 3, 2, 2,
+                                       2, 5, 5, 4, 6, 1, 4, 6, 3, 5, 4, 5, 4, 6)
 
 
 class TestAlphaAndClique:
