@@ -12,11 +12,10 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from boxchrom.bounds import bound_report
-from boxchrom.cli import _parse_int_list, resolve_named
+from boxchrom.cli import ArgParser, _parse_int_list, resolve_named
 from boxchrom.graphs import Graph
 from boxchrom.solvers import DEFAULT_CAP, chromatic_improper
 
@@ -49,12 +48,12 @@ def row(g: Graph, label: str, d: int) -> str:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = ArgParser(description=__doc__.splitlines()[0])
     ap.add_argument("--named", action="append", help="graph name, repeatable")
     ap.add_argument("-d", default="0,1,2", help="comma-separated improperness values")
-    args = ap.parse_args()
 
     try:  # every flag is checked before the table starts
+        args = ap.parse_args()
         ds = _parse_int_list(args.d)
         if any(d < 0 for d in ds):
             raise ValueError(f"d values must be non-negative, got {args.d}")

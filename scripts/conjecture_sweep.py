@@ -17,27 +17,26 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from collections import Counter
 
-from boxchrom.cli import SweepSpec, _check_out, _parse_int_list, run_sweep, sweep_exit
+from boxchrom.cli import ArgParser, SweepSpec, _check_out, _parse_int_list, run_sweep, sweep_exit
 from boxchrom.smallgraphs import GENERATION_CAP, connected_graphs
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = ArgParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=5,
                     help=f"largest graph size (1..{GENERATION_CAP})")
     ap.add_argument("-d", default="1,2", help="comma-separated improperness values")
     ap.add_argument("--timeout", type=float, default=60.0, help="per-instance seconds")
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", help="write the full JSON report here")
-    args = ap.parse_args()
 
     try:
+        args = ap.parse_args()
         if not 1 <= args.max_n <= GENERATION_CAP:
             raise ValueError(f"--max-n supports 1..{GENERATION_CAP}")
         _check_out(args.out)

@@ -76,6 +76,16 @@ class CliInputError(ValueError):
     """Bad flags or malformed graph input; maps to exit code 1."""
 
 
+class ArgParser(argparse.ArgumentParser):
+    """Raises CliInputError on a bad flag, where argparse would exit 2, the timeout code.
+
+    Subparsers inherit the class; ``--help`` still exits 0.
+    """
+
+    def error(self, message: str):
+        raise CliInputError(f"{self.prog}: {message}")
+
+
 class SweepInvariantError(RuntimeError):
     """A sweep result contradicts a proven theorem or its own witness: a solver bug."""
 
@@ -252,8 +262,6 @@ def cmd_diagnose(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_transfer(args: argparse.Namespace) -> tuple[dict, int]:
     g = load_graph(args)
     t, ell = args.t, args.l
-    if t is None:
-        raise CliInputError("transfer needs -t")
     for flag, value in (("t", t), ("l", ell)):
         if value < 1:
             raise CliInputError(f"-{flag} must be positive, got {value}")
@@ -523,7 +531,7 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgParser(
         prog="boxchrom",
         description="improper and clustered colouring toolkit",
     )
@@ -584,9 +592,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         _check_out(args.out)
         if getattr(args, "timeout", None) is not None:  # every subcommand that has --timeout
             try:

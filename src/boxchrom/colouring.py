@@ -67,13 +67,6 @@ class Colouring:
             out.append(seen[c])
         return Colouring(tuple(out))
 
-    def class_mask(self, colour: int) -> int:
-        mask = 0
-        for v, c in enumerate(self.colours):
-            if c == colour:
-                mask |= 1 << v
-        return mask
-
     def to_json(self) -> list[int]:
         return list(self.colours)
 
@@ -207,9 +200,6 @@ class Mode:
     @classmethod
     def clustered(cls, t: int) -> "Mode":
         return cls("clustered", t)
-
-    def describe(self) -> str:
-        return self.kind if self.param is None else f"{self.kind}({self.param})"
 
 
 def _check_class(g: Graph, members: int, colour: int, mode: Mode) -> Violation | None:

@@ -2,15 +2,16 @@
 
 A colouring whose class count meets the spectral lower bound exactly is
 heavily constrained: the smallest eigenvalue must repeat, classes must induce
-regular subgraphs, and the partition must be regular in a Perron-weighted
+regular subgraphs, and the classes must be regular in a Perron-weighted
 sense.  This module checks each of those structural conditions so a claimed
 tight colouring can be audited, and lifts tight proper colourings through
 strong products with complete graphs.
 
-Every condition reads one class-sum table S[v][j] = sum(w_u : u ~ v, u in
-part j), built as one matrix product (``_class_sums``): unit weights give the
-integer class degrees, Perron weights the weighted class degrees, and the
-quotient matrix averages the weighted rows over each part.
+Every condition reads the colouring's classes, ranked by ascending colour
+(``_parts``), through one class-sum table S[v][j] = sum(w_u : u ~ v, u in
+class j), built as one matrix product (``_class_sums``): unit weights give
+the integer class degrees, Perron weights the weighted class degrees, and the
+quotient matrix averages the weighted rows over each class.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import hoffman_bilu
-from .colouring import Colouring, Mode, check_improper, lift_colouring
+from .colouring import Colouring, Mode, _require_total, check_improper, lift_colouring
 from .graphs import Graph, _fields_json, complete_graph, strong_product
 from .solvers import _Clock, _search
 from .spectra import QUOTIENT_TOL, SNAP_TOL, graph_matrix, perron_vector, spectrum
@@ -28,7 +29,6 @@ from .spectra import QUOTIENT_TOL, SNAP_TOL, graph_matrix, perron_vector, spectr
 __all__ = [
     "HoffmanDiagnosis",
     "LiftDiagnosis",
-    "Partition",
     "diagnose_hoffman",
     "is_equitable",
     "lift_tight_colouring",
@@ -36,95 +36,64 @@ __all__ = [
     "weighted_class_degrees",
 ]
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered partition of the vertex set ``0..n-1`` into nonempty parts."""
-
-    n: int
-    parts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = 0
-        for part in self.parts:
-            if not part:
-                raise ValueError("empty part")
-            if list(part) != sorted(part):
-                raise ValueError("part vertices must be sorted")
-            mask = 0
-            for v in part:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"vertex {v} out of range")
-                mask |= 1 << v
-            if mask & seen:
-                raise ValueError("parts overlap")
-            seen |= mask
-        if seen != (1 << self.n) - 1:
-            raise ValueError("parts do not cover every vertex")
-
-    @classmethod
-    def from_colouring(cls, c: Colouring) -> "Partition":
-        by_colour: dict[int, list[int]] = {}
-        for v, col in enumerate(c.colours):
-            by_colour.setdefault(col, []).append(v)
-        return cls(c.n, tuple(tuple(by_colour[col]) for col in sorted(by_colour)))
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    def part_of(self) -> list[int]:
-        out = [0] * self.n
-        for i, part in enumerate(self.parts):
-            for v in part:
-                out[v] = i
-        return out
+_Parts = tuple[np.ndarray, np.ndarray]  # (first, part), as ``_parts`` returns them
 
 
-def _class_sums(g: Graph, partition: Partition, w: np.ndarray) -> np.ndarray:
-    """Class-sum table S[v][j] = sum(w_u : u ~ v, u in part j), as one product A P.
+def _parts(g: Graph, colouring: Colouring) -> _Parts:
+    """(first, part): the lowest vertex of each class and each vertex's class index.
 
-    P[u][part(u)] = w_u and is zero elsewhere.  S has the dtype of w, so unit
+    Class j holds the vertices of the j-th smallest colour, so the rows and
+    columns of every table below follow ascending colour order.  Raises
+    ValueError when the colouring's length is not the graph's.
+    """
+    _require_total(g, colouring)
+    _, first, part = np.unique(colouring.colours, return_index=True, return_inverse=True)
+    return first, part
+
+
+def _class_sums(g: Graph, parts: _Parts, w: np.ndarray) -> np.ndarray:
+    """Class-sum table S[v][j] = sum(w_u : u ~ v, u in class j), as one product A P.
+
+    P[u][class(u)] = w_u and is zero elsewhere.  S has the dtype of w, so unit
     integer weights give the integer class degrees exactly.
     """
-    p = np.eye(partition.num_parts, dtype=w.dtype)[partition.part_of()] * w[:, None]
+    first, part = parts
+    p = np.eye(len(first), dtype=w.dtype)[part] * w[:, None]
     return graph_matrix(g).astype(w.dtype) @ p
 
 
-def _constant_on_parts(table: np.ndarray, partition: Partition, tol: float = 0.0) -> bool:
-    """True when every row of the table is within tol of its part's first row."""
-    heads = table[[part[0] for part in partition.parts]]
-    return float(np.abs(table - heads[partition.part_of()]).max(initial=0.0)) <= tol
+def _constant_on_parts(table: np.ndarray, parts: _Parts, tol: float = 0.0) -> bool:
+    """True when every row of the table is within tol of its class's first row."""
+    first, part = parts
+    return float(np.abs(table - table[first][part]).max(initial=0.0)) <= tol
 
 
-def class_degree_table(g: Graph, partition: Partition) -> np.ndarray:
-    """Integer table D[v][j] = number of neighbours of v inside part j."""
-    return _class_sums(g, partition, np.ones(g.n, dtype=int))
+def class_degree_table(g: Graph, colouring: Colouring) -> np.ndarray:
+    """Integer table D[v][j] = number of neighbours of v inside class j."""
+    return _class_sums(g, _parts(g, colouring), np.ones(g.n, dtype=int))
 
 
-def is_equitable(g: Graph, partition: Partition) -> bool:
-    """True when class degrees depend only on the part of the vertex."""
-    return _constant_on_parts(class_degree_table(g, partition), partition)
+def is_equitable(g: Graph, colouring: Colouring) -> bool:
+    """True when class degrees depend only on the class of the vertex."""
+    parts = _parts(g, colouring)
+    return _constant_on_parts(_class_sums(g, parts, np.ones(g.n, dtype=int)), parts)
 
 
-def weighted_class_degrees(g: Graph, partition: Partition) -> np.ndarray:
-    """Perron-weighted class degrees W[v][j] = sum(w_u : u ~ v, u in part j) / w_v."""
-    return _weighted(g, partition, perron_vector(g))
+def weighted_class_degrees(g: Graph, colouring: Colouring) -> np.ndarray:
+    """Perron-weighted class degrees W[v][j] = sum(w_u : u ~ v, u in class j) / w_v."""
+    parts, w = _parts(g, colouring), perron_vector(g)
+    return _class_sums(g, parts, w) / w[:, None]
 
 
-def _weighted(g: Graph, partition: Partition, w: np.ndarray) -> np.ndarray:
-    """``weighted_class_degrees`` for the Perron vector w its caller already read."""
-    return _class_sums(g, partition, w) / w[:, None]
-
-
-def _quotient(g: Graph, partition: Partition, weighted: np.ndarray,
-              w: np.ndarray) -> np.ndarray:
+def _quotient(g: Graph, parts: _Parts, weighted: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The quotient of ``quotient_matrix`` from the Perron vector w and its table W.
 
-    x_i^T A x_j = sum(w_v^2 W[v][j] : v in part i), so row i is the
-    w^2-weighted mean of the rows W[v] over the part.
+    x_i^T A x_j = sum(w_v^2 W[v][j] : v in class i), so row i is the
+    w^2-weighted mean of the rows W[v] over the class.
     """
+    first, part = parts
     w2 = w ** 2
-    fold = np.eye(partition.num_parts)[partition.part_of()].T
+    fold = np.eye(len(first))[part].T
     c = fold @ (w2[:, None] * weighted) / (fold @ w2)[:, None]
     lam1 = spectrum(g).largest
     rows = c.sum(axis=1)
@@ -133,18 +102,19 @@ def _quotient(g: Graph, partition: Partition, weighted: np.ndarray,
     return c
 
 
-def quotient_matrix(g: Graph, partition: Partition) -> np.ndarray:
+def quotient_matrix(g: Graph, colouring: Colouring) -> np.ndarray:
     """Perron-weighted quotient C[i][j] = x_i^T A x_j / |x_i|^2.
 
-    Here x_i is the Perron vector restricted to part i.  Row sums always equal
-    the largest adjacency eigenvalue; that identity is verified before
-    returning, as a guard against a bad Perron vector or partition.
+    Here x_i is the Perron vector restricted to colour class i.  Row sums
+    always equal the largest adjacency eigenvalue; that identity is verified
+    before returning, as a guard against a bad Perron vector or colouring.
     """
+    parts = _parts(g, colouring)
     try:
         w = perron_vector(g)
     except ValueError:  # perron_vector refuses only empty and disconnected graphs
         raise ValueError("quotient matrix needs a connected graph") from None
-    return _quotient(g, partition, _weighted(g, partition, w), w)
+    return _quotient(g, parts, _class_sums(g, parts, w) / w[:, None], w)
 
 
 @dataclass(frozen=True)
@@ -225,20 +195,20 @@ def diagnose_hoffman(
     if bad is not None:
         raise ValueError(f"colouring is not {d}-improper: {bad}")
 
-    partition = Partition.from_colouring(colouring)
-    m = partition.num_parts
+    parts = _parts(g, colouring)
+    m = colouring.num_colours
     bound = hoffman_bilu(g, d)
     s = spectrum(g)
     lam_n = s.smallest
     mult = s.multiplicity(lam_n)
 
-    table = class_degree_table(g, partition)
-    own = np.eye(m, dtype=bool)[partition.part_of()]  # own[v][j]: v lies in part j
+    table = _class_sums(g, parts, np.ones(g.n, dtype=int))
+    own = np.eye(m, dtype=bool)[parts[1]]  # own[v][j]: v lies in class j
     d_regular = bool((table[own] == d).all())
 
     equitable = cross_ok = None
     if len(set(g.degree_sequence())) == 1:
-        equitable = _constant_on_parts(table, partition)
+        equitable = _constant_on_parts(table, parts)
         cross_ok = bool((np.abs(table[~own] - (d - lam_n)) <= SNAP_TOL).all())
 
     unique = mult_exact = None
@@ -249,8 +219,8 @@ def diagnose_hoffman(
         if unique:
             mult_exact = mult == m - 1
 
-    weighted = _weighted(g, partition, w)
-    quotient = _quotient(g, partition, weighted, w)
+    weighted = _class_sums(g, parts, w) / w[:, None]
+    quotient = _quotient(g, parts, weighted, w)
     return HoffmanDiagnosis(
         d=d,
         num_classes=m,
@@ -260,7 +230,7 @@ def diagnose_hoffman(
         smallest_multiplicity=mult,
         multiplicity_sufficient=mult >= m - 1,
         classes_d_regular=d_regular,
-        weight_regular=_constant_on_parts(weighted, partition, SNAP_TOL),
+        weight_regular=_constant_on_parts(weighted, parts, SNAP_TOL),
         equitable=equitable,
         cross_degrees_match=cross_ok,
         unique_colouring=unique,

@@ -66,9 +66,6 @@ class Spectrum:
             if not a >= b - ROUNDOFF:
                 raise ValueError("spectrum values must be descending")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @property
     def largest(self) -> float:
         return self.values[0]

@@ -77,11 +77,6 @@ class MonoComponent(NamedTuple):
     mask: int  # product vertices, as a bit mask
     cover: tuple[int, ...]  # base vertices touched, ascending
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        """The product vertices, ascending."""
-        return tuple(iter_bits(self.mask))
-
 
 @dataclass(frozen=True)
 class Incidence:

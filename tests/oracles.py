@@ -23,7 +23,7 @@ from boxchrom.graphs import (
     parse_graph6,
     strong_product,
 )
-from boxchrom.hoffman import Partition, weighted_class_degrees
+from boxchrom.hoffman import weighted_class_degrees
 from boxchrom.smallgraphs import canonical_form, random_connected_graph, random_graph
 from boxchrom.solvers import (
     Timeout,
@@ -692,20 +692,27 @@ def loop_simplex_packing(incidence: list[int], n: int) -> tuple[float, list[floa
     return value, duals, pivots
 
 
-def loop_class_degrees(g: Graph, parts) -> np.ndarray:
-    """Integer table D[v][j] = number of neighbours of v in part j, one neighbour at a time."""
-    part_of = {v: j for j, part in enumerate(parts) for v in part}
-    table = np.zeros((g.n, len(parts)), dtype=int)
+def colour_classes(c: Colouring) -> list[list[int]]:
+    """The vertices of each colour, one list per colour in ascending colour order."""
+    return [[v for v, col in enumerate(c.colours) if col == colour] for colour in c.palette()]
+
+
+def loop_class_degrees(g: Graph, c: Colouring) -> np.ndarray:
+    """Integer table D[v][j] = number of neighbours of v in class j, one neighbour at a time."""
+    classes = colour_classes(c)
+    part_of = {v: j for j, members in enumerate(classes) for v in members}
+    table = np.zeros((g.n, len(classes)), dtype=int)
     for u in range(g.n):
         for v in g.neighbours(u):
             table[u][part_of[v]] += 1
     return table
 
 
-def loop_weighted_class_degrees(g: Graph, parts, w: np.ndarray) -> np.ndarray:
-    """W[v][j] = sum(w_u : u ~ v, u in part j) / w_v, one neighbour at a time."""
-    part_of = {v: j for j, part in enumerate(parts) for v in part}
-    table = np.zeros((g.n, len(parts)), dtype=float)
+def loop_weighted_class_degrees(g: Graph, c: Colouring, w: np.ndarray) -> np.ndarray:
+    """W[v][j] = sum(w_u : u ~ v, u in class j) / w_v, one neighbour at a time."""
+    classes = colour_classes(c)
+    part_of = {v: j for j, members in enumerate(classes) for v in members}
+    table = np.zeros((g.n, len(classes)), dtype=float)
     for u in range(g.n):
         for v in g.neighbours(u):
             table[u][part_of[v]] += w[v]
@@ -713,23 +720,23 @@ def loop_weighted_class_degrees(g: Graph, parts, w: np.ndarray) -> np.ndarray:
     return table
 
 
-def is_weight_regular(g: Graph, partition: Partition) -> bool:
-    """True when Perron-weighted class degrees are constant, to ``SNAP_TOL``, on each part."""
-    table = weighted_class_degrees(g, partition)
-    return all(float(np.abs(table[v] - table[part[0]]).max(initial=0.0)) <= SNAP_TOL
-               for part in partition.parts for v in part)
+def is_weight_regular(g: Graph, c: Colouring) -> bool:
+    """True when Perron-weighted class degrees are constant, to ``SNAP_TOL``, on each class."""
+    table = weighted_class_degrees(g, c)
+    return all(float(np.abs(table[v] - table[members[0]]).max(initial=0.0)) <= SNAP_TOL
+               for members in colour_classes(c) for v in members)
 
 
-def dense_quotient(g: Graph, parts, w: np.ndarray) -> np.ndarray:
-    """C[i][j] = x_i^T A x_j / |x_i|^2, with x_i the weights w restricted to part i."""
+def dense_quotient(g: Graph, c: Colouring, w: np.ndarray) -> np.ndarray:
+    """C[i][j] = x_i^T A x_j / |x_i|^2, with x_i the weights w restricted to colour class i."""
     a = np.zeros((g.n, g.n))
     for u in range(g.n):
         for v in g.neighbours(u):
             a[u][v] = 1.0
     vecs = []
-    for part in parts:
+    for members in colour_classes(c):
         x = np.zeros(g.n)
-        x[list(part)] = w[list(part)]
+        x[members] = w[members]
         vecs.append(x)
     return np.array([[float(xi @ a @ xj) / float(xi @ xi) for xj in vecs] for xi in vecs])
 

@@ -390,15 +390,25 @@ class TestConjecture:
         assert main(["conjecture", "--named", "nonsense", "-d", "1"]) == 1
 
     @pytest.mark.parametrize("flags", [
-        ["--named", "c5", "--timeout", "0"],
-        ["--named", "c5", "--timeout", "nan"],
-        ["--named", "c5", "--timeout", "inf"],
-        ["--named", "k5,5", "-d", "4"],  # k5,5 * K5 has 50 vertices
+        ["conjecture", "--named", "c5", "--timeout", "0"],
+        ["conjecture", "--named", "c5", "--timeout", "nan"],
+        ["conjecture", "--named", "c5", "--timeout", "inf"],
+        ["conjecture", "--named", "k5,5", "-d", "4"],  # k5,5 * K5 has 50 vertices
+        # argparse's own errors, for any subcommand: exit 2 would read as a timeout
+        ["conjecture", "--jobs", "x"], ["conjecture", "--bogus"],
+        ["exact", "--named", "c5", "-d", "x"], ["transfer", "--named", "c5"],
+        ["nosuchcommand"], [],
     ])
     def test_bad_flag_is_an_input_error(self, capsys, flags):
-        assert main(["conjecture", *flags]) == 1
+        assert main(flags) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["exact", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0 and "usage:" in capsys.readouterr().out
 
     def test_exit_code_on_timeout(self, capsys, monkeypatch):
         real = cli.chromatic_clustered
@@ -697,7 +707,7 @@ class TestSweepScript:
     @pytest.mark.parametrize("flags", [
         ["--max-n", "9"], ["--max-n", "0"], ["-d", "0"], ["-d", "x"],
         ["--jobs", "0"], ["--timeout", "0"], ["--timeout", "nan"], ["--timeout", "inf"],
-        ["--max-n", "3", "-d", "13"],
+        ["--max-n", "3", "-d", "13"], ["--max-n", "x"], ["--bogus"], ["--jobs"],
     ])
     def test_bad_flag_is_an_input_error(self, capsys, monkeypatch, flags):
         monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", *flags])
@@ -744,7 +754,7 @@ class TestBoundsTableScript:
 
     @pytest.mark.parametrize("flags", [
         ["-d", "x"], ["-d", "-1"], ["-d", "0,,1"], ["--named", "nonsense"], ["--named", "c2"],
-        ["--named", "k41"], ["--named", "c5", "--named", "nonsense"],
+        ["--named", "k41"], ["--named", "c5", "--named", "nonsense"], ["--bogus"], ["-d"],
     ])
     def test_bad_flag_is_an_input_error(self, capsys, monkeypatch, flags):
         monkeypatch.setattr(sys, "argv", ["bounds_table.py", *flags])

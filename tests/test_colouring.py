@@ -71,12 +71,6 @@ class TestColouring:
         c = Colouring((5, 2, 5, 9, 2))
         assert c.canonical().colours == (1, 2, 1, 3, 2)
 
-    def test_class_mask(self):
-        c = Colouring((1, 2, 1))
-        assert c.class_mask(1) == 0b101
-        assert c.class_mask(2) == 0b010
-        assert c.class_mask(3) == 0
-
     def test_from_list_and_json(self):
         c = Colouring.from_list([2, 2, 1])
         assert c.to_json() == [2, 2, 1]
@@ -164,11 +158,6 @@ class TestCheckClustered:
 
 
 class TestMode:
-    def test_describe(self):
-        assert Mode.proper().describe() == "proper"
-        assert Mode.improper(2).describe() == "improper(2)"
-        assert Mode.clustered(3).describe() == "clustered(3)"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Mode("improper")

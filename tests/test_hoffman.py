@@ -1,7 +1,7 @@
 """Equality diagnostics for the spectral chromatic bound.
 
-Covers partitions and their degree tables (against the one-neighbour-at-a-time
-loops of ``oracles``), the Perron-weighted quotient
+Covers the class-degree tables of a colouring (against the
+one-neighbour-at-a-time loops of ``oracles``), the Perron-weighted quotient
 matrix (row-sum identity plus Cauchy interlacing against the host spectrum),
 the full diagnosis on colourings known to meet the bound, and lifting tight
 proper colourings through clique blow-ups.
@@ -31,7 +31,6 @@ from boxchrom.graphs import (
     strong_product,
 )
 from boxchrom.hoffman import (
-    Partition,
     _count_colourings_up_to_symmetry,
     class_degree_table,
     diagnose_hoffman,
@@ -44,6 +43,7 @@ from boxchrom.solvers import chromatic_improper
 from boxchrom.spectra import perron_vector, spectrum
 from oracles import (
     brute_count_colourings,
+    colour_classes,
     dense_quotient,
     graphs,
     is_weight_regular,
@@ -61,43 +61,43 @@ def coordinate_halves(block: int, copies: int) -> Colouring:
     return Colouring(tuple(1 + (v // block) % 2 for v in range(block * copies)))
 
 
-class TestPartition:
-    def test_from_colouring_orders_by_colour(self):
-        p = Partition.from_colouring(Colouring((2, 1, 2, 3)))
-        assert p.parts == ((1,), (0, 2), (3,))
-        assert p.part_of() == [1, 0, 1, 2]
-        assert p.num_parts == 3
+class TestColourClasses:
+    def test_rows_follow_sorted_colour_order(self):
+        # on the path 0-1-2-3, colour 1 is {1}, colour 2 is {0, 2}, colour 3 is {3}
+        g = path_graph(4)
+        table = class_degree_table(g, Colouring((2, 1, 2, 3)))
+        assert table.tolist() == [[1, 0, 0], [0, 2, 0], [1, 0, 1], [0, 1, 0]]
+        renamed = Colouring((20, 10, 20, 30))
+        assert np.array_equal(class_degree_table(g, renamed), table)
+        assert np.array_equal(quotient_matrix(g, renamed),
+                              quotient_matrix(g, Colouring((2, 1, 2, 3))))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Partition(2, ((0,),))  # missing vertex
-        with pytest.raises(ValueError):
-            Partition(2, ((0, 1), (1,)))  # overlap
-        with pytest.raises(ValueError):
-            Partition(2, ((1, 0),))  # unsorted
-        with pytest.raises(ValueError):
-            Partition(2, ((0, 1), ()))  # empty part
-        with pytest.raises(ValueError):
-            Partition(2, ((0, 1, 2),))  # out of range
+    def test_length_mismatch_raises(self):
+        # a colouring must cover exactly the graph's vertices, in every table
+        g = cycle_graph(5)
+        for colours in ((1,), (1, 2, 1, 2, 3, 1)):
+            for table in (class_degree_table, is_equitable, weighted_class_degrees,
+                          quotient_matrix):
+                with pytest.raises(ValueError, match=f"covers {len(colours)} vertices"):
+                    table(g, Colouring(colours))
 
 
 class TestDegreeTables:
     def test_bowtie_hub_partition_is_equitable(self):
         g = bowtie_graph()
-        p = Partition(5, ((0, 1, 2, 3), (4,)))
+        p = Colouring((1, 1, 1, 1, 2))
         table = class_degree_table(g, p)
         assert table.tolist() == [[1, 1], [1, 1], [1, 1], [1, 1], [4, 0]]
         assert is_equitable(g, p)
 
     def test_path_mixed_part_not_equitable(self):
-        p = Partition(3, ((0, 1), (2,)))
-        assert not is_equitable(path_graph(3), p)
+        assert not is_equitable(path_graph(3), Colouring((1, 1, 2)))
 
     def test_path_end_middle_weighted_degrees(self):
         # Perron weights of P3 are (1, sqrt(2), 1)/2; the middle vertex sees
-        # weighted degree 2/sqrt(2) = sqrt(2) towards the end part
+        # weighted degree 2/sqrt(2) = sqrt(2) towards the end class
         g = path_graph(3)
-        p = Partition(3, ((0, 2), (1,)))
+        p = Colouring((1, 2, 1))
         table = weighted_class_degrees(g, p)
         assert abs(table[1][0] - math.sqrt(2)) < 1e-9
         assert table[1][1] == 0.0
@@ -110,34 +110,28 @@ class TestDegreeTables:
         # constant Perron weights make the two notions coincide
         if len(set(g.degree_sequence())) != 1 or g.edge_count == 0:
             return
-        p = Partition(g.n, (tuple(range(0, g.n, 2)), tuple(range(1, g.n, 2))))
+        p = Colouring(tuple(1 + v % 2 for v in range(g.n)))
         if is_equitable(g, p):
             assert is_weight_regular(g, p)
 
 
 @st.composite
-def graph_with_partition(draw):
+def graph_with_colouring(draw):
     g = draw(graphs(min_n=2, max_n=8, connected=True))
-    labels = draw(
-        st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)
-    )
-    by_label: dict[int, list[int]] = {}
-    for v, lab in enumerate(labels):
-        by_label.setdefault(lab, []).append(v)
-    parts = tuple(tuple(by_label[lab]) for lab in sorted(by_label))
-    return g, Partition(g.n, parts)
+    colours = draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
+    return g, Colouring(tuple(colours))
 
 
 class TestClassSumTable:
-    @given(graph_with_partition())
+    @given(graph_with_colouring())
     @settings(max_examples=60, deadline=None)
     def test_tables_match_the_loop_oracles(self, gp):
         g, p = gp
-        assert np.array_equal(class_degree_table(g, p), loop_class_degrees(g, p.parts))
+        assert np.array_equal(class_degree_table(g, p), loop_class_degrees(g, p))
         w = perron_vector(g)
         assert np.allclose(weighted_class_degrees(g, p),
-                           loop_weighted_class_degrees(g, p.parts, w), rtol=0, atol=1e-12)
-        assert np.allclose(quotient_matrix(g, p), dense_quotient(g, p.parts, w),
+                           loop_weighted_class_degrees(g, p, w), rtol=0, atol=1e-12)
+        assert np.allclose(quotient_matrix(g, p), dense_quotient(g, p, w),
                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("g,colours", [
@@ -145,20 +139,20 @@ class TestClassSumTable:
         (petersen_graph(), (1, 2, 1, 2, 3, 2, 3, 3, 1, 1)),
     ])
     def test_degree_table_is_integer(self, g, colours):
-        p = Partition.from_colouring(Colouring(colours))
+        p = Colouring(colours)
         table = class_degree_table(g, p)
         assert table.dtype.kind == "i"
-        assert table.tolist() == loop_class_degrees(g, p.parts).tolist()
+        assert table.tolist() == loop_class_degrees(g, p).tolist()
 
 
 class TestQuotientMatrix:
     def test_hoffman_colouring_quotient_shape(self):
         # tight classes produce dI + (d - lam_n)(J - I); here d=2, lam_n=-2
         g = line_graph(complete_graph(5))
-        q = quotient_matrix(g, Partition.from_colouring(LINE_K5_CLASSES))
+        q = quotient_matrix(g, LINE_K5_CLASSES)
         assert np.allclose(q, [[2.0, 4.0], [4.0, 2.0]], atol=1e-9)
 
-    @given(graph_with_partition())
+    @given(graph_with_colouring())
     @settings(max_examples=40, deadline=None)
     def test_row_sums_and_interlacing(self, gp):
         g, p = gp
@@ -167,11 +161,11 @@ class TestQuotientMatrix:
         q = quotient_matrix(g, p)
         lam1 = spectrum(g).largest
         assert np.allclose(q.sum(axis=1), lam1, atol=1e-7 * (1 + abs(lam1)))
-        # symmetrise by part norms: similar matrix, so same eigenvalues,
+        # symmetrise by class norms: similar matrix, so same eigenvalues,
         # and Cauchy interlacing against the host graph applies
         w = perron_vector(g)
         norms = np.array([
-            math.sqrt(sum(w[v] ** 2 for v in part)) for part in p.parts
+            math.sqrt(sum(w[v] ** 2 for v in members)) for members in colour_classes(p)
         ])
         b = q * norms[:, None] / norms[None, :]
         beta = np.sort(np.linalg.eigvalsh((b + b.T) / 2))[::-1]
@@ -184,12 +178,12 @@ class TestQuotientMatrix:
     def test_disconnected_rejected(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
         with pytest.raises(ValueError, match="quotient matrix needs a connected graph"):
-            quotient_matrix(g, Partition(4, ((0, 1), (2, 3))))
+            quotient_matrix(g, Colouring((1, 1, 2, 2)))
 
     def test_one_connectivity_test(self, monkeypatch):
         # the Perron vector's own connectivity test is the quotient's
         g = petersen_graph()
-        p = Partition.from_colouring(chromatic_improper(g, 0).witness)
+        p = chromatic_improper(g, 0).witness
         before = quotient_matrix(g, p)
         tests, real_test = [], Graph.is_connected
         monkeypatch.setattr(Graph, "is_connected", lambda h: tests.append(h) or real_test(h))
