@@ -3,19 +3,25 @@
 Every bound here is a genuine lower bound on chi^d (and hence on the
 (d+1)-clustered chromatic number).  Integer ceilings are taken with the
 margin ``spectra.SNAP_TOL`` so floating point noise can never push a bound
-above the true value.
+above the true value.  Each bound is one formula on descending value tuples
+(``_hoffman``, ``_wocjan``, ``_inertia``), which the public functions and
+``bound_report`` share.  The report reads the adjacency, Laplacian and
+signless Laplacian values of g once; for g = base * K_t they come from
+base's checked spectra by the closed forms of ``spectra._values``, with the
+trace checks, and no product ``Spectrum`` is built.  Its clique entry comes
+last, so a graph over the solvers' cap has every spectrum read first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .graphs import Graph, _fields_json
-from .spectra import (ROUNDOFF, SNAP_TOL, STRICT_MARGIN, MatrixKind, Spectrum, eigensolve,
-                      graph_matrix, spectrum)
+from .spectra import (ROUNDOFF, SNAP_TOL, STRICT_MARGIN, MatrixKind, Spectrum, _groups, _values,
+                      eigensolve, graph_matrix)
 
 __all__ = [
     "BoundReport",
@@ -59,6 +65,7 @@ class WeightedCompatibleMatrix:
                 if not graph.adjacent(u, v) and w[u, v] != 0.0:
                     raise ValueError(f"nonzero weight on non-edge ({u},{v})")
         self.graph = graph
+        self.n = n
         self.matrix = w
 
     @classmethod
@@ -87,22 +94,54 @@ class WeightedCompatibleMatrix:
         return s
 
 
+def _hoffman(lam: tuple[float, ...], d: int) -> float:
+    return (lam[0] - lam[-1]) / (d - lam[-1])
+
+
+def _wocjan(lam: tuple[float, ...], mu: tuple[float, ...], theta: tuple[float, ...], d: int,
+            m: int) -> tuple[float | None, ...]:
+    n = len(lam)
+    numer = sum(lam[:m]) - d * m
+    denoms = (
+        d * m - sum(lam[n - m:]),
+        d * m + sum(mu[i] - lam[i] for i in range(m)),
+        d * m + sum(lam[i] + mu[i] - theta[i] for i in range(m)),
+        d * m + sum(lam[i] + mu[n - 1 - i] - theta[n - 1 - i] for i in range(m)),
+    )
+    return tuple(1.0 + numer / den if den > STRICT_MARGIN else None for den in denoms)
+
+
+def _inertia(values: tuple[float, ...], d: int) -> tuple[int, int]:
+    above = below = 0
+    for value, count in _groups(values):
+        if value > d + STRICT_MARGIN:
+            above += count
+        elif value < -d - STRICT_MARGIN:
+            below += count
+    return above, below
+
+
+def _inertia_chromatic(n: int, above: int, below: int) -> int | None:
+    if above >= n or below >= n:
+        return None
+    return max(-(-n // (n - above)), -(-n // (n - below)))
+
+
+def _check_d(d: int) -> None:
+    if d < 0:
+        raise ValueError("d must be non-negative")
+
+
 def hoffman_bilu(g: Graph, d: int) -> float:
     """Generalized Hoffman bound (lam1 - lamn) / (d - lamn) on chi^d.
 
     Also a lower bound on the (d+1)-clustered chromatic number.  Undefined
     for edgeless graphs, whose spectrum collapses to a point.
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    _check_d(d)
     if g.edge_count == 0:
         raise ValueError("Hoffman bound needs at least one edge")
-    s = spectrum(g)
-    return (s.largest - s.smallest) / (d - s.smallest)
-
-
-def _order(w: WeightedCompatibleMatrix | Graph) -> int:
-    return w.n if isinstance(w, Graph) else w.graph.n
+    return _hoffman(_values(g, MatrixKind.ADJACENCY), d)
 
 
 def inertia_counts(w: WeightedCompatibleMatrix | Graph, d: int) -> tuple[int, int]:
@@ -112,32 +151,22 @@ def inertia_counts(w: WeightedCompatibleMatrix | Graph, d: int) -> tuple[int, in
     so values numerically equal to +-d count as neither.  A plain graph uses
     its memoised adjacency spectrum; only supplied weights are diagonalised.
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    s = spectrum(w) if isinstance(w, Graph) else w.spectrum()
-    above = below = 0
-    for value, count in s.groups():
-        if value > d + STRICT_MARGIN:
-            above += count
-        elif value < -d - STRICT_MARGIN:
-            below += count
-    return above, below
+    _check_d(d)
+    values = _values(w, MatrixKind.ADJACENCY) if isinstance(w, Graph) else w.spectrum().values
+    return _inertia(values, d)
 
 
 def inertia_alpha_bound(w: WeightedCompatibleMatrix | Graph, d: int) -> int:
     """Upper bound on alpha_d: min(n - n_d^+, n - n_d^-)."""
-    above, below = inertia_counts(w, d)
-    n = _order(w)
-    return min(n - above, n - below)
+    return w.n - max(inertia_counts(w, d))
 
 
 def inertia_chromatic_bound(w: WeightedCompatibleMatrix | Graph, d: int) -> int:
     """Lower bound on chi^d: ceil(max(n/(n - n_d^+), n/(n - n_d^-)))."""
-    above, below = inertia_counts(w, d)
-    n = _order(w)
-    if above >= n or below >= n:
+    bound = _inertia_chromatic(w.n, *inertia_counts(w, d))
+    if bound is None:
         raise ArithmeticError("all eigenvalues escape [-d, d]; bound degenerates")
-    return max(-(-n // (n - above)), -(-n // (n - below)))
+    return bound
 
 
 @dataclass(frozen=True)
@@ -149,9 +178,7 @@ class WocjanElphickBounds:
     signless_sum: float | None
     signless_reversed_sum: float | None
 
-    def as_tuple(self) -> tuple[float | None, ...]:
-        return (self.adjacency_sum, self.laplacian_sum,
-                self.signless_sum, self.signless_reversed_sum)
+    as_tuple = astuple
 
 
 def wocjan_elphick(g: Graph, d: int, m: int) -> WocjanElphickBounds:
@@ -161,30 +188,15 @@ def wocjan_elphick(g: Graph, d: int, m: int) -> WocjanElphickBounds:
     over a denominator built from adjacency, Laplacian or signless Laplacian
     eigenvalues.  A non-positive denominator yields no information (None).
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    n = g.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m must be within 1..{n}")
-    lam = spectrum(g, MatrixKind.ADJACENCY).values
-    mu = spectrum(g, MatrixKind.LAPLACIAN).values
-    theta = spectrum(g, MatrixKind.SIGNLESS_LAPLACIAN).values
-    top = sum(lam[:m])
-    numer = top - d * m
-    denoms = (
-        d * m - sum(lam[n - m:]),
-        d * m + sum(mu[i] - lam[i] for i in range(m)),
-        d * m + sum(lam[i] + mu[i] - theta[i] for i in range(m)),
-        d * m + sum(lam[i] + mu[n - 1 - i] - theta[n - 1 - i] for i in range(m)),
-    )
-    vals = tuple(1.0 + numer / den if den > STRICT_MARGIN else None for den in denoms)
-    return WocjanElphickBounds(*vals)
+    _check_d(d)
+    if not 1 <= m <= g.n:
+        raise ValueError(f"m must be within 1..{g.n}")
+    return WocjanElphickBounds(*_wocjan(*(_values(g, kind) for kind in MatrixKind), d, m))
 
 
 def combinatorial_bounds(g: Graph, d: int) -> tuple[float, int]:
     """(clique lower bound omega/(d+1), greedy upper bound ceil((Delta+1)/(d+1)))."""
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    _check_d(d)
     from .solvers import clique_number  # local import; solvers builds on this module
 
     omega = clique_number(g).value
@@ -219,43 +231,36 @@ def bound_report(g: Graph, d: int, m_max: int = 3,
                  weights: WeightedCompatibleMatrix | None = None) -> BoundReport:
     """Evaluate every lower bound (and the greedy upper bound) on chi^d(g).
 
-    Bounds that need a nonempty spectrum are reported as vacuous (value None)
-    on edgeless graphs rather than failing the whole report.
+    The three spectra of g are read once, and every spectral entry comes from
+    them; bounds that need a nonempty spectrum are reported as vacuous (value
+    None) on edgeless graphs rather than failing the whole report.
     """
+    _check_d(d)
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     if weights is not None and weights.graph.n != g.n:
         raise ValueError("weights matrix belongs to a different graph")
     entries: list[BoundEntry] = []
-    has_edge = g.edge_count > 0
 
     def lower(name: str, params: dict, value: float | None) -> None:
-        ceiling = None
-        if value is not None:
-            ceiling = max(1, ceil_lower(value)) if g.n else 0
+        ceiling = None if value is None else max(1, ceil_lower(value)) if g.n else 0
         entries.append(BoundEntry(name, params, value, ceiling))
 
-    lower("hoffman_bilu", {"d": d}, hoffman_bilu(g, d) if has_edge else None)
-    m_top = min(m_max, g.n)
-    for m in range(1, m_top + 1):
-        we = wocjan_elphick(g, d, m) if has_edge else WocjanElphickBounds(None, None, None, None)
-        lower("wocjan_adjacency", {"d": d, "m": m}, we.adjacency_sum)
-        lower("wocjan_laplacian", {"d": d, "m": m}, we.laplacian_sum)
-        lower("wocjan_signless", {"d": d, "m": m}, we.signless_sum)
-        lower("wocjan_signless_reversed", {"d": d, "m": m}, we.signless_reversed_sum)
-    for label, wm in (("adjacency", g if g.n else None), ("supplied", weights)):
-        if wm is None:
-            continue
-        try:
-            val = inertia_chromatic_bound(wm, d)
-        except ArithmeticError:
-            val = None
-        lower(f"inertia_{label}", {"d": d}, float(val) if val is not None else None)
+    edged = g.edge_count > 0
+    lam, mu, theta = (_values(g, kind) if g.n else () for kind in MatrixKind)
+    lower("hoffman_bilu", {"d": d}, _hoffman(lam, d) if edged else None)
+    for m in range(1, min(m_max, g.n) + 1):
+        row = _wocjan(lam, mu, theta, d, m) if edged else (None,) * 4
+        for kind, value in zip(("adjacency", "laplacian", "signless", "signless_reversed"), row):
+            lower(f"wocjan_{kind}", {"d": d, "m": m}, value)
+    for label, values in (("adjacency", lam if g.n else None),
+                          ("supplied", None if weights is None else weights.spectrum().values)):
+        if values is not None:
+            bound = _inertia_chromatic(g.n, *_inertia(values, d))
+            lower(f"inertia_{label}", {"d": d}, None if bound is None else float(bound))
     clique_lb, greedy_ub = combinatorial_bounds(g, d)
     lower("clique", {"d": d}, clique_lb)
     entries.append(BoundEntry("greedy_palette", {"d": d}, float(greedy_ub), greedy_ub, "upper"))
     best = max((e for e in entries if e.kind == "lower" and e.ceiling is not None),
-               key=lambda e: e.ceiling, default=None)
-    if best is None:
-        best_val, best_name = 1, "trivial"
-    else:
-        best_val, best_name = best.ceiling, best.name
-    return BoundReport(g.n, d, tuple(entries), best_val, best_name)
+               key=lambda e: e.ceiling, default=BoundEntry("trivial", {}, None, 1))
+    return BoundReport(g.n, d, tuple(entries), best.ceiling, best.name)

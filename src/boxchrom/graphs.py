@@ -189,6 +189,14 @@ class Graph:
         # cached in the instance dict, which equality and hashing never read
         return sum(row.bit_count() for row in self.adj) // 2
 
+    @cached_property
+    def _hash(self) -> int:
+        # dataclass's hash, once; ints hash alike in every process, so a pickled copy's holds
+        return hash((self.n, self.adj))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
 
@@ -234,17 +242,14 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     themselves differ.  When h is complete the result remembers (g, h.n), so
     its spectra and clique number follow from g's.
     """
-    n = g.n * h.n
-    adj = [0] * n
+    adj = []
     for u in range(g.n):
-        gu = g.adj[u] | (1 << u)
-        for i in range(h.n):
-            hi = h.adj[i] | (1 << i)
-            mask = 0
-            for v in iter_bits(gu):
-                mask |= hi << (v * h.n)
-            mask &= ~(1 << (u * h.n + i))
-            adj[u * h.n + i] = mask
+        spread = 0  # one bit at the start of each fibre of N[u]
+        for v in iter_bits(g.adj[u] | 1 << u):
+            spread |= 1 << v * h.n
+        for i, row in enumerate(h.adj):
+            # each closed row of h fits in a fibre, so the product's blocks never carry
+            adj.append(spread * (row | 1 << i) & ~(1 << (u * h.n + i)))
     complete = h.n and all(row | 1 << i == (1 << h.n) - 1 for i, row in enumerate(h.adj))
     return _trusted(adj, (g, h.n) if complete else None)
 

@@ -79,8 +79,8 @@ from typing import NamedTuple
 
 from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
-from .graphs import (Graph, _relabel, _to_json, _twin_classes, complete_graph, iter_bits,
-                     strong_product)
+from .graphs import (Graph, _relabel, _to_json, _twin_classes, complement, complete_graph,
+                     iter_bits, strong_product)
 from .spectra import SNAP_TOL, STRICT_MARGIN
 
 __all__ = [
@@ -553,13 +553,13 @@ def chromatic_bfold(g: Graph, b: int, mode: Mode, *,
 
 
 def _admissible_walk(adj: tuple[int, ...], mode: Mode, clock: _Clock,
-                     leaf: Callable[[int, int, int], int]) -> None:
+                     leaf: Callable[[int, int, int], int], _skipped: bool = False) -> None:
     """Branch and bound over the admissible classes of one colour, as bitmasks.
 
     A node is (chosen, count, live, skipped): the class, its size, the
-    undecided vertices that the class still admits, and the vertices the walk
-    skipped that it still admits.  It takes the lowest live vertex u and
-    pushes the branch that skips u.  When u joins, one call of
+    undecided vertices that the class still admits, and (if ``_skipped``,
+    else none) the skipped vertices it still admits.  It takes the lowest live
+    vertex u and pushes the branch that skips u.  When u joins, one call of
     ``_narrowing(adj, mode)`` removes every vertex of ``live | skipped`` that
     the grown class refuses; admission is hereditary, so a refused vertex is
     never asked again.  A node is pruned when ``count + popcount(live) <=
@@ -569,6 +569,7 @@ def _admissible_walk(adj: tuple[int, ...], mode: Mode, clock: _Clock,
     is polled every ``_Clock.POLL`` nodes.
     """
     narrow = _narrowing(adj, mode)
+    track = -1 if _skipped else 0  # the mask of skipped vertices the walk keeps
     floor = -1
     stack = [(0, 0, (1 << len(adj)) - 1, 0)]
     nodes = clock.nodes
@@ -584,7 +585,7 @@ def _admissible_walk(adj: tuple[int, ...], mode: Mode, clock: _Clock,
                         raise Timeout
                 low = live & -live
                 live ^= low
-                stack.append((chosen, count, live, skipped | low))
+                stack.append((chosen, count, live, skipped | low & track))
                 chosen |= low
                 count += 1
                 kept = narrow(chosen, low.bit_length() - 1, live | skipped)
@@ -631,9 +632,9 @@ def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
 
 
 @lru_cache(maxsize=4096)
-def _finished_clique(rows: tuple[int, ...]) -> SolveResult:
-    """The untimed, hence finished, search on the complement with these rows."""
-    return _largest(rows, 0, None)
+def _finished_clique(g: Graph) -> SolveResult:
+    """The untimed, hence finished, search on the complement of g."""
+    return _largest(complement(g).adj, 0, None)
 
 
 def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
@@ -649,9 +650,7 @@ def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
     _require_cap(g)
     clock = _Clock(timeout)
     base, t = g._base or (g, 1)
-    full = (1 << base.n) - 1
-    rows = tuple(full & ~(row | 1 << v) for v, row in enumerate(base.adj))  # base's complement
-    res = _finished_clique(rows) if timeout is None else _largest(rows, 0, timeout)
+    res = _finished_clique(base) if timeout is None else _largest(complement(base).adj, 0, timeout)
     value = None if res.value is None else res.value * t
     wit = tuple(u * t + i for u in res.witness for i in range(t))
     mask = sum(1 << v for v in wit)
@@ -682,7 +681,7 @@ def _maximal_admissible_sets(g: Graph, mode: Mode) -> list[int]:
             out.append(chosen)
         return -1
 
-    _admissible_walk(g.adj, mode, _Clock(None), leaf)
+    _admissible_walk(g.adj, mode, _Clock(None), leaf, _skipped=True)
     return sorted(out)
 
 

@@ -78,25 +78,32 @@ class Spectrum:
         return sum(1 for x in self.values if abs(x - value) <= MULT_TOL)
 
     def groups(self) -> list[tuple[float, int]]:
-        """Cluster near-equal values; each group is (mean value, count)."""
-        out: list[tuple[float, int]] = []
-        run: list[float] = []
-        for x in self.values:
-            if run and run[-1] - x > MULT_TOL:
-                out.append((sum(run) / len(run), len(run)))
-                run = []
-            run.append(x)
-        if run:
+        return _groups(self.values)
+
+
+def _groups(values: tuple[float, ...]) -> list[tuple[float, int]]:
+    """Descending values clustered within ``MULT_TOL``; each group is (mean value, count)."""
+    out: list[tuple[float, int]] = []
+    run: list[float] = []
+    for x in values:
+        if run and run[-1] - x > MULT_TOL:
             out.append((sum(run) / len(run), len(run)))
-        return out
+            run = []
+        run.append(x)
+    if run:
+        out.append((sum(run) / len(run), len(run)))
+    return out
 
 
 def eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """Full symmetric eigendecomposition m = V diag(w) V^T.
 
-    Eigenvalues come back descending, eigenvector k in column k of V.  The
-    residual and orthonormality of the factorisation are verified before
-    returning; a non-finite or asymmetric input is rejected.
+    Eigenvalues come back descending, eigenvector k in column k of V: LAPACK's
+    ascending output read backwards, so the columns of exactly equal
+    eigenvalues come in reversed LAPACK order (any orthonormal basis of an
+    eigenspace is valid), and a simple eigenvalue's column, such as a
+    connected graph's Perron vector, is LAPACK's own.  The residual and
+    orthonormality are verified; non-finite or asymmetric input is rejected.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -109,26 +116,34 @@ def eigensolve(m: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     if not float(np.abs(m - m.T).max()) <= ROUNDOFF * scale:
         raise ValueError("matrix is not symmetric")
     w, v = np.linalg.eigh(m)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = w[::-1], v[:, ::-1]
     if not float(np.abs(m @ v - v * w).max()) <= RESIDUAL_TOL * scale:
         raise ArithmeticError("eigendecomposition residual too large")
     if not float(np.abs(v.T @ v - np.eye(m.shape[0])).max()) <= RESIDUAL_TOL:
         raise ArithmeticError("eigenvectors are not orthonormal")
-    return Spectrum(tuple(float(x) for x in w)), v
+    return Spectrum(tuple(w.tolist())), v
 
 
-def _product_spectrum(base: Graph, t: int, kind: MatrixKind) -> Spectrum:
-    """Spectrum of base * K_t from the spectrum of base.
+def _check_trace(values: tuple[float, ...], g: Graph, kind: MatrixKind) -> None:
+    trace = 0 if kind is MatrixKind.ADJACENCY else 2 * g.edge_count
+    if not abs(sum(values) - trace) <= TRACE_TOL * max(g.n, 1):
+        raise ArithmeticError(f"{kind.value} spectrum does not sum to the trace")
 
-    One first-row value per eigenvalue of base, plus one second-row value per
-    vertex repeated t-1 times:
+
+def _values(g: Graph, kind: MatrixKind) -> tuple[float, ...]:
+    """``spectrum(g, kind).values``; g = base * K_t reads them off base, building no Spectrum.
+
+    Then they are one first-row value per eigenvalue of base, plus one
+    second-row value per vertex repeated t-1 times, and must sum to the trace
+    of g's matrix, as an eigensolve's must:
 
     - adjacency:          {t*lam + (t-1)}         and  -1
     - Laplacian:          {t*mu}                  and  t*deg(u) + t
     - signless Laplacian: {t*theta + 2(t-1)}      and  (t-2) + t*deg(u)
     """
+    if g._base is None:
+        return spectrum(g, kind).values
+    base, t = g._base
     values = spectrum(base, kind).values
     if kind is MatrixKind.ADJACENCY:
         out = [t * x + (t - 1) for x in values] + [-1.0] * ((t - 1) * base.n)
@@ -140,37 +155,33 @@ def _product_spectrum(base: Graph, t: int, kind: MatrixKind) -> Spectrum:
         out = [t * x + 2 * (t - 1) for x in values]
         for v in range(base.n):
             out += [float((t - 2) + t * base.degree(v))] * (t - 1)
-    return Spectrum(tuple(sorted(out, reverse=True)))
+    out = tuple(sorted(out, reverse=True))
+    _check_trace(out, g, kind)
+    return out
 
 
 @lru_cache(maxsize=4096)
-def _spectrum_cached(g: Graph, kind: MatrixKind,
-                     base: tuple[Graph, int] | None) -> tuple[Spectrum, np.ndarray | None]:
-    # the checked spectrum and, for a plain adjacency matrix, the read-only leading
-    # eigenvector of the same eigensolve, signed so its first entry is >= 0; base
-    # (g._base) keys the cache too, so an equal graph without provenance stays an oracle
+def _spectrum_cached(g: Graph, kind: MatrixKind) -> tuple[Spectrum, np.ndarray | None]:
+    # a graph without provenance: the checked spectrum and, for an adjacency matrix,
+    # the read-only leading eigenvector of the same eigensolve, signed so its first
+    # entry is >= 0; an equal product never reaches it, so an equal copy stays an oracle
     lead = None
-    if base is None:
-        s, vecs = eigensolve(graph_matrix(g, kind))
-        if kind is MatrixKind.ADJACENCY:
-            lead = -vecs[:, 0] if vecs[0, 0] < 0 else vecs[:, 0].copy()
-            lead.flags.writeable = False
-    else:
-        s = _product_spectrum(*base, kind)
-    trace = 0 if kind is MatrixKind.ADJACENCY else 2 * g.edge_count
-    if not abs(sum(s.values) - trace) <= TRACE_TOL * max(g.n, 1):
-        raise ArithmeticError(f"{kind.value} spectrum does not sum to the trace")
+    s, vecs = eigensolve(graph_matrix(g, kind))
+    _check_trace(s.values, g, kind)
+    if kind is MatrixKind.ADJACENCY:
+        lead = -vecs[:, 0] if vecs[0, 0] < 0 else vecs[:, 0].copy()
+        lead.flags.writeable = False
     return s, lead
 
 
 def spectrum(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> Spectrum:
     """Spectrum of the chosen matrix of g (memoised; graphs are immutable).
 
-    g = base * K_t takes ``_product_spectrum`` from the checked spectrum of base.
+    g = base * K_t takes ``_values`` from the memoised spectrum of base.
     """
     if g.n == 0:
         raise ValueError("spectrum of the empty graph is undefined")
-    return _spectrum_cached(g, kind, g._base)[0]
+    return _spectrum_cached(g, kind)[0] if g._base is None else Spectrum(_values(g, kind))
 
 
 def perron_vector(g: Graph) -> np.ndarray:
@@ -187,7 +198,7 @@ def perron_vector(g: Graph) -> np.ndarray:
     if g._base is not None:
         h, t = g._base
         return np.repeat(perron_vector(h), t) / np.sqrt(t)
-    vec = _spectrum_cached(g, MatrixKind.ADJACENCY, None)[1]
+    vec = _spectrum_cached(g, MatrixKind.ADJACENCY)[1]
     if not np.min(vec) > 0:
         raise ArithmeticError("leading eigenvector is not strictly positive")
     return vec.copy()

@@ -11,7 +11,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from boxchrom.bounds import bound_report, hoffman_bilu
+from boxchrom.bounds import (BoundEntry, BoundReport, WeightedCompatibleMatrix, bound_report,
+                             ceil_lower, combinatorial_bounds, hoffman_bilu)
 from boxchrom.cli import ConjectureRecord, SweepInvariantError
 from boxchrom.colouring import Colouring, Mode, check_improper, lift_colouring
 from boxchrom.graphs import (
@@ -33,8 +34,8 @@ from boxchrom.solvers import (
     chromatic_improper,
     clique_number,
 )
-from boxchrom.spectra import (MULT_TOL, SNAP_TOL, STRICT_MARGIN, MatrixKind, eigensolve, graph_matrix,
-                              spectrum)
+from boxchrom.spectra import (MULT_TOL, SNAP_TOL, STRICT_MARGIN, MatrixKind, Spectrum, eigensolve,
+                              graph_matrix, spectrum)
 from boxchrom.transfer import (
     ComponentPick,
     TransferTrace,
@@ -176,7 +177,7 @@ def product_spectrum_identity_check(g: Graph, n: int,
                                     kind: MatrixKind = MatrixKind.ADJACENCY) -> bool:
     """Check the closed-form spectrum of g * K_n against a direct diagonalisation.
 
-    ``spectrum`` of the product takes the closed form of ``_product_spectrum``;
+    ``spectrum`` of the product takes the closed form of ``spectra._values``;
     the check compares it, value by value, with ``eigensolve`` of the
     product's matrix, within ``MULT_TOL``.
     """
@@ -188,6 +189,92 @@ def product_spectrum_identity_check(g: Graph, n: int,
     if len(pred) != len(actual):
         return False
     return all(abs(a - b) <= MULT_TOL for a, b in zip(pred, actual))
+
+
+def loop_strong_product(g: Graph, h: Graph) -> tuple[int, ...]:
+    """Rows of the strong product, (u, i) at u * h.n + i, one neighbour fibre at a time."""
+    rows = []
+    for u in range(g.n):
+        gu = g.adj[u] | (1 << u)
+        for i in range(h.n):
+            hi = h.adj[i] | (1 << i)
+            mask = 0
+            for v in iter_bits(gu):
+                mask |= hi << (v * h.n)
+            rows.append(mask & ~(1 << (u * h.n + i)))
+    return tuple(rows)
+
+
+def argsort_perron_vector(g: Graph) -> np.ndarray:
+    """The leading eigenvector after a stable argsort of -w, signed so its first entry is >= 0."""
+    w, v = np.linalg.eigh(graph_matrix(g))
+    col = v[:, np.argsort(-w, kind="stable")[0]]
+    return -col if col[0] < 0 else col
+
+
+def _reference_wocjan(g: Graph, d: int, m: int) -> tuple[float | None, ...]:
+    n = g.n
+    lam = spectrum(g, MatrixKind.ADJACENCY).values
+    mu = spectrum(g, MatrixKind.LAPLACIAN).values
+    theta = spectrum(g, MatrixKind.SIGNLESS_LAPLACIAN).values
+    numer = sum(lam[:m]) - d * m
+    denoms = (
+        d * m - sum(lam[n - m:]),
+        d * m + sum(mu[i] - lam[i] for i in range(m)),
+        d * m + sum(lam[i] + mu[i] - theta[i] for i in range(m)),
+        d * m + sum(lam[i] + mu[n - 1 - i] - theta[n - 1 - i] for i in range(m)),
+    )
+    return tuple(1.0 + numer / den if den > STRICT_MARGIN else None for den in denoms)
+
+
+def _reference_inertia_bound(s: Spectrum, n: int, d: int) -> float | None:
+    above = below = 0
+    for value, count in s.groups():
+        if value > d + STRICT_MARGIN:
+            above += count
+        elif value < -d - STRICT_MARGIN:
+            below += count
+    if above >= n or below >= n:
+        return None
+    return float(max(-(-n // (n - above)), -(-n // (n - below))))
+
+
+def reference_bound_report(g: Graph, d: int, m_max: int = 3,
+                           weights: WeightedCompatibleMatrix | None = None) -> BoundReport:
+    """``bound_report`` as one function per bound, each reading ``spectrum(g, kind)`` afresh.
+
+    Each m of the Wocjan-Elphick rows sums its own generators, and the inertia
+    counts walk the ``Spectrum`` groups; ``bound_report`` reads the spectra
+    once and must give the same entries, floats included.
+    """
+    entries: list[BoundEntry] = []
+
+    def lower(name: str, params: dict, value: float | None) -> None:
+        ceiling = None if value is None else max(1, ceil_lower(value)) if g.n else 0
+        entries.append(BoundEntry(name, params, value, ceiling))
+
+    has_edge = g.edge_count > 0
+    hoffman = None
+    if has_edge:
+        s = spectrum(g)
+        hoffman = (s.largest - s.smallest) / (d - s.smallest)
+    lower("hoffman_bilu", {"d": d}, hoffman)
+    for m in range(1, min(m_max, g.n) + 1):
+        row = _reference_wocjan(g, d, m) if has_edge else (None,) * 4
+        for kind, value in zip(("adjacency", "laplacian", "signless", "signless_reversed"), row):
+            lower(f"wocjan_{kind}", {"d": d, "m": m}, value)
+    if g.n:
+        lower("inertia_adjacency", {"d": d}, _reference_inertia_bound(spectrum(g), g.n, d))
+    if weights is not None:
+        lower("inertia_supplied", {"d": d}, _reference_inertia_bound(weights.spectrum(), g.n, d))
+    clique_lb, greedy_ub = combinatorial_bounds(g, d)
+    lower("clique", {"d": d}, clique_lb)
+    entries.append(BoundEntry("greedy_palette", {"d": d}, float(greedy_ub), greedy_ub, "upper"))
+    ranked = [e for e in entries if e.kind == "lower" and e.ceiling is not None]
+    best = max(ranked, key=lambda e: e.ceiling, default=None)
+    if best is None:
+        return BoundReport(g.n, d, tuple(entries), 1, "trivial")
+    return BoundReport(g.n, d, tuple(entries), best.ceiling, best.name)
 
 
 def columns(g: Graph, order) -> tuple[tuple[int, ...], ...]:

@@ -5,6 +5,8 @@ complete graphs and an exhaustive soundness sweep (every bound's ceiling is
 at most the exact optimum on all small connected graphs).
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ from boxchrom.graphs import (
 from boxchrom.smallgraphs import connected_graphs, random_connected_graph
 from boxchrom.solvers import alpha_d, chromatic_improper
 from boxchrom.spectra import MatrixKind, graph_matrix, spectrum
-from oracles import graphs
+from oracles import graphs, reference_bound_report
 
 JOIN_WEIGHTS_TEXT = """8
 0 1 0 0 1 1 -0.99 1
@@ -266,6 +268,69 @@ class TestSoundness:
                     else:
                         assert entry.ceiling >= exact
                 assert report.best_lower <= exact
+
+
+class TestReportSinglePath:
+    """bound_report reads the spectra once; the per-function chain is its reference."""
+
+    def test_products_match_the_reference_byte_for_byte(self, connected_catalogue):
+        # every connected graph on at most 6 vertices times K_t, t = 1..4, at d in {0, t-1, t}
+        for n in range(1, 7):
+            for g in connected_catalogue[n]:
+                for t in range(1, 5):
+                    prod = strong_product(g, complete_graph(t))
+                    for d in sorted({0, t - 1, t}):
+                        got = json.dumps(bound_report(prod, d).to_json())
+                        assert got == json.dumps(reference_bound_report(prod, d).to_json()), \
+                            (g.adj, t, d)
+
+    @pytest.mark.parametrize("m_max", [1, 2, 3, 12])
+    def test_plain_and_edgeless_graphs_match_the_reference(self, m_max):
+        cases = [petersen_graph(), cycle_graph(5), double_matching_join(), empty_graph(0),
+                 empty_graph(3), strong_product(empty_graph(2), complete_graph(1))]
+        for g in cases:
+            for d in (0, 1, 2):
+                assert (bound_report(g, d, m_max).to_json()
+                        == reference_bound_report(g, d, m_max).to_json()), (g.adj, d)
+
+    def test_supplied_weights_match_the_reference(self):
+        g = double_matching_join()
+        w = WeightedCompatibleMatrix.from_text(g, JOIN_WEIGHTS_TEXT)
+        for d in (0, 1, 2):
+            assert (json.dumps(bound_report(g, d, weights=w).to_json())
+                    == json.dumps(reference_bound_report(g, d, weights=w).to_json()))
+
+    def test_best_lower_matches_a_copy_without_provenance(self):
+        # the copy is eigensolved directly and searched for its own clique
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                for d in (1, 2):
+                    prod = strong_product(g, complete_graph(d + 1))
+                    got, want = bound_report(prod, d), bound_report(Graph(prod.n, prod.adj), d)
+                    assert (got.best_lower, got.best_lower_name) == \
+                        (want.best_lower, want.best_lower_name), (g.adj, d)
+
+
+class TestReportValidation:
+    PATHS = [cycle_graph(5), empty_graph(3), empty_graph(0),
+             strong_product(cycle_graph(5), complete_graph(2)),
+             strong_product(empty_graph(2), complete_graph(1))]
+    IDS = ["c5", "edgeless", "n0", "c5xk2", "edgeless-product"]
+
+    @pytest.mark.parametrize("m_max", [0, -2])
+    @pytest.mark.parametrize("g", PATHS, ids=IDS)
+    def test_rejects_m_max_below_one(self, g, m_max):
+        with pytest.raises(ValueError, match="m_max"):
+            bound_report(g, 1, m_max)
+
+    @pytest.mark.parametrize("g", PATHS, ids=IDS)
+    def test_rejects_negative_d_on_every_path(self, g):
+        with pytest.raises(ValueError, match="non-negative"):
+            bound_report(g, -1)
+        for bound in (inertia_counts, inertia_alpha_bound, inertia_chromatic_bound,
+                      combinatorial_bounds):
+            with pytest.raises(ValueError, match="non-negative"):
+                bound(g, -1)
 
 
 class TestBoundReport:

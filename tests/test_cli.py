@@ -128,6 +128,14 @@ class TestBounds:
         assert code == 0
         assert any(e["name"] == "inertia_supplied" for e in payload["entries"])
 
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_m_below_one_is_an_input_error(self, capsys, m):
+        # -m -2 once exited 0 with every Wocjan-Elphick entry silently dropped
+        code = main(["bounds", "--named", "c5", "-d", "1", "-m", m])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "m_max" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("rows", ["0 nan\nnan 0", "nan 1\n1 0"],
                              ids=["off_diagonal", "diagonal"])
     def test_nan_weight_is_an_input_error(self, capsys, tmp_path, rows):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +45,7 @@ from oracles import (
     graphs,
     induced_subgraph,
     lexicographic_product,
+    loop_strong_product,
     twin_graphs,
 )
 
@@ -70,6 +72,24 @@ class TestGraphModel:
         assert g.edge_count == 15 and "edge_count" in vars(g) and "edge_count" not in vars(h)
         assert g == h and hash(g) == hash(h)
         assert h.edge_count == 15 and g == h
+
+    def test_hash_is_cached_and_equal_across_builds(self):
+        g = cycle_graph(6)
+        built = [Graph(6, g.adj), Graph.from_edges(6, g.edges()), _trusted(g.adj),
+                 _trusted(g.adj, (g, 1)), Graph(6, g.adj, "other name")]
+        assert all(b == g and hash(b) == hash(g) == hash((6, g.adj)) for b in built)
+        assert all(vars(b)["_hash"] == hash(g) for b in built)
+
+    @pytest.mark.parametrize("g", [petersen_graph(), strong_product(cycle_graph(5), complete_graph(3))],
+                             ids=["petersen", "c5xk3"])
+    def test_cached_hash_survives_a_pickle_round_trip(self, g):
+        # the pooled sweep pickles graphs to its workers, and tuples of ints hash
+        # alike in every process, so the cached value stays the hash of the copy
+        h = hash(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert vars(copy)["_hash"] == h and copy == g
+        assert hash(copy) == hash(Graph(copy.n, copy.adj)) == hash((g.n, g.adj))
+        assert {g: 1}[copy] == 1
 
     def test_edges_sorted(self):
         g = cycle_graph(4)
@@ -193,6 +213,18 @@ class TestProducts:
         copy = Graph(prod.n, prod.adj)
         assert copy._base is None
         assert copy == prod and hash(copy) == hash(prod)
+
+    @pytest.mark.parametrize("h", [complete_graph(1), complete_graph(2), complete_graph(3),
+                                   complete_graph(4), cycle_graph(4), path_graph(3),
+                                   empty_graph(2), complete_bipartite(2, 2)],
+                             ids=["k1", "k2", "k3", "k4", "c4", "p3", "2k1", "k22"])
+    def test_strong_product_matches_the_loop_oracle(self, h, connected_catalogue):
+        complete = h == complete_graph(h.n)
+        for n in range(1, 6):
+            for g in connected_catalogue[n]:
+                prod = strong_product(g, h)
+                assert prod.adj == loop_strong_product(g, h), (g.adj, h.adj)
+                assert prod._base == ((g, h.n) if complete else None)
 
     def test_other_products_keep_no_base(self):
         assert strong_product(cycle_graph(4), path_graph(3))._base is None

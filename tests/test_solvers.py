@@ -40,6 +40,7 @@ from boxchrom.solvers import (
     WeightedSet,
     _branch_order,
     _Clock,
+    _admissible_walk,
     _finished_clique,
     _lower_bound,
     _maximal_admissible_sets,
@@ -655,6 +656,22 @@ def independent_maximal_sets(g, mode):
 
 
 class TestMaximalAdmissibleSets:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_only_the_maximal_set_walk_keeps_skipped_vertices(self, mode):
+        g = random_graph(9, .4, 3)
+        seen = {}
+        for keep in (False, True):
+            skipped = seen[keep] = []
+
+            def leaf(chosen: int, count: int, skipped_now: int) -> int:
+                skipped.append(skipped_now)
+                return -1
+
+            _admissible_walk(g.adj, mode, _Clock(None), leaf, _skipped=keep)
+        # the same leaves either way; only the maximal-set walk reads what was skipped
+        assert len(seen[False]) == len(seen[True]) and set(seen[False]) == {0}
+        assert any(seen[True])
+
     @given(graphs(max_n=7), st.sampled_from(ALL_MODES))
     @settings(max_examples=80, deadline=None)
     def test_matches_full_scan(self, g, mode):

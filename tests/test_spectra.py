@@ -37,7 +37,7 @@ from boxchrom.spectra import (
     perron_vector,
     spectrum,
 )
-from oracles import graphs, jacobi_eigh, product_spectrum_identity_check
+from oracles import argsort_perron_vector, graphs, jacobi_eigh, product_spectrum_identity_check
 
 
 @st.composite
@@ -95,6 +95,14 @@ class TestEigensolve:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             eigensolve(np.zeros((0, 0)))
+
+    def test_equal_eigenvalues_keep_reversed_lapack_columns(self):
+        # K4 has -1 three times; any orthonormal basis of that eigenspace is valid
+        m = graph_matrix(complete_graph(4))
+        s, v = eigensolve(m)
+        w, lapack = np.linalg.eigh(m)
+        assert s.values == tuple(w[::-1].tolist())
+        assert np.array_equal(v, lapack[:, ::-1])
 
     def test_descending_order(self):
         spec, _ = eigensolve(np.diag([3.0, -1.0, 7.0]))
@@ -227,6 +235,13 @@ class TestPerronVector:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             perron_vector(disjoint_union(complete_graph(2), complete_graph(2)))
+
+    def test_vector_matches_the_argsort_oracle(self, connected_catalogue):
+        # a connected graph's top eigenvalue is simple: reading LAPACK's columns
+        # backwards hands out the same column a stable argsort picked
+        for n in range(1, 7):
+            for g in connected_catalogue[n]:
+                assert np.array_equal(perron_vector(g), argsort_perron_vector(g)), g.adj
 
     @given(graphs(min_n=1, max_n=7, connected=True), st.integers(min_value=1, max_value=4))
     @settings(max_examples=30, deadline=None)
