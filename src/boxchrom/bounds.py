@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,8 +206,7 @@ def combinatorial_bounds(g: Graph, d: int) -> tuple[float, int]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     name: str
     params: dict
     value: float | None
@@ -216,8 +216,7 @@ class BoundEntry:
     to_json = _fields_json
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     d: int
     entries: tuple[BoundEntry, ...]

@@ -73,7 +73,7 @@ SCHEMA = 2  # 2: sweep records carry an error field, the summary an error count
 
 
 class CliInputError(ValueError):
-    """Bad flags or malformed graph input; maps to exit code 1."""
+    """Bad flags or malformed graph input; exit code 1, as for any ValueError main sees."""
 
 
 class ArgParser(argparse.ArgumentParser):
@@ -134,10 +134,7 @@ def parse_colours(text: str, expected: int) -> Colouring:
         raise CliInputError(f"bad colour list: {e}") from e
     if len(values) != expected:
         raise CliInputError(f"colour list has {len(values)} entries, expected {expected}")
-    try:
-        return Colouring.from_list(values)
-    except ValueError as e:
-        raise CliInputError(str(e)) from e
+    return Colouring.from_list(values)
 
 
 def _check_timeout(seconds: float) -> None:
@@ -165,10 +162,7 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
         "laplacian": MatrixKind.LAPLACIAN,
         "signless": MatrixKind.SIGNLESS_LAPLACIAN,
     }[args.kind]
-    try:
-        s = spectrum(g, kind)
-    except ValueError as e:
-        raise CliInputError(str(e)) from e
+    s = spectrum(g, kind)
     payload = {
         "n": g.n,
         "kind": args.kind,
@@ -187,10 +181,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
                 weights = WeightedCompatibleMatrix.from_text(g, fh.read())
         except (OSError, ValueError) as e:
             raise CliInputError(f"bad weights file: {e}") from e
-    try:
-        report = bound_report(g, args.d, m_max=args.m, weights=weights)
-    except ValueError as e:
-        raise CliInputError(str(e)) from e
+    report = bound_report(g, args.d, m_max=args.m, weights=weights)
     return report.to_json(), 0
 
 
@@ -208,31 +199,28 @@ def cmd_exact(args: argparse.Namespace) -> tuple[dict, int]:
             raise CliInputError(f"--mode {args.mode} takes no {flag}")
     if args.mode == "fractional" and args.d is not None and args.t is not None:
         raise CliInputError("--mode fractional takes -d or -t, not both")
-    try:
-        if args.mode == "alpha":
-            result = alpha_d(g, args.d if args.d is not None else 0, timeout=args.timeout)
-        elif args.mode == "clique":
-            result = clique_number(g, timeout=args.timeout)
+    if args.mode == "alpha":
+        result = alpha_d(g, args.d if args.d is not None else 0, timeout=args.timeout)
+    elif args.mode == "clique":
+        result = clique_number(g, timeout=args.timeout)
+    else:
+        kind = args.mode
+        if kind == "fractional":  # relaxed by -d or -t when given, proper otherwise
+            kind = "improper" if args.d is not None else "clustered" if args.t is not None \
+                else "proper"
+        if kind == "improper" and args.d is None:
+            raise CliInputError("--mode improper needs -d")
+        if kind == "clustered" and args.t is None:
+            raise CliInputError("--mode clustered needs -t")
+        mode = Mode(kind, {"proper": None, "improper": args.d, "clustered": args.t}[kind])
+        if args.mode == "fractional":
+            result = fractional_chromatic(g, mode)
+        elif b > 1:
+            result = chromatic_bfold(g, b, mode, timeout=args.timeout)
+        elif mode.kind == "clustered":
+            result = chromatic_clustered(g, mode.param, timeout=args.timeout)
         else:
-            kind = args.mode
-            if kind == "fractional":  # relaxed by -d or -t when given, proper otherwise
-                kind = "improper" if args.d is not None else "clustered" if args.t is not None \
-                    else "proper"
-            if kind == "improper" and args.d is None:
-                raise CliInputError("--mode improper needs -d")
-            if kind == "clustered" and args.t is None:
-                raise CliInputError("--mode clustered needs -t")
-            mode = Mode(kind, {"proper": None, "improper": args.d, "clustered": args.t}[kind])
-            if args.mode == "fractional":
-                result = fractional_chromatic(g, mode)
-            elif b > 1:
-                result = chromatic_bfold(g, b, mode, timeout=args.timeout)
-            elif mode.kind == "clustered":
-                result = chromatic_clustered(g, mode.param, timeout=args.timeout)
-            else:
-                result = chromatic_improper(g, mode.param or 0, timeout=args.timeout)
-    except ValueError as e:
-        raise CliInputError(str(e)) from e
+            result = chromatic_improper(g, mode.param or 0, timeout=args.timeout)
     payload = {"mode": args.mode, "d": args.d, "t": args.t, "b": b, "n": g.n}
     payload.update(result.to_json())
     return payload, _solve_exit(result)
@@ -240,18 +228,15 @@ def cmd_exact(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_diagnose(args: argparse.Namespace) -> tuple[dict, int]:
     g = load_graph(args)
-    try:
-        if args.colours:
-            colouring = parse_colours(args.colours, g.n)
-            solved = None
-        else:
-            solved = chromatic_improper(g, args.d, timeout=args.timeout)
-            if solved.status == "timeout":
-                return {"status": "timeout", "d": args.d, "n": g.n}, 2
-            colouring = solved.witness
-        diag = diagnose_hoffman(g, args.d, colouring, check_uniqueness=args.uniqueness)
-    except ValueError as e:
-        raise CliInputError(str(e)) from e
+    if args.colours:
+        colouring = parse_colours(args.colours, g.n)
+        solved = None
+    else:
+        solved = chromatic_improper(g, args.d, timeout=args.timeout)
+        if solved.status == "timeout":
+            return {"status": "timeout", "d": args.d, "n": g.n}, 2
+        colouring = solved.witness
+    diag = diagnose_hoffman(g, args.d, colouring, check_uniqueness=args.uniqueness)
     payload = diag.to_json()
     payload["colouring"] = colouring.to_json()
     if solved is not None:
@@ -266,19 +251,16 @@ def cmd_transfer(args: argparse.Namespace) -> tuple[dict, int]:
         if value < 1:
             raise CliInputError(f"-{flag} must be positive, got {value}")
     product = strong_product(g, complete_graph(t))
-    try:
-        if args.colours:
-            product_colouring = parse_colours(args.colours, product.n)
-            product_value = None
-        else:
-            solved = chromatic_clustered(product, ell * t, timeout=args.timeout)
-            if solved.status == "timeout":
-                return {"status": "timeout", "t": t, "l": ell, "n": g.n}, 2
-            product_colouring = solved.witness
-            product_value = solved.value
-        res = descend(g, product_colouring, t, ell)
-    except ValueError as e:
-        raise CliInputError(str(e)) from e
+    if args.colours:
+        product_colouring = parse_colours(args.colours, product.n)
+        product_value = None
+    else:
+        solved = chromatic_clustered(product, ell * t, timeout=args.timeout)
+        if solved.status == "timeout":
+            return {"status": "timeout", "t": t, "l": ell, "n": g.n}, 2
+        product_colouring = solved.witness
+        product_value = solved.value
+    res = descend(g, product_colouring, t, ell)
     payload = {
         "n": g.n,
         "t": t,
@@ -513,11 +495,7 @@ def cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
         family = "named:" + ",".join(args.named)
     else:
         raise CliInputError("give --all-connected N, --graph6-file PATH, or --named NAME")
-    try:
-        spec = SweepSpec(family, graphs, ds, args.timeout, args.jobs)
-    except ValueError as e:
-        raise CliInputError(str(e)) from e
-    report = run_sweep(spec)
+    report = run_sweep(SweepSpec(family, graphs, ds, args.timeout, args.jobs))
     return report, sweep_exit(report)
 
 
@@ -601,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as e:
                 raise CliInputError(f"--{e}") from e
         payload, code = args.func(args)
-    except CliInputError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if "schema" not in payload:

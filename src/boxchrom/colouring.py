@@ -12,7 +12,6 @@ re-verified independently of the checker that produced it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -26,7 +25,6 @@ __all__ = [
     "check_bfold",
     "check_clustered",
     "check_improper",
-    "colour_multiset",
     "lift_colouring",
 ]
 
@@ -249,13 +247,3 @@ def lift_colouring(c: Colouring, t: int) -> Colouring:
         out.extend([col] * t)
     return Colouring(tuple(out))
 
-
-def colour_multiset(c: Colouring, t: int, v: int) -> Counter:
-    """Multiset of colours on the t copies of base vertex v in a flattened product."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    if c.n % t:
-        raise ValueError(f"colouring length {c.n} is not a multiple of t={t}")
-    if not 0 <= v < c.n // t:
-        raise ValueError(f"base vertex {v} out of range")
-    return Counter(c.colours[v * t:(v + 1) * t])

@@ -4,9 +4,10 @@ Given a colouring of the strong product of a graph with a complete graph K_t
 whose monochromatic components have at most ell*t vertices, these routines
 produce a colouring of the base graph with components of size at most ell,
 using for each vertex only colours already present on its product fibre.
-The pipeline is fully checked: every rewrite step re-validates the clustering
-cap, palette containment, and a strictly decreasing potential, and the whole
-run is recorded in a trace that can be replayed independently.
+Every rewrite step re-validates the clustering cap, palette containment and
+a strictly decreasing potential.  The run is recorded in a trace, and
+``descend`` returns the colouring that ``replay_trace`` rebuilds from it, so
+the replay's checks certify the output once.
 
 The engine behind the descent is an incidence structure between base vertices
 and monochromatic product components.  Once that structure is acyclic, some
@@ -46,7 +47,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .colouring import Colouring, _class_masks, _component_masks, check_clustered, colour_multiset
+from .colouring import Colouring, _class_masks, _component_masks, check_clustered
 from .graphs import Graph, _components, _fields_json, complete_graph, iter_bits, strong_product
 
 __all__ = [
@@ -61,7 +62,6 @@ __all__ = [
     "build_incidence",
     "descend",
     "eliminate_cycles",
-    "find_small_component",
     "replay_trace",
 ]
 
@@ -294,8 +294,8 @@ def eliminate_cycles(product: Graph, c: Colouring, t: int,
 
     The components are kept from step to step as a list by smallest vertex.
     A surgery changes only the classes of its cycle's colours (see the module
-    docstring), so only those are split again before the next incidence is
-    built from the list.
+    docstring), so only those are split again, read from the rewritten
+    colouring, before the next incidence is built from the list.
     """
     bad = check_clustered(product, c, cluster_cap)
     if bad:
@@ -303,15 +303,8 @@ def eliminate_cycles(product: Graph, c: Colouring, t: int,
     inc = build_incidence(product, c, t)
     n = inc.n_base
     comps = list(inc.components)
-    classes = _class_masks(c)
     steps: list[EliminationStep] = []
-    potential = float("inf")  # total fibre palette size: every step must lower it
-    for _ in range(product.n + 1):
-        cur = inc.colouring
-        palettes = sum(len(set(cur.colours[p:p + t])) for p in range(0, product.n, t))
-        if palettes >= potential:
-            raise TransferInvariantError("palette potential failed to decrease")
-        potential = palettes
+    for _ in range(product.n + 1):  # the palette total, at most product.n, drops every step
         cycle = inc.cycle
         if cycle is None:
             return inc, tuple(steps)
@@ -322,10 +315,11 @@ def eliminate_cycles(product: Graph, c: Colouring, t: int,
         if any(v >= n for v in base) or any(cn < n for cn in comp_nodes):
             raise TransferInvariantError(f"cycle does not alternate sides: {cycle}")
         a = [inc.components[cn - n].colour for cn in comp_nodes]
+        cur = inc.colouring
         # base[i] sits between component i-1 and component i, so both colours
         # appear on its fibre; shift count s is the smallest multiplicity of
         # a[i] at base[i], so the pivot fibre sheds colour a[pivot] completely.
-        mults = [colour_multiset(cur, t, v)[col] for v, col in zip(base, a)]
+        mults = [cur.colours[v * t:(v + 1) * t].count(col) for v, col in zip(base, a)]
         if min(mults) < 1:
             raise TransferInvariantError("cycle colour missing from fibre")
         s = min(mults)
@@ -347,10 +341,8 @@ def eliminate_cycles(product: Graph, c: Colouring, t: int,
         nxt = Colouring(tuple(colours))
         _check_step_invariants(product, cur, nxt, cluster_cap, t, n, base, pivot, a)
         steps.append(EliminationStep(tuple(base), tuple(a), s, pivot, tuple(ops)))
-        for op in ops:
-            classes[op.old] &= ~(1 << op.product_vertex)
-            classes[op.new] |= 1 << op.product_vertex
         touched = set(a)
+        classes = _class_masks(nxt)
         comps = [comp for comp in comps if comp.colour not in touched]
         for colour in touched:
             comps += _split(product, colour, classes[colour], t)
@@ -362,40 +354,22 @@ def eliminate_cycles(product: Graph, c: Colouring, t: int,
 def _check_step_invariants(product, cur, nxt, cluster_cap, t, n_base, base, pivot, a):
     if Counter(cur.colours) != Counter(nxt.colours):
         raise TransferInvariantError("global colour histogram changed")
+    before = after = 0  # total fibre palette size, the potential every step lowers
     for v in range(n_base):
         old_pal = set(cur.colours[v * t : (v + 1) * t])
         new_pal = set(nxt.colours[v * t : (v + 1) * t])
         if not new_pal <= old_pal:
             raise TransferInvariantError(f"fibre palette of vertex {v} grew")
+        before += len(old_pal)
+        after += len(new_pal)
     pv = base[pivot]
     if a[pivot] in nxt.colours[pv * t : (pv + 1) * t]:
         raise TransferInvariantError("pivot fibre kept the colour it should shed")
     bad = check_clustered(product, nxt, cluster_cap)
     if bad:
         raise TransferInvariantError(f"clustering cap broken by surgery: {bad}")
-
-
-def find_small_component(inc: Incidence, ell: int) -> MonoComponent:
-    """A component covering at most ell base vertices of an acyclic incidence.
-
-    Counting shows such a component must exist: with every fibre of size t and
-    components capped at ell*t product vertices, a cover larger than ell forces
-    branching that would close a cycle.  Raises when the precondition fails.
-    """
-    if inc.cycle is not None:
-        raise TransferInvariantError("incidence graph still has a cycle")
-    return inc.components[_first_small([cc.cover for cc in inc.components], ell)]
-
-
-def _first_small(covers: list[tuple[int, ...]], ell: int) -> int:
-    """Index of the first cover of at most ell base vertices."""
-    for i, cover in enumerate(covers):
-        if len(cover) <= ell:
-            return i
-    raise TransferInvariantError(
-        f"acyclic incidence but no component covers <= {ell} vertices; "
-        f"covers: {[len(cover) for cover in covers]}"
-    )
+    if after >= before:
+        raise TransferInvariantError("palette potential failed to decrease")
 
 
 def _clear(product: Graph, comps: list[MonoComponent], live: int, dead: int,
@@ -449,63 +423,57 @@ def descend(g: Graph, c: Colouring, t: int, ell: int) -> DescentResult:
     Eliminates incidence cycles once, then repeatedly picks the first
     component, by smallest vertex, whose base footprint has at most ell
     vertices; that footprint takes the component's colour and its fibres
-    leave the mask of live product vertices.  The components of the live
-    vertices are kept from round to round as (colour, vertex mask, cover):
-    the untouched ones stay whole components with their covers, and only
-    those that met the cleared fibres are split, by ``_clear``, so the list
-    is the one a rebuild on the live mask would give, in the same order.
-    Deleting a footprint cannot close a cycle (see the module docstring), so
-    later rounds eliminate nothing; every round still checks one component
-    per base vertex and colour and an acyclic incidence.  The output colours
-    each vertex from its original fibre palette, uses no new colours, and is
-    verified ell-clustered before returning.
+    leave the mask of live product vertices.  One exists while n > 0 base
+    vertices are live: the m components share the t*n live product vertices,
+    at most ell*t each, so n <= ell*m, and the incidence is a forest, with at
+    most n + m - 1 < (ell + 1)*m edges.  The live components are kept as
+    (colour, vertex mask, cover) by smallest vertex; ``_clear`` splits only
+    those that met the cleared fibres, which gives the list a rebuild would
+    and cannot close a cycle (see the module docstring).  The list is still
+    checked after every split for one component per base vertex and colour
+    and for acyclicity, and a pick must meet only live fibres, which ends the
+    loop.  The colouring returned is the one ``replay_trace`` rebuilds from c
+    and the trace, so the replay's checks certify it.
     """
     if t < 1 or ell < 1:
         raise ValueError("t and ell must be positive")
     product = strong_product(g, complete_graph(t))
-    original_palettes = [set(c.colours[v * t : (v + 1) * t]) for v in range(g.n)]
-
-    out: list[int | None] = [None] * g.n
     inc, elims = eliminate_cycles(product, c, t, ell * t)
     comps = list(inc.components)
     live = (1 << product.n) - 1
     fibre = (1 << t) - 1  # the copies of base vertex 0
     rounds = []
     while live:
-        if not _is_forest(g.n, [(colour, cover) for colour, _, cover in comps]):
-            raise TransferInvariantError("incidence graph still has a cycle")
-        colour, _, cover = comps[_first_small([entry[2] for entry in comps], ell)]
+        for colour, _, cover in comps:
+            if len(cover) <= ell:
+                break
+        else:
+            raise TransferInvariantError(
+                f"acyclic incidence but no component covers <= {ell} vertices; "
+                f"covers: {[len(comp.cover) for comp in comps]}"
+            )
         dead = 0
         for v in cover:
-            if out[v] is not None:  # every round colours new vertices, so the loop ends
+            if not live >> v * t & fibre:  # every round clears live fibres, so the loop ends
                 raise TransferInvariantError(f"vertex {v} picked twice")
-            out[v] = colour
             dead |= fibre << v * t
         live &= ~dead
         rounds.append((elims, ComponentPick(colour, cover)))
         comps, elims = _clear(product, comps, live, dead, t), ()
-
-    missing = [v for v, col in enumerate(out) if col is None]
-    if missing:
-        raise TransferInvariantError(f"descent left vertices {missing} uncoloured")
-    result = Colouring(tuple(out))  # type: ignore[arg-type]
-    for v in range(g.n):
-        if result.colours[v] not in original_palettes[v]:
-            raise TransferInvariantError(
-                f"vertex {v} got colour {result.colours[v]} outside its fibre palette"
-            )
-    bad = check_clustered(g, result, ell)
-    if bad:
-        raise TransferInvariantError(f"descent output is not {ell}-clustered: {bad}")
-    return DescentResult(result, TransferTrace(t, ell, tuple(rounds)))
+        if not _is_forest(g.n, [(comp.colour, comp.cover) for comp in comps]):
+            raise TransferInvariantError("incidence graph still has a cycle")
+    trace = TransferTrace(t, ell, tuple(rounds))
+    return DescentResult(replay_trace(g, c, t, trace), trace)
 
 
 def replay_trace(g: Graph, c: Colouring, t: int, trace: TransferTrace) -> Colouring:
-    """Re-run a recorded descent against the original colouring.
+    """Re-run a recorded descent against the original colouring: its certificate.
 
     Applies every recolour with its expected before-value checked, then the
     component picks; a mismatch means the trace does not belong to (g, c, t).
-    The replayed colouring must be ``trace.ell``-clustered on g.
+    Each pick colours only uncoloured vertices, with a colour on both the
+    rewritten fibre and the original one in c.  Every vertex must end up
+    coloured, and the replayed colouring ``trace.ell``-clustered on g.
     """
     if t != trace.t:
         raise ValueError(f"trace was recorded at t={trace.t}, not t={t}")
@@ -528,6 +496,10 @@ def replay_trace(g: Graph, c: Colouring, t: int, trace: TransferTrace) -> Colour
             if pick.colour not in colours[v * t : (v + 1) * t]:
                 raise TransferInvariantError(
                     f"pick colour {pick.colour} absent from fibre of vertex {v}"
+                )
+            if pick.colour not in c.colours[v * t : (v + 1) * t]:
+                raise TransferInvariantError(
+                    f"pick colour {pick.colour} outside the original fibre palette of vertex {v}"
                 )
             out[v] = pick.colour
     if any(col is None for col in out):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from collections.abc import Callable
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
@@ -36,13 +37,8 @@ from boxchrom.solvers import (
 )
 from boxchrom.spectra import (MULT_TOL, SNAP_TOL, STRICT_MARGIN, MatrixKind, Spectrum, eigensolve,
                               graph_matrix, spectrum)
-from boxchrom.transfer import (
-    ComponentPick,
-    TransferTrace,
-    build_incidence,
-    eliminate_cycles,
-    find_small_component,
-)
+from boxchrom.transfer import (ComponentPick, Incidence, MonoComponent, TransferInvariantError,
+                               TransferTrace, build_incidence, eliminate_cycles)
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
@@ -358,6 +354,17 @@ def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
             if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)}
 
 
+def colour_multiset(c: Colouring, t: int, v: int) -> Counter:
+    """Multiset of colours on the t copies of base vertex v in a flattened product."""
+    if t < 1:
+        raise ValueError("t must be positive")
+    if c.n % t:
+        raise ValueError(f"colouring length {c.n} is not a multiple of t={t}")
+    if not 0 <= v < c.n // t:
+        raise ValueError(f"base vertex {v} out of range")
+    return Counter(c.colours[v * t:(v + 1) * t])
+
+
 def component_set(g: Graph, seed: int, within: int) -> set[int]:
     """Component of ``seed`` in the subgraph induced on ``within``, by set-based BFS."""
     members = {v for v in range(g.n) if within >> v & 1}
@@ -444,6 +451,19 @@ def smallest_cycle(adj) -> tuple[int, ...] | None:
                     rotated = cycle[start:] + cycle[:start]
                     best = tuple(min(rotated, [rotated[0]] + rotated[1:][::-1]))
     return best
+
+
+def find_small_component(inc: Incidence, ell: int) -> MonoComponent:
+    """The first component, by smallest vertex, covering at most ell base vertices."""
+    if inc.cycle is not None:
+        raise TransferInvariantError("incidence graph still has a cycle")
+    for comp in inc.components:
+        if len(comp.cover) <= ell:
+            return comp
+    raise TransferInvariantError(
+        f"acyclic incidence but no component covers <= {ell} vertices; "
+        f"covers: {[len(comp.cover) for comp in inc.components]}"
+    )
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:

@@ -21,7 +21,6 @@ from boxchrom.colouring import (
     check_bfold,
     check_clustered,
     check_improper,
-    colour_multiset,
     lift_colouring,
 )
 from boxchrom.graphs import (
@@ -33,7 +32,7 @@ from boxchrom.graphs import (
     path_graph,
     strong_product,
 )
-from oracles import component_sizes_ok, graphs, mono_degree_ok
+from oracles import colour_multiset, component_sizes_ok, graphs, mono_degree_ok
 
 
 @st.composite

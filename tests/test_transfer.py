@@ -25,7 +25,6 @@ from boxchrom.colouring import (
     Colouring,
     _component_masks,
     check_clustered,
-    colour_multiset,
     lift_colouring,
 )
 from boxchrom.graphs import (
@@ -41,20 +40,25 @@ from boxchrom.graphs import (
 from boxchrom.smallgraphs import connected_graphs, random_connected_graph
 from boxchrom.solvers import chromatic_clustered, chromatic_improper
 from boxchrom.transfer import (
+    ComponentPick,
+    EliminationStep,
+    RecolourOp,
     TransferInvariantError,
+    TransferTrace,
     _girth,
     _is_forest,
     _smallest_cycle,
     build_incidence,
     descend,
     eliminate_cycles,
-    find_small_component,
     replay_trace,
 )
 
 from oracles import (
     brute_girth,
+    colour_multiset,
     descend_by_induced_subgraph,
+    find_small_component,
     graphs as graph_strategy,
     live_components,
     smallest_cycle,
@@ -406,6 +410,24 @@ class TestDescend:
         with pytest.raises(TransferInvariantError, match="still has a cycle"):
             descend(g, c, 2, 2)
 
+    def test_a_pick_of_a_cleared_fibre_is_picked_twice(self, monkeypatch):
+        # a _clear that keeps the picked component offers it again next round;
+        # the guard must stop the loop there instead of picking it forever
+        g, c = path_graph(3), Colouring((1, 1, 1, 2, 2, 2))
+        assert len(descend(g, c, 2, 2).trace.rounds) == 2
+        calls = []
+
+        def stuck(product, comps, live, dead, t):
+            calls.append(dead)
+            if len(calls) > 2:  # fail here rather than hang if the guard is gone
+                raise AssertionError("descend picked a cleared fibre again")
+            return comps
+
+        monkeypatch.setattr(transfer, "_clear", stuck)
+        with pytest.raises(TransferInvariantError, match="vertex 0 picked twice"):
+            descend(g, c, 2, 2)
+        assert len(calls) == 1
+
     def test_one_product_and_no_induced_subgraph(self, monkeypatch):
         calls = Counter()
 
@@ -455,6 +477,15 @@ class TestReplay:
         assert check_clustered(g, res.colouring, 1) is not None
         with pytest.raises(TransferInvariantError):
             replay_trace(g, c, 2, dataclasses.replace(res.trace, ell=1))
+
+    def test_replay_rejects_a_colour_the_fibre_never_had(self):
+        # the op is consistent with the running colouring, so only the check
+        # against the original fibre (1, 1) can refuse the pick of colour 9
+        g, c = path_graph(1), Colouring((1, 1))
+        step = EliminationStep((0,), (1,), 1, 0, (RecolourOp(0, 1, 9),))
+        forged = TransferTrace(2, 1, (((step,), ComponentPick(9, (0,))),))
+        with pytest.raises(TransferInvariantError, match="original fibre palette of vertex 0"):
+            replay_trace(g, c, 2, forged)
 
     def test_replay_rejects_a_wrong_length(self):
         res = descend(cycle_graph(4), CYCLIC_C4, 2, 1)
