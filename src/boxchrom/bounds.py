@@ -61,10 +61,9 @@ class WeightedCompatibleMatrix:
             raise ValueError("weight matrix must be symmetric")
         if not float(np.abs(w).max(initial=0.0)) <= 1.0 + ROUNDOFF:
             raise ValueError("weight entries must lie in [-1, 1]")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not graph.adjacent(u, v) and w[u, v] != 0.0:
-                    raise ValueError(f"nonzero weight on non-edge ({u},{v})")
+        off = np.argwhere(np.triu((w != 0.0) & (graph_matrix(graph) == 0.0), 1))
+        if len(off):
+            raise ValueError(f"nonzero weight on non-edge ({off[0, 0]},{off[0, 1]})")
         self.graph = graph
         self.n = n
         self.matrix = w

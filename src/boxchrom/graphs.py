@@ -231,8 +231,7 @@ def _trusted(adj: Sequence[int], base: tuple[Graph, int] | None = None,
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    adj = tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj))
-    return Graph(g.n, adj)
+    return _trusted([(full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
@@ -261,15 +260,9 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 def join(g: Graph, h: Graph) -> Graph:
     """Join: disjoint union plus all edges between the two sides."""
-    base = disjoint_union(g, h)
-    gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
-    adj = list(base.adj)
-    for v in range(g.n):
-        adj[v] |= hmask
-    for v in range(g.n, g.n + h.n):
-        adj[v] |= gmask
-    return Graph(base.n, tuple(adj))
+    adj = [row | hmask for row in g.adj] + [row << g.n | (1 << g.n) - 1 for row in h.adj]
+    return Graph(g.n + h.n, tuple(adj))
 
 
 def line_graph(g: Graph) -> Graph:

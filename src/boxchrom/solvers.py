@@ -81,7 +81,7 @@ from .bounds import ceil_lower, hoffman_bilu
 from .colouring import BFoldColouring, Colouring, Mode, check_bfold, check_clustered, check_improper
 from .graphs import (Graph, _relabel, _to_json, _twin_classes, complement, complete_graph,
                      iter_bits, strong_product)
-from .spectra import SNAP_TOL, STRICT_MARGIN
+from .spectra import SNAP_TOL, STRICT_MARGIN, _bit_rows
 
 __all__ = [
     "SearchInvariantError",
@@ -631,10 +631,26 @@ def alpha_d(g: Graph, d: int, *, timeout: float | None = None) -> SolveResult:
     return _largest(g.adj, d, timeout)
 
 
+def _clique(g: Graph, t: int, timeout: float | None) -> SolveResult:
+    """``clique_number`` of g = base * K_t (t = 1: of g); base's untimed search is memoised."""
+    if t == 1:
+        return _largest(complement(g).adj, 0, timeout)
+    base = g._base[0]
+    res = _finished_clique(base, 1) if timeout is None else _largest(complement(base).adj, 0, timeout)
+    value = None if res.value is None else res.value * t
+    wit = tuple(u * t + i for u in res.witness for i in range(t))
+    mask = sum(1 << v for v in wit)
+    for v in wit:
+        if (g.adj[v] | 1 << v) & mask != mask:
+            raise WitnessError(f"clique witness vertex {v} misses a witness neighbour")
+    return SolveResult(value, wit, res.nodes, res.millis, res.status, len(wit), "search",
+                       g.n if value is None else value)
+
+
 @lru_cache(maxsize=4096)
-def _finished_clique(g: Graph) -> SolveResult:
-    """The untimed, hence finished, search on the complement of g."""
-    return _largest(complement(g).adj, 0, None)
+def _finished_clique(g: Graph, t: int) -> SolveResult:
+    # untimed, hence finished; t keys a product apart from its equal plain copy (t = 1)
+    return _clique(g, t, None)
 
 
 def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
@@ -642,23 +658,17 @@ def clique_number(g: Graph, *, timeout: float | None = None) -> SolveResult:
 
     On g = base * K_t a clique of base blows up to one of t times its size,
     and a clique of g projects onto one of base, so omega(g) = t * omega(base):
-    the search runs on base, and the fibres of its clique are the witness.
-    An untimed search always finishes, so its result, node count included, is
-    memoised per base graph; a timed one runs afresh.  The witness is checked
-    against g on every call.
+    the search runs on base, and the fibres of its clique, checked against g,
+    are the witness.  An untimed search always finishes, so its result, node
+    count and checked witness included, is memoised per graph and t; a timed
+    one runs afresh.  Every call returns a new result with its own ``millis``.
     """
     _require_cap(g)
     clock = _Clock(timeout)
-    base, t = g._base or (g, 1)
-    res = _finished_clique(base) if timeout is None else _largest(complement(base).adj, 0, timeout)
-    value = None if res.value is None else res.value * t
-    wit = tuple(u * t + i for u in res.witness for i in range(t))
-    mask = sum(1 << v for v in wit)
-    for v in wit:
-        if (g.adj[v] | 1 << v) & mask != mask:
-            raise WitnessError(f"clique witness vertex {v} misses a witness neighbour")
-    return SolveResult(value, wit, res.nodes, clock.millis(), res.status, len(wit), "search",
-                       g.n if value is None else value)
+    t = g._base[1] if g._base else 1
+    res = _finished_clique(g, t) if timeout is None else _clique(g, t, timeout)
+    return SolveResult(res.value, res.witness, res.nodes, clock.millis(), res.status,
+                       res.lower_bound, res.lower_bound_source, res.upper_bound)
 
 
 # -- fractional chromatic number --------------------------------------------
@@ -694,45 +704,43 @@ def _simplex_packing(incidence: list[int], n: int) -> tuple[float, list[float], 
     test divides only the rows whose entry there is above eps and reads the
     ratios as Python floats, in row order: the least ratio, ties within eps to
     the lower basic variable.  A pivot updates only the columns where the
-    pivot row is non-zero; the others would subtract zero.
+    pivot row is non-zero; the others would subtract zero.  The tableau is
+    stored transposed, one array row per column, so those columns are contiguous.
     """
     import numpy as np
 
     m = len(incidence)
-    tab = np.zeros((m + 1, n + m + 1))
-    for i, members in enumerate(incidence):
-        for v in iter_bits(members):
-            tab[i, v] = 1.0
-        tab[i, n + i] = 1.0
-        tab[i, -1] = 1.0
-    tab[m, :n] = -1.0
+    tab = np.zeros((n + m + 1, m + 1))
+    tab[:n, :m] = _bit_rows(incidence, n).T
+    tab[range(n, n + m), range(m)] = tab[-1, :m] = 1.0
+    tab[:n, m] = -1.0
     basis = [n + i for i in range(m)]
     eps = STRICT_MARGIN
     pivots = 0
     while True:
-        below = np.flatnonzero(tab[m, :n + m] < -eps)
+        below = np.flatnonzero(tab[:n + m, m] < -eps)
         if not below.size:
             break
         enter = int(below[0])
-        rows = np.flatnonzero(tab[:m, enter] > eps)
+        rows = np.flatnonzero(tab[enter, :m] > eps)
         leave, best_ratio, best_var = -1, None, None
-        for i, ratio in zip(rows.tolist(), (tab[rows, -1] / tab[rows, enter]).tolist()):
+        for i, ratio in zip(rows.tolist(), (tab[-1, rows] / tab[enter, rows]).tolist()):
             if best_ratio is None or ratio < best_ratio - eps or \
                     (abs(ratio - best_ratio) <= eps and basis[i] < best_var):
                 leave, best_ratio, best_var = i, ratio, basis[i]
         if leave < 0:
             raise ArithmeticError("packing LP unbounded; every vertex must lie in a set")
-        tab[leave] /= tab[leave, enter]
-        cols = np.flatnonzero(tab[leave])
-        col = tab[:, enter].copy()
+        tab[:, leave] /= tab[enter, leave]
+        cols = np.flatnonzero(tab[:, leave])
+        col = tab[enter].copy()
         col[leave] = 0.0
-        tab[:, cols] -= np.outer(col, tab[leave, cols])
+        tab[cols] -= np.outer(tab[cols, leave], col)
         basis[leave] = enter
         pivots += 1
         if pivots > 50000:
             raise ArithmeticError("simplex pivot limit exceeded")
-    value = float(tab[m, -1])
-    duals = [float(tab[m, n + i]) for i in range(m)]
+    value = float(tab[-1, m])
+    duals = [float(tab[n + i, m]) for i in range(m)]
     return value, duals, pivots
 
 
@@ -752,8 +760,7 @@ def fractional_chromatic(g: Graph, mode: Mode = Mode.proper()) -> SolveResult:
     witness = tuple(WeightedSet(tuple(iter_bits(s)), w) for s, w in zip(sets, duals)
                     if w > STRICT_MARGIN)
     # certify the dual cover before reporting it
-    for v in range(g.n):
-        total = sum(w for s, w in zip(sets, duals) if s >> v & 1)
+    for v, total in enumerate((_bit_rows(sets, g.n).T @ duals).tolist()):
         if not total >= 1.0 - SNAP_TOL:
             raise ArithmeticError(f"fractional cover misses vertex {v}")
     if not abs(sum(duals) - value) <= SNAP_TOL:

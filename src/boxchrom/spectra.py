@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph
 
 __all__ = [
     "MatrixKind",
@@ -42,14 +42,18 @@ class MatrixKind(Enum):
     SIGNLESS_LAPLACIAN = "signless_laplacian"
 
 
+def _bit_rows(rows: tuple[int, ...] | list[int], n: int) -> np.ndarray:
+    """The 0/1 uint8 matrix of bits 0..n-1 of each row, its little-endian bytes unpacked at once."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+
+
 def graph_matrix(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        for u in iter_bits(g.adj[v]):
-            a[v, u] = 1.0
+    a = _bit_rows(g.adj, g.n).astype(float)
     if kind is MatrixKind.ADJACENCY:
         return a
-    deg = np.diag([float(g.degree(v)) for v in range(g.n)])
+    deg = np.diag(a.sum(axis=1))
     if kind is MatrixKind.LAPLACIAN:
         return deg - a
     return deg + a

@@ -470,7 +470,8 @@ def replay_trace(g: Graph, c: Colouring, t: int, trace: TransferTrace) -> Colour
     """Re-run a recorded descent against the original colouring: its certificate.
 
     Applies every recolour with its expected before-value checked, then the
-    component picks; a mismatch means the trace does not belong to (g, c, t).
+    component picks; a mismatch, or a vertex number outside g * K_t or g,
+    means the trace does not belong to (g, c, t).
     Each pick colours only uncoloured vertices, with a colour on both the
     rewritten fibre and the original one in c.  Every vertex must end up
     coloured, and the replayed colouring ``trace.ell``-clustered on g.
@@ -484,23 +485,24 @@ def replay_trace(g: Graph, c: Colouring, t: int, trace: TransferTrace) -> Colour
     for elims, pick in trace.rounds:
         for step in elims:
             for op in step.ops:
-                if colours[op.product_vertex] != op.old:
-                    raise TransferInvariantError(
-                        f"trace mismatch at product vertex {op.product_vertex}: "
-                        f"expected {op.old}, found {colours[op.product_vertex]}"
-                    )
-                colours[op.product_vertex] = op.new
+                p = op.product_vertex
+                if not 0 <= p < c.n:
+                    raise TransferInvariantError(f"trace product vertex {p} outside 0..{c.n - 1}")
+                if colours[p] != op.old:
+                    raise TransferInvariantError(f"trace mismatch at product vertex {p}: "
+                                                 f"expected {op.old}, found {colours[p]}")
+                colours[p] = op.new
         for v in pick.base_vertices:
+            if not 0 <= v < g.n:
+                raise TransferInvariantError(f"trace picks base vertex {v} outside 0..{g.n - 1}")
             if out[v] is not None:
                 raise TransferInvariantError(f"vertex {v} picked twice")
             if pick.colour not in colours[v * t : (v + 1) * t]:
-                raise TransferInvariantError(
-                    f"pick colour {pick.colour} absent from fibre of vertex {v}"
-                )
+                raise TransferInvariantError(f"pick colour {pick.colour} absent from fibre "
+                                             f"of vertex {v}")
             if pick.colour not in c.colours[v * t : (v + 1) * t]:
                 raise TransferInvariantError(
-                    f"pick colour {pick.colour} outside the original fibre palette of vertex {v}"
-                )
+                    f"pick colour {pick.colour} outside the original fibre palette of vertex {v}")
             out[v] = pick.colour
     if any(col is None for col in out):
         raise TransferInvariantError("trace leaves vertices uncoloured")

@@ -201,6 +201,29 @@ def loop_strong_product(g: Graph, h: Graph) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def loop_graph_matrix(g: Graph, kind: MatrixKind = MatrixKind.ADJACENCY) -> np.ndarray:
+    """``spectra.graph_matrix`` one ``iter_bits`` entry at a time, degrees from the bit counts."""
+    a = np.zeros((g.n, g.n))
+    for v in range(g.n):
+        for u in iter_bits(g.adj[v]):
+            a[v, u] = 1.0
+    if kind is MatrixKind.ADJACENCY:
+        return a
+    deg = np.diag([float(g.degree(v)) for v in range(g.n)])
+    if kind is MatrixKind.LAPLACIAN:
+        return deg - a
+    return deg + a
+
+
+def loop_non_edge_weight(g: Graph, w: np.ndarray) -> tuple[int, int] | None:
+    """The first (u, v), u < v, in row order, with a nonzero weight on a non-edge of g."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.adjacent(u, v) and w[u, v] != 0.0:
+                return u, v
+    return None
+
+
 def argsort_perron_vector(g: Graph) -> np.ndarray:
     """The leading eigenvector after a stable argsort of -w, signed so its first entry is >= 0."""
     w, v = np.linalg.eigh(graph_matrix(g))

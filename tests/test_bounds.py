@@ -38,7 +38,7 @@ from boxchrom.graphs import (
 from boxchrom.smallgraphs import connected_graphs, random_connected_graph
 from boxchrom.solvers import alpha_d, chromatic_improper
 from boxchrom.spectra import MatrixKind, graph_matrix, spectrum
-from oracles import graphs, reference_bound_report
+from oracles import graphs, loop_non_edge_weight, reference_bound_report
 
 JOIN_WEIGHTS_TEXT = """8
 0 1 0 0 1 1 -0.99 1
@@ -115,6 +115,26 @@ class TestWeightedMatrix:
         m[0, 2] = m[2, 0] = 0.5
         with pytest.raises(ValueError):
             WeightedCompatibleMatrix(path_graph(3), m)
+
+    @given(graphs(max_n=9), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_non_edge_weight_is_the_loops_first_pair(self, g, data):
+        # weights dropped anywhere; a 1e-13 one may sit on one side of the
+        # diagonal only, which the symmetry check forgives, so the first
+        # offending pair is read from the upper triangle, in row order
+        m = graph_matrix(g) * 0.5
+        for _ in range(data.draw(st.integers(0, 3))):
+            u, v = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, g.n - 1))
+            value = data.draw(st.sampled_from([0.25, -0.5, 1e-13]))
+            m[u, v] = value
+            m[v, u] = value if value != 1e-13 else data.draw(st.sampled_from([value, 0.0]))
+        first = loop_non_edge_weight(g, m)
+        if first is None:
+            assert WeightedCompatibleMatrix(g, m).n == g.n
+        else:
+            message = rf"^nonzero weight on non-edge \({first[0]},{first[1]}\)$"
+            with pytest.raises(ValueError, match=message):
+                WeightedCompatibleMatrix(g, m)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("at", [(0, 1), (0, 0)], ids=["edge", "diagonal"])

@@ -195,11 +195,12 @@ class TestProducts:
     @given(graphs(max_n=5), graphs(max_n=4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_unchecked_outputs_pass_the_checks(self, g, h, data):
-        # strong_product and canonical_form skip Graph's validation
+        # strong_product, canonical_form and complement skip Graph's validation
         prod = strong_product(g, h)
         vs = data.draw(st.permutations(range(prod.n)))[:data.draw(st.integers(0, prod.n))]
         sub = induced_subgraph(prod, vs)
-        outs = (prod, canonical_form(Graph(g.n, g.adj, "g")), canonical_form(sub))
+        outs = (prod, canonical_form(Graph(g.n, g.adj, "g")), canonical_form(sub),
+                complement(g), complement(prod), complement(sub), complement(Graph(0, ())))
         for out in outs:
             copy = Graph(out.n, out.adj)
             assert copy == out and hash(copy) == hash(out)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from boxchrom import solvers
 from boxchrom.colouring import Colouring, Mode, check_bfold, check_clustered, check_improper
 from boxchrom.graphs import (
     Graph,
@@ -502,6 +503,28 @@ class TestAlphaAndClique:
         # a stored search never answers a timed call
         assert clique_number(prod, timeout=0.0).status == "timeout"
 
+    def test_repeated_clique_calls_reuse_the_checked_witness(self, monkeypatch):
+        prod = strong_product(petersen_graph(), complete_graph(3))
+        built = []
+        real = solvers._clique
+
+        def counting(g, t, timeout):
+            built.append((g.n, t, timeout))
+            return real(g, t, timeout)
+
+        monkeypatch.setattr(solvers, "_clique", counting)
+        _finished_clique.cache_clear()
+        first, second, third = (clique_number(prod) for _ in range(3))
+        # the product's witness and the base's search were each built once
+        assert built == [(30, 3, None), (10, 1, None)]
+        assert first is not second and second is not third
+        assert (first.value, first.witness, first.nodes) == (second.value, second.witness, second.nodes)
+        assert first.value == 6 and len(first.witness) == 6
+        # a plain copy is equal to the product but searches itself, and a timed call runs afresh
+        clique_number(Graph(prod.n, prod.adj))
+        clique_number(prod, timeout=60.0)
+        assert built[2:] == [(30, 1, None), (30, 3, 60.0)]
+
     def test_alpha_timeout_returns_incumbent(self):
         # the search needs far more than 2,048 nodes, so the clock is read past its deadline
         g = random_graph(40, .25, 1)
@@ -763,6 +786,16 @@ class TestFractional:
                 cover[v] += weight
         assert all(w >= 1 - 1e-6 for w in cover.values())
         assert abs(total - float(res.value)) < 1e-6
+
+    def test_a_cover_that_misses_a_vertex_is_refused(self, monkeypatch):
+        # weight only on the maximal independent sets {0,2} and {0,3} of C5:
+        # vertices 1 and 4 are uncovered, and the lowest is reported
+        def through_zero(sets, n):
+            return 2.0, [1.0 if s & 1 else 0.0 for s in sets], 0
+
+        monkeypatch.setattr(solvers, "_simplex_packing", through_zero)
+        with pytest.raises(ArithmeticError, match="^fractional cover misses vertex 1$"):
+            fractional_chromatic(cycle_graph(5))
 
     def test_cap(self):
         with pytest.raises(SolverCapError):

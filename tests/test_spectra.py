@@ -37,7 +37,9 @@ from boxchrom.spectra import (
     perron_vector,
     spectrum,
 )
-from oracles import argsort_perron_vector, graphs, jacobi_eigh, product_spectrum_identity_check
+from boxchrom.smallgraphs import random_graph
+from oracles import (argsort_perron_vector, graphs, jacobi_eigh, loop_graph_matrix,
+                     product_spectrum_identity_check)
 
 
 @st.composite
@@ -130,6 +132,39 @@ class TestEigensolve:
         monkeypatch.setattr("boxchrom.spectra.np.linalg.eigh", scaled)
         with pytest.raises(ArithmeticError, match="orthonormal"):
             eigensolve(np.diag([3.0, -1.0, 7.0]))
+
+
+def _same_matrix(g: Graph) -> None:
+    for kind in MatrixKind:
+        got, want = graph_matrix(g, kind), loop_graph_matrix(g, kind)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (g.n, g.n)
+        assert np.array_equal(got, want), (g.adj, kind)
+
+
+class TestGraphMatrix:
+    """graph_matrix unpacks the bit rows in one step; the per-entry loop is the reference."""
+
+    @given(st.integers(0, 70), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_loop(self, n, p, seed):
+        _same_matrix(random_graph(n, p, seed) if n else Graph(0, ()))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70])
+    def test_matches_the_loop_at_byte_edges(self, n):
+        # a row's last byte is full at n = 8k and holds one bit at n = 8k + 1
+        for p, seed in ((0.5, n), (1.0, 0), (0.0, 0)):
+            _same_matrix(random_graph(n, p, seed))
+
+    def test_matches_the_loop_on_an_81_vertex_product(self):
+        prod = strong_product(random_graph(27, 0.3, 0), complete_graph(3))
+        assert prod.n == 81
+        _same_matrix(prod)
+        _same_matrix(Graph(prod.n, prod.adj))
+
+    def test_empty_graph_is_zero_by_zero(self):
+        for kind in MatrixKind:
+            m = graph_matrix(Graph(0, ()), kind)
+            assert m.shape == (0, 0) and m.dtype == np.float64
 
 
 class TestSpectrumObject:

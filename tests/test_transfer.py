@@ -487,6 +487,22 @@ class TestReplay:
         with pytest.raises(TransferInvariantError, match="original fibre palette of vertex 0"):
             replay_trace(g, c, 2, forged)
 
+    # forged traces on path_graph(1) at t = 2: product vertices 0..1, base vertex 0
+    @pytest.mark.parametrize("op, pick, message", [
+        (RecolourOp(7, 1, 1), ComponentPick(1, (0,)), "product vertex 7 outside 0..1"),
+        (RecolourOp(-1, 1, 2), ComponentPick(1, (0,)), "product vertex -1 outside 0..1"),
+        (RecolourOp(0, 1, 1), ComponentPick(1, (3,)), "base vertex 3 outside 0..0"),
+        (RecolourOp(0, 1, 1), ComponentPick(1, (-1,)), "base vertex -1 outside 0..0"),
+    ], ids=["product-above", "product-negative", "base-above", "base-negative"])
+    def test_replay_rejects_a_vertex_outside_the_graph(self, op, pick, message):
+        # unchecked, a number above the range is an IndexError and a negative
+        # one rewrites or picks a vertex counted from the end
+        g, c = path_graph(1), Colouring((1, 1))
+        step = EliminationStep((0,), (1,), 1, 0, (op,))
+        forged = TransferTrace(2, 1, (((step,), pick),))
+        with pytest.raises(TransferInvariantError, match=message):
+            replay_trace(g, c, 2, forged)
+
     def test_replay_rejects_a_wrong_length(self):
         res = descend(cycle_graph(4), CYCLIC_C4, 2, 1)
         with pytest.raises(ValueError):
